@@ -159,11 +159,10 @@ def log_derivative(path, max_modes=None, root_tol=1e-12):
         cache[t] = out
         return out
 
-    return GeneratorPath(func, path.interval, smooth=True,
-                         max_degree=max_modes)
+    return GeneratorPath(func, path.interval)
 
 
-def exponentiate_path(rep, path, tol=1e-8, rule="midpoint", r=0, **kw):
+def exponentiate_path(rep, path, tol=1e-8, rule="magnus4", r=0, **kw):
     """U_p: the product integral of the path's logarithmic derivative."""
     if isinstance(path, GeneratorPath):
         gen = path
@@ -204,10 +203,10 @@ def verify_up_properties(rep, path, reparam=None, split=0.5, tol=1e-8):
     gen = path if isinstance(path, GeneratorPath) else log_derivative(path)
     a, b = gen.interval
     out = {}
+    kw = dict(tol=tol, rule="magnus4", record_bound=False)
 
     X0 = gen(a)
-    Pc = product_integral(rep, GeneratorPath.constant(X0, (0.0, 1.0)),
-                          tol=tol, rule="midpoint", record_bound=False)
+    Pc = product_integral(rep, GeneratorPath.constant(X0, (0.0, 1.0)), **kw)
     out["constant-exponential"] = float(
         np.abs(Pc.matrix - expm(rep.pi(X0))).max())
 
@@ -228,7 +227,6 @@ def verify_up_properties(rep, path, reparam=None, split=0.5, tol=1e-8):
         seminorm((gen(t) - gen(t)).base, 1) for t in probes)
 
     s = a + split * (b - a)
-    kw = dict(tol=tol, rule="midpoint", record_bound=False)
     P = product_integral(rep, gen, **kw)
     P1 = product_integral(rep, GeneratorPath(gen.func, (a, s)), **kw)
     P2 = product_integral(rep, GeneratorPath(gen.func, (s, b)), **kw)
@@ -311,7 +309,7 @@ def flat_section(rep, homotopy, xi0, nx=9, ny=9, tol=1e-8,
         raise CurvatureTooLarge(f"curvature residual {curv:.3e}")
     xs = np.linspace(0.0, 1.0, nx)
     ys = np.linspace(0.0, 1.0, ny)
-    kw = dict(tol=tol, rule="midpoint", n0=4, record_bound=False)
+    kw = dict(tol=tol, rule="magnus4", n0=4, record_bound=False)
     F = np.empty((nx, ny, rep.dim), dtype=complex)
     bottom = np.asarray(xi0, dtype=complex)
     F[0, 0] = bottom
@@ -366,7 +364,7 @@ class HolonomyReport:
 
 
 def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
-                   curvature_tol=1e-6, boundary_tol=1e-10):
+                   curvature_tol=1e-6, boundary_tol=1e-10, rule="magnus4"):
     """Predicted vs measured holonomy phase of a flat homotopy.
 
     The prediction is exp(i * Simpson integral of B(X_1, X_2)) over the
@@ -374,7 +372,7 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
     the scalar part of U_{p_1} U_{p_0}^{-1} on the fixed comparison
     window of levels 0..window (fixed so that truncation sweeps over N
     compare like with like), where p_y is the horizontal boundary path
-    x -> X_1(x, y).
+    x -> X_1(x, y), each integrated with the product-integral `rule`.
     """
     bnd = homotopy.boundary_residual()
     if bnd > boundary_tol:
@@ -398,10 +396,10 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
         I, n = I2, 2 * n
     predicted = complex(np.exp(1j * I))
 
-    kw = dict(tol=tol, rule="midpoint", record_bound=False)
+    kw = dict(tol=tol, rule=rule, record_bound=False)
     P0 = product_integral(rep, homotopy.boundary_path(0.0), **kw)
     P1 = product_integral(rep, homotopy.boundary_path(1.0), **kw)
-    R = P1.matrix @ np.linalg.inv(P0.matrix)
+    R = P1.matrix @ P0.matrix.conj().T            # U_{p0} is unitary
     d = int(rep.offsets[window + 1]) if hasattr(rep, "offsets") else None
     block = R[:d, :d]
     measured = complex(np.trace(block) / block.shape[0])

@@ -180,7 +180,7 @@ def axis_angle_oracle(rep, x):
 
 def su2_path(func, interval=(0.0, 1.0)):
     """GeneratorPath of coordinate 3-vectors t -> x(t)."""
-    return GeneratorPath(func, interval, max_degree=0)
+    return GeneratorPath(func, interval)
 
 
 def exponentiate_vs_oracle(rep, path, tol=1e-9, split=0.5):
@@ -193,7 +193,7 @@ def exponentiate_vs_oracle(rep, path, tol=1e-9, split=0.5):
     """
     from scipy.integrate import solve_ivp
     a, b = path.interval
-    kw = dict(tol=tol, rule="midpoint", record_bound=False)
+    kw = dict(tol=tol, rule="magnus4", record_bound=False)
     P = product_integral(rep, path, **kw)
     out = {"unitarity": P.unitarity_defect()}
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import unittest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,3 +236,58 @@ def test_rng_streams_independent_per_check():
     assert not np.allclose(a, b)
     a2 = checks.CheckContext(seed=5).rng("gw-virasoro-estimate").normal(size=4)
     np.testing.assert_array_equal(a, a2)
+
+
+@pytest.mark.parametrize("seed", [12, 19, 65])
+def test_inhomogeneous_residual_passes_on_former_failing_seeds(seed,
+                                                               cache_dir):
+    # seeds on which the second-order residual stencil exceeded the bound
+    ctx = checks.CheckContext(seed=seed, cache=cli.ModuleCache(cache_dir))
+    row = checks.run_check("inhomogeneous-residual", ctx)
+    assert row["verdict"] == "pass", row
+
+
+# Reports the OPENBLAS_NUM_THREADS value and the thread count of every
+# OpenBLAS that `import prodexp.cli` loads into a fresh interpreter.
+_BLAS_PROBE = r"""
+import ctypes, json, os
+import prodexp.cli
+threads = {}
+with open("/proc/self/maps") as maps:
+    libs = {l.split()[-1] for l in maps if "openblas" in l.lower()
+            and l.split()[-1].startswith("/")}
+for lib in sorted(libs):
+    handle = ctypes.CDLL(lib)
+    for sym in ("scipy_openblas_get_num_threads64_",
+                "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(handle, sym, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            fn.argtypes = []
+            threads[os.path.basename(lib)] = fn()
+            break
+print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": threads}))
+"""
+
+
+def _probe_blas(**env_update):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_update)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                    reason="needs /proc/self/maps to find the loaded OpenBLAS")
+def test_cli_import_pins_openblas_to_one_thread():
+    probe = _probe_blas()
+    assert probe["env"] == "1"
+    if not probe["threads"]:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert set(probe["threads"].values()) == {1}
+    # a value chosen by the caller is kept
+    assert _probe_blas(OPENBLAS_NUM_THREADS="2")["env"] == "2"

@@ -221,6 +221,14 @@ def test_holonomy_nontrivial_vir8(vir8):
     assert rep.curvature < 1e-12
 
 
+def test_holonomy_magnus4_matches_step_scheme(vir8):
+    hom = shrinking_loop_homotopy(k=2)
+    magnus = holonomy_phase(vir8, hom)
+    step = holonomy_phase(vir8, hom, rule="midpoint")
+    assert abs(magnus.measured - step.measured) < 1e-6
+    assert abs(magnus.deviation - step.deviation) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # phase charts, local and extension cocycles
 

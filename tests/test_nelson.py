@@ -6,7 +6,8 @@ import pytest
 from prodexp.nelson import (FinDimRep, axis_angle_oracle,
                             exponentiate_vs_oracle, laplacian, spin_matrices,
                             su2_path, verify_assumptions)
-from prodexp.prodint import GeneratorPath, product_integral
+from prodexp.prodint import (GeneratorPath, StepSubdivision, product_integral,
+                             step_product)
 
 MIXED = FinDimRep((0.5, 1.5))
 
@@ -177,3 +178,34 @@ def test_block_determinants_unimodular():
         U = axis_angle_oracle(MIXED, x)
         for sl in MIXED.block_slices():
             assert abs(abs(np.linalg.det(U[sl, sl])) - 1) < 1e-12
+
+
+def test_magnus4_axis_angle():
+    x = np.array([0.4, -0.2, 0.9])
+    P = product_integral(MIXED, su2_path(lambda t: x), tol=1e-10,
+                         rule="magnus4", record_bound=False)
+    assert np.abs(P.matrix - axis_angle_oracle(MIXED, x)).max() < 1e-12
+    assert P.unitarity_defect() < 1e-13
+
+
+def test_magnus4_noncommuting_path_vs_ode():
+    # a path whose values do not commute, so the commutator term of the
+    # Magnus exponent matters; the reference is an independent ODE solve
+    from scipy.integrate import solve_ivp
+
+    def f(t):
+        return np.array([np.sin(3 * t), 0.8 * np.cos(2 * t), 0.5 + t])
+
+    path = su2_path(f)
+    sol = solve_ivp(lambda t, y: (MIXED.pi(f(t)) @ y.reshape(6, 6)).ravel(),
+                    (0, 1), np.eye(6, dtype=complex).ravel(),
+                    rtol=1e-12, atol=1e-13)
+    ref = sol.y[:, -1].reshape(6, 6)
+    errs = {rule: np.abs(step_product(
+        MIXED, path, StepSubdivision.uniform((0, 1), 16, rule)).matrix
+        - ref).max() for rule in ("midpoint", "magnus4")}
+    assert errs["magnus4"] < 1e-5
+    assert errs["magnus4"] < errs["midpoint"] / 50
+    P = product_integral(MIXED, path, tol=1e-11, rule="magnus4",
+                         record_bound=False)
+    assert np.abs(P.matrix - ref).max() < 1e-9

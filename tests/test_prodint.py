@@ -5,10 +5,11 @@ from scipy.linalg import expm
 from prodexp.liealg import CentralElement, FourierVectorField
 from prodexp.prodint import (GeneratorPath, MaxRefinementExceeded,
                              Propagator, StepSubdivision, TruncationOverflow,
-                             change_of_variable_check, cumulative_simpson,
-                             dyson_expansion, gateaux_derivative,
-                             product_integral, solve_homogeneous,
-                             solve_inhomogeneous, step_product)
+                             _probe_difference, change_of_variable_check,
+                             cumulative_simpson, dyson_expansion,
+                             gateaux_derivative, product_integral,
+                             solve_homogeneous, solve_inhomogeneous,
+                             step_product)
 
 
 def oscillating_path(scale=1.0, interval=(0.0, 1.0)):
@@ -303,3 +304,72 @@ def test_trajectory_csv(vir8):
     lines = text.splitlines()
     assert lines[0].startswith("t,norm,level0")
     assert len(lines) == 6
+
+
+# ---------------------------------------------------------------------------
+# the fourth-order Magnus rule
+
+
+def test_magnus4_gauss_nodes():
+    t1, t2, widths = StepSubdivision([0.0, 0.5, 1.5], "magnus4").gauss_nodes()
+    c = np.sqrt(3) / 6
+    np.testing.assert_allclose(t1, [0.5 * (0.5 - c), 0.5 + (0.5 - c)])
+    np.testing.assert_allclose(t2, [0.5 * (0.5 + c), 0.5 + (0.5 + c)])
+    np.testing.assert_allclose(widths, [0.5, 1.0])
+
+def test_magnus4_fourth_order(vir8):
+    path = oscillating_path()
+    ref = step_product(vir8, path,
+                       StepSubdivision.uniform((0, 1), 1024, "magnus4")).matrix
+    ns = np.array([8, 16, 32, 64])
+    errs = [np.linalg.norm(step_product(
+        vir8, path, StepSubdivision.uniform((0, 1), int(n), "magnus4")
+    ).matrix - ref, 2) for n in ns]
+    slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
+    assert slope == pytest.approx(-4.0, abs=0.3)
+
+
+def test_magnus4_unitary(vir8):
+    P = product_integral(vir8, oscillating_path(), tol=1e-10,
+                         rule="magnus4", record_bound=False)
+    assert P.steps >= 64
+    assert P.unitarity_defect() < 1e-13
+
+
+def test_magnus4_constant_path_exact(vir8):
+    X = CentralElement(FourierVectorField({1: 0.3 + 0.2j, -1: 0.3 - 0.2j,
+                                           2: 0.1, -2: 0.1}))
+    P = product_integral(vir8, GeneratorPath.constant(X), tol=1e-9,
+                         rule="magnus4")
+    assert np.abs(P.matrix - expm(vir8.pi(X))).max() < 1e-13
+
+
+def test_magnus4_matches_ode_reference(vir8):
+    from scipy.integrate import solve_ivp
+    path = oscillating_path(scale=0.5)
+    P = product_integral(vir8, path, tol=1e-10, rule="magnus4",
+                         record_bound=False)
+    xi0 = np.zeros(vir8.dim, dtype=complex)
+    xi0[:vir8.safe_dim(3)] = 1.0
+    sol = solve_ivp(lambda t, y: vir8.pi(path(t)) @ y, (0, 1), xi0,
+                    method="DOP853", rtol=1e-12, atol=1e-13)
+    assert np.linalg.norm(P.matrix @ xi0 - sol.y[:, -1]) < 1e-9
+
+
+def test_magnus4_matches_step_scheme(vir8):
+    # both rules stop when a doubling moves the probe difference below
+    # tol, so they agree to the requested tolerance in that norm
+    path = oscillating_path(scale=0.5)
+    tol = 1e-8
+    kw = dict(tol=tol, record_bound=False)
+    Pm = product_integral(vir8, path, rule="magnus4", **kw)
+    Ps = product_integral(vir8, path, rule="midpoint", **kw)
+    assert Pm.steps < Ps.steps
+    assert _probe_difference(vir8, Pm.matrix, Ps.matrix, 0) < tol
+
+
+def test_magnus4_records_no_step_bound(vir8):
+    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1,
+                         rule="magnus4")
+    assert P.refinement_error
+    assert all(np.isnan(bound) for _, _, bound in P.refinement_error)
