@@ -18,12 +18,6 @@ rerun reproduces the report rows bit for bit apart from wall times.
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage or
 descriptor validation error.
-
-Importing this module before numpy pins OpenBLAS to one thread unless
-``OPENBLAS_NUM_THREADS`` is already set: the product integrals multiply
-small dense matrices, for which a thread pool only adds overhead (on two
-CPUs one expm-and-matmul step at dim 70 takes about 14 ms with the
-default pool and under 1 ms with one thread).
 """
 
 from __future__ import annotations
@@ -40,9 +34,6 @@ import pickle
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-# OpenBLAS reads this once, when numpy loads it
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

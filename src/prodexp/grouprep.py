@@ -364,7 +364,7 @@ class HolonomyReport:
 
 
 def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
-                   curvature_tol=1e-6, boundary_tol=1e-10, rule="magnus4"):
+                   curvature_tol=1e-6, boundary_tol=1e-10):
     """Predicted vs measured holonomy phase of a flat homotopy.
 
     The prediction is exp(i * Simpson integral of B(X_1, X_2)) over the
@@ -372,7 +372,7 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
     the scalar part of U_{p_1} U_{p_0}^{-1} on the fixed comparison
     window of levels 0..window (fixed so that truncation sweeps over N
     compare like with like), where p_y is the horizontal boundary path
-    x -> X_1(x, y), each integrated with the product-integral `rule`.
+    x -> X_1(x, y), each integrated with the fourth-order Magnus rule.
     """
     bnd = homotopy.boundary_residual()
     if bnd > boundary_tol:
@@ -396,7 +396,7 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
         I, n = I2, 2 * n
     predicted = complex(np.exp(1j * I))
 
-    kw = dict(tol=tol, rule=rule, record_bound=False)
+    kw = dict(tol=tol, rule="magnus4", record_bound=False)
     P0 = product_integral(rep, homotopy.boundary_path(0.0), **kw)
     P1 = product_integral(rep, homotopy.boundary_path(1.0), **kw)
     R = P1.matrix @ P0.matrix.conj().T            # U_{p0} is unitary

@@ -97,19 +97,12 @@ class StepSubdivision:
 
     def samples(self):
         """(sample time, width) per interval of a step rule."""
+        if self.rule not in STEP_RULES:
+            raise ValueError(f"{self.rule!r} is not a step rule")
         bp = self.breakpoints
         widths = np.diff(bp)
         pts = bp[:-1] if self.rule == "left" else bp[:-1] + widths / 2
         return pts, widths
-
-    def gauss_nodes(self):
-        """(first node, second node, width) per interval: the two
-        Gauss-Legendre nodes of the magnus4 rule."""
-        bp = self.breakpoints
-        widths = np.diff(bp)
-        mid = bp[:-1] + widths / 2
-        offset = _GAUSS_OFFSET * widths
-        return mid - offset, mid + offset, widths
 
 
 class Propagator:
@@ -189,8 +182,12 @@ def step_product(rep, path, subdivision):
 
 def _magnus4_product(rep, path, subdivision):
     """Ordered product of exp(D/2 (A1 + A2) + (sqrt(3)/12) D^2 [A2, A1])."""
+    bp = subdivision.breakpoints
+    widths = np.diff(bp)
+    mid = bp[:-1] + widths / 2
+    offset = _GAUSS_OFFSET * widths
     U = np.eye(rep.dim, dtype=complex)
-    for t1, t2, dt in zip(*subdivision.gauss_nodes()):
+    for t1, t2, dt in zip(mid - offset, mid + offset, widths):
         A1 = rep.pi(path(t1))
         A2 = rep.pi(path(t2))
         omega = (dt / 2) * (A1 + A2) + (_MAGNUS_COMMUTATOR * dt * dt) * (

@@ -1,10 +1,6 @@
-import os
 from fractions import Fraction
 
-# one OpenBLAS thread unless the caller chose otherwise; OpenBLAS reads
-# this once, when numpy loads it
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
+import prodexp  # noqa: F401  (before numpy: pins the OpenBLAS pool)
 import numpy as np
 import pytest
 

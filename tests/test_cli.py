@@ -248,10 +248,11 @@ def test_inhomogeneous_residual_passes_on_former_failing_seeds(seed,
 
 
 # Reports the OPENBLAS_NUM_THREADS value and the thread count of every
-# OpenBLAS that `import prodexp.cli` loads into a fresh interpreter.
+# OpenBLAS that importing the module named in argv[1] loads into a fresh
+# interpreter.
 _BLAS_PROBE = r"""
-import ctypes, json, os
-import prodexp.cli
+import ctypes, importlib, json, os, sys
+importlib.import_module(sys.argv[1])
 threads = {}
 with open("/proc/self/maps") as maps:
     libs = {l.split()[-1] for l in maps if "openblas" in l.lower()
@@ -272,22 +273,23 @@ print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"),
 """
 
 
-def _probe_blas(**env_update):
+def _probe_blas(module, **env_update):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(env_update)
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE, module], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(),
                     reason="needs /proc/self/maps to find the loaded OpenBLAS")
-def test_cli_import_pins_openblas_to_one_thread():
-    probe = _probe_blas()
+@pytest.mark.parametrize("module", ["prodexp.cli", "prodexp.prodint"])
+def test_import_pins_openblas_to_one_thread(module):
+    probe = _probe_blas(module)
     assert probe["env"] == "1"
     if not probe["threads"]:
         pytest.skip("numpy is not linked against OpenBLAS")
     assert set(probe["threads"].values()) == {1}
     # a value chosen by the caller is kept
-    assert _probe_blas(OPENBLAS_NUM_THREADS="2")["env"] == "2"
+    assert _probe_blas(module, OPENBLAS_NUM_THREADS="2")["env"] == "2"

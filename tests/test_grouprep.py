@@ -10,7 +10,7 @@ from prodexp.grouprep import (BoundaryViolation, CirclePath, CurvatureTooLarge,
                               phase_function, scalar_part,
                               shrinking_loop_homotopy, verify_up_properties)
 from prodexp.liealg import CentralElement, FourierVectorField
-from prodexp.prodint import GeneratorPath
+from prodexp.prodint import GeneratorPath, product_integral
 
 
 def mobius_diffeo(eps=0.2, grid_size=64):
@@ -222,11 +222,22 @@ def test_holonomy_nontrivial_vir8(vir8):
 
 
 def test_holonomy_magnus4_matches_step_scheme(vir8):
+    # the measured phase is the window trace of U_{p1} U_{p0}^*, built from
+    # the boundary propagators; the step scheme gives the same trace
     hom = shrinking_loop_homotopy(k=2)
-    magnus = holonomy_phase(vir8, hom)
-    step = holonomy_phase(vir8, hom, rule="midpoint")
-    assert abs(magnus.measured - step.measured) < 1e-6
-    assert abs(magnus.deviation - step.deviation) < 1e-6
+    d = int(vir8.offsets[4])                    # holonomy_phase's window=3
+
+    def window_trace(rule):
+        P0, P1 = (product_integral(vir8, hom.boundary_path(y), rule=rule,
+                                   tol=1e-7, record_bound=False)
+                  for y in (0.0, 1.0))
+        R = P1.matrix @ P0.matrix.conj().T
+        return np.trace(R[:d, :d]) / d
+
+    magnus = window_trace("magnus4")
+    assert abs(magnus - window_trace("midpoint")) < 1e-6
+    assert magnus == pytest.approx(holonomy_phase(vir8, hom).measured,
+                                   abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -310,12 +310,22 @@ def test_trajectory_csv(vir8):
 # the fourth-order Magnus rule
 
 
-def test_magnus4_gauss_nodes():
-    t1, t2, widths = StepSubdivision([0.0, 0.5, 1.5], "magnus4").gauss_nodes()
+def test_magnus4_gauss_nodes(vir8):
+    # the rule samples the path at the two Gauss-Legendre nodes of each
+    # interval, in time order, and nowhere else
+    seen = []
+    X = CentralElement(FourierVectorField({1: 0.1, -1: 0.1}))
+    path = GeneratorPath(lambda t: seen.append(t) or X, (0.0, 1.5))
+    step_product(vir8, path, StepSubdivision([0.0, 0.5, 1.5], "magnus4"))
     c = np.sqrt(3) / 6
-    np.testing.assert_allclose(t1, [0.5 * (0.5 - c), 0.5 + (0.5 - c)])
-    np.testing.assert_allclose(t2, [0.5 * (0.5 + c), 0.5 + (0.5 + c)])
-    np.testing.assert_allclose(widths, [0.5, 1.0])
+    np.testing.assert_allclose(seen, [0.5 * (0.5 - c), 0.5 * (0.5 + c),
+                                      0.5 + (0.5 - c), 0.5 + (0.5 + c)])
+
+
+def test_magnus4_subdivision_has_no_step_samples():
+    with pytest.raises(ValueError):
+        StepSubdivision.uniform((0, 1), 4, "magnus4").samples()
+
 
 def test_magnus4_fourth_order(vir8):
     path = oscillating_path()
