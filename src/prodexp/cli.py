@@ -12,9 +12,11 @@ Verbs
 
 The module cache directory is ``$PRODEXP_CACHE_DIR`` (default
 ``~/.cache/prodexp``); cached modules are the one documented binary
-artifact (pickle keyed by the spec hash).  All other outputs are JSON or
-CSV.  A single descriptor seed controls every randomized sample, so a
-rerun reproduces the report rows bit for bit apart from wall times.
+artifact (pickle keyed by the spec hash and a digest of the code that
+built it, so pickles written by other code are not loaded).  All other
+outputs are JSON or CSV.  A single descriptor seed controls every
+randomized sample, so a rerun reproduces the report rows bit for bit
+apart from wall times.
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage or
 descriptor validation error.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import importlib.resources
 import io
@@ -37,8 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import hwmod, liealg
 from .checks import CATALOG, CheckContext, run_check
-from .hwmod import NotUnitarizable, affine_spec, build_module, virasoro_spec
+from .hwmod import (HighestWeightSpec, NotUnitarizable, affine_spec,
+                    build_module, virasoro_spec)
 
 REPORT_SCHEMA = "prodexp-report/1"
 DEFAULT_SEED = 7
@@ -52,8 +57,18 @@ class DescriptorError(ValueError):
 # module cache
 
 
+@functools.cache
+def _code_digest():
+    """Short hash of the sources whose objects a cached module pickles."""
+    d = hashlib.sha256()
+    for mod in (hwmod, liealg):
+        d.update(Path(mod.__file__).read_bytes())
+    return d.hexdigest()[:12]
+
+
 class ModuleCache:
-    """Pickle cache of built GradedModules keyed by the spec hash."""
+    """Pickle cache of built GradedModules keyed by the spec hash and the
+    code digest."""
 
     def __init__(self, root=None):
         if root is None:
@@ -63,7 +78,7 @@ class ModuleCache:
         self.root = Path(root)
 
     def _path(self, spec):
-        return self.root / f"module-{spec.key()}.pkl"
+        return self.root / f"module-{spec.key()}-{_code_digest()}.pkl"
 
     def load(self, spec):
         p = self._path(spec)
@@ -311,17 +326,18 @@ def cmd_build_module(args):
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"module spec is not valid JSON: {exc}")
     spec = parse_module_spec(data)
-    if not hasattr(spec, "key"):
+    if not isinstance(spec, HighestWeightSpec):
         raise DescriptorError("build-module: only virasoro/affine_sl2 "
                               "modules are cacheable")
     cache = ModuleCache(args.cache_dir)
-    cached = cache.load(spec) is not None
-    try:
-        mod = cache.load(spec) or build_module(spec)
-    except NotUnitarizable as exc:
-        sys.stderr.write(f"not unitarizable: {exc}\n")
-        return 1
+    mod = cache.load(spec)
+    cached = mod is not None
     if not cached:
+        try:
+            mod = build_module(spec)
+        except NotUnitarizable as exc:
+            sys.stderr.write(f"not unitarizable: {exc}\n")
+            return 1
         cache.store(spec, mod)
     sys.stdout.write(json.dumps({
         "key": spec.key(), "dim": mod.dim,

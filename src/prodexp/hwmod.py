@@ -6,16 +6,27 @@ finite-dimensional sl2 lowest level), computes Shapovalov Gram matrices by
 commutator reduction, quotients null vectors, and assembles dense generator
 block matrices in per-level orthonormal bases.
 
+One PBW reduction engine (`_PBWVerma`) holds the bases, the memoized
+action of generators on monomials, the transfer matrices and the Gram
+recursion; `VirasoroVerma` and `AffineVerma` supply only their monomials,
+the straightening rule that moves a generator past the first lowering
+letter, the adjoint, the choice of exact or float scalars and the lowest
+L0 eigenvalue `h0`.
+
 Conventions
 -----------
+* A generator is ("L", n) for Virasoro modes or ("x", j, n) for affine
+  modes (j indexes e, h, f); the mode is always last.
 * A PBW monomial is a tuple of lowering letters applied to the lowest level,
   modes nonincreasing left to right; for affine letters with equal mode the
   basis order is (e, h, f).
 * Generator blocks are compressions P pi P to levels 0..N; lowering blocks
   are defined as adjoints of the raising blocks, which makes truncated
   propagators of real elements exactly unitary.
-* Gram matrices are exact rationals when (c, h) are rational and N is small
-  enough for exact arithmetic to be practical; floating point otherwise.
+* Gram matrices are exact rationals when (c, h) are rational (Virasoro)
+  or the truncation is small (affine); floating point otherwise.
+  Virasoro truncations above EXACT_N_VIRASORO are rejected, because float
+  null detection over-prunes there.
 """
 
 from __future__ import annotations
@@ -32,9 +43,10 @@ import numpy as np
 from .liealg import (CentralElement, FourierVectorField, LoopAlgebraElement,
                      sl2_chevalley)
 
-# largest truncations at which exact rational Gram reduction is still fast;
-# float-mode null detection is a fallback only (its relative eigenvalue
-# threshold over-prunes once the Gram spread exceeds ~1e8)
+# largest truncations at which exact rational Gram reduction is still fast.
+# Float null detection's relative eigenvalue threshold over-prunes once the
+# Gram spread exceeds ~1e8, so Virasoro specs above the limit are rejected
+# and only float (c, h) take the float path.
 EXACT_N_VIRASORO = 16
 EXACT_N_AFFINE = 4
 
@@ -67,6 +79,10 @@ class HighestWeightSpec:
         if self.kind == "virasoro":
             if self.c is None or self.h is None:
                 raise ValueError("virasoro spec needs (c, h)")
+            if self.N > EXACT_N_VIRASORO:
+                raise ValueError(
+                    f"virasoro truncation N={self.N} exceeds the exact "
+                    f"limit N <= {EXACT_N_VIRASORO}")
         elif self.kind == "affine_sl2":
             if self.ell is None or self.lam is None:
                 raise ValueError("affine spec needs (ell, lam)")
@@ -116,54 +132,33 @@ def partitions(k, max_part=None):
     return tuple(out)
 
 
-def _exact_rank(mat):
-    """Rank of a Fraction matrix by exact Gaussian elimination."""
-    m = [list(row) for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
-
-
 # ---------------------------------------------------------------------------
-# Virasoro reduction engine
+# PBW reduction engine
 
 
-class VirasoroVerma:
-    """PBW basis and commutation engine for a truncated Virasoro Verma module.
+def _acc(out, state, scale):
+    """out += scale * state for {monomial: coefficient} dicts."""
+    for mu, cf in state.items():
+        v = out.get(mu)
+        out[mu] = cf * scale if v is None else v + cf * scale
 
-    Monomials at level k are partitions (n_1 >= ... >= n_j), sum = k,
-    standing for L_{-n_1} ... L_{-n_j} Omega.
+
+class _PBWVerma:
+    """PBW bases, generator action and Shapovalov recursion of a truncated
+    Verma-type module.
+
+    `monomials[k]` lists the PBW monomials of level k.  Subclasses set
+    their scalars and `h0`, and supply `_split` (first lowering letter as
+    a generator, and the rest of the monomial), `adjoint` and the
+    straightening rule `_apply`.
     """
 
-    def __init__(self, spec, exact=None):
-        assert spec.kind == "virasoro"
+    def __init__(self, spec, exact, monomials):
         self.spec = spec
-        if exact is None:
-            exact = (isinstance(spec.c, (int, Fraction))
-                     and isinstance(spec.h, (int, Fraction))
-                     and spec.N <= EXACT_N_VIRASORO)
         self.exact = exact
-        if exact:
-            self.c, self.h = Fraction(spec.c), Fraction(spec.h)
-        else:
-            self.c, self.h = float(spec.c), float(spec.h)
-        self.monomials = [partitions(k) for k in range(spec.N + 1)]
-        self.index = [{m: i for i, m in enumerate(lvl)} for lvl in self.monomials]
+        self.one = Fraction(1) if exact else 1.0
+        self.monomials = monomials
+        self.index = [{m: i for i, m in enumerate(lvl)} for lvl in monomials]
         self._memo = {}
         self._gram = {}
         self._transfer = {}
@@ -172,103 +167,66 @@ class VirasoroVerma:
     def level_dims(self):
         return [len(lvl) for lvl in self.monomials]
 
-    def apply_gen(self, m, mono):
-        """L_m applied to a PBW monomial, as {monomial: coefficient}.
+    def apply_gen(self, gen, mono):
+        """gen applied to a PBW monomial, as {monomial: coefficient}.
 
-        Central charge acts as the scalar c; results with level > N are
+        Central elements act as scalars; results with level > N are
         dropped (compression convention).
         """
-        key = (m, mono)
+        key = (gen, mono)
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        lvl = sum(mono)
-        if m == 0:
-            out = {mono: self.h + lvl}
-        elif m < 0:
-            if lvl - m > self.spec.N:
-                out = {}
-            elif not mono or -m >= mono[0]:
-                out = {(-m,) + mono: self.c * 0 + 1}
-            else:
-                out = self._straighten(m, mono)
-        else:
-            if not mono:
-                out = {}       # L_m Omega = 0, m > 0
-            else:
-                out = self._straighten(m, mono)
-        self._memo[key] = out
-        return out
+        if hit is None:
+            hit = self._memo[key] = self._apply(gen, mono)
+        return hit
 
-    def _straighten(self, m, mono):
-        # L_m L_{-n1} = L_{-n1} L_m + (m+n1) L_{m-n1} + d_{m,n1} c (m^3-m)/12
-        n1, rest = mono[0], mono[1:]
-        out = {}
-
-        def acc(state, scale):
-            for mu, cf in state.items():
-                v = out.get(mu)
-                out[mu] = cf * scale if v is None else v + cf * scale
-
-        for mu, cf in self.apply_gen(m, rest).items():
-            acc(self.apply_gen(-n1, mu), cf)
-        acc(self.apply_gen(m - n1, rest), m + n1)
-        if m == n1:
-            w = Fraction(m ** 3 - m, 12) if self.exact else (m ** 3 - m) / 12.0
-            acc({rest: self.c * 0 + 1}, self.c * w)
-        return out
-
-    def transfer(self, n, k):
-        """Matrix of L_n: level k -> level k-n in the PBW bases (n != 0 ok).
+    def transfer(self, gen, k):
+        """Matrix of gen (mode n): level k -> level k-n in the PBW bases.
 
         Returned as a nested list (exact) or ndarray (float), rows indexed
         by target monomials, columns by source monomials.
         """
-        key = (n, k)
+        key = (gen, k)
         hit = self._transfer.get(key)
         if hit is not None:
             return hit
-        tgt, src = self.monomials[k - n], self.monomials[k]
-        idx = self.index[k - n]
-        if self.exact:
-            T = [[Fraction(0)] * len(src) for _ in tgt]
-            for j, mono in enumerate(src):
-                for mu, cf in self.apply_gen(n, mono).items():
-                    T[idx[mu]][j] = cf
-        else:
-            T = np.zeros((len(tgt), len(src)))
-            for j, mono in enumerate(src):
-                for mu, cf in self.apply_gen(n, mono).items():
-                    T[idx[mu], j] = cf
+        src = self.monomials[k]
+        idx = self.index[k - gen[-1]]
+        T = [[self.one * 0] * len(src) for _ in idx]
+        for j, mono in enumerate(src):
+            for mu, cf in self.apply_gen(gen, mono).items():
+                T[idx[mu]][j] = cf
+        if not self.exact:
+            T = np.array(T)
         self._transfer[key] = T
         return T
 
     def gram(self, k):
         """Shapovalov matrix at level k: G[i][j] = <m_i Omega, m_j Omega>.
 
-        Uses <L_{-n1} r, v> = <r, L_{n1} v>, i.e. row(mono) =
-        row(rest, level k-n1) . T(n1, k).
+        Level 0 is the identity on the lowest level.  Above it, with
+        m_i = a r for the first lowering letter a, <a r, v> = <r, a^+ v>,
+        i.e. row(m_i) = row(r, level k-n) . T(a^+, k).
         """
         hit = self._gram.get(k)
         if hit is not None:
             return hit
+        d = len(self.monomials[k])
         if k == 0:
-            G = [[Fraction(1)]] if self.exact else np.array([[1.0]])
-            self._gram[0] = G
-            return G
-        rows = []
-        for mono in self.monomials[k]:
-            n1, rest = mono[0], mono[1:]
-            prev = self.gram(k - n1)
-            ri = self.index[k - n1][rest]
-            T = self.transfer(n1, k)
-            if self.exact:
-                prow = prev[ri]
-                rows.append([sum(prow[t] * T[t][j] for t in range(len(T)))
-                             for j in range(len(self.monomials[k]))])
-            else:
-                rows.append(prev[ri] @ T)
-        G = rows if self.exact else np.array(rows)
+            G = ([[self.one * int(i == j) for j in range(d)] for i in range(d)]
+                 if self.exact else np.eye(d))
+        else:
+            rows = []
+            for mono in self.monomials[k]:
+                first, rest = self._split(mono)
+                prev_k = k + first[-1]
+                prow = self.gram(prev_k)[self.index[prev_k][rest]]
+                T = self.transfer(self.adjoint(first), k)
+                if self.exact:
+                    rows.append([sum(prow[t] * T[t][j] for t in range(len(T)))
+                                 for j in range(d)])
+                else:
+                    rows.append(prow @ T)
+            G = rows if self.exact else np.array(rows)
         self._gram[k] = G
         return G
 
@@ -278,12 +236,57 @@ class VirasoroVerma:
             if self.exact else G
 
 
-# ---------------------------------------------------------------------------
-# affine sl2 reduction engine
+class VirasoroVerma(_PBWVerma):
+    """Truncated Virasoro Verma module.
+
+    Monomials at level k are partitions (n_1 >= ... >= n_j), sum = k,
+    standing for L_{-n_1} ... L_{-n_j} Omega.
+    """
+
+    def __init__(self, spec, exact=None):
+        assert spec.kind == "virasoro"
+        if exact is None:
+            exact = (isinstance(spec.c, (int, Fraction))
+                     and isinstance(spec.h, (int, Fraction)))
+        super().__init__(spec, exact,
+                         [partitions(k) for k in range(spec.N + 1)])
+        num = Fraction if exact else float
+        self.c, self.h = num(spec.c), num(spec.h)
+        self.h0 = spec.h
+
+    def _split(self, mono):
+        return ("L", -mono[0]), mono[1:]
+
+    def adjoint(self, gen):
+        return ("L", -gen[1])
+
+    def _apply(self, gen, mono):
+        # L_m L_{-n1} = L_{-n1} L_m + (m+n1) L_{m-n1} + d_{m,n1} c (m^3-m)/12
+        m = gen[1]
+        lvl = sum(mono)
+        if m == 0:
+            return {mono: self.h + lvl}
+        if m < 0:
+            if lvl - m > self.spec.N:
+                return {}
+            if not mono or -m >= mono[0]:
+                return {(-m,) + mono: self.one}
+        elif not mono:
+            return {}                # L_m Omega = 0, m > 0
+        first, rest = self._split(mono)
+        n1 = mono[0]
+        out = {}
+        for mu, cf in self.apply_gen(gen, rest).items():
+            _acc(out, self.apply_gen(first, mu), cf)
+        _acc(out, self.apply_gen(("L", m - n1), rest), m + n1)
+        if m == n1:
+            w = Fraction(m ** 3 - m, 12) if self.exact else (m ** 3 - m) / 12.0
+            _acc(out, {rest: self.one}, self.c * w)
+        return out
+
 
 E, H, F = 0, 1, 2
 _ADJ = {E: F, H: H, F: E}      # compact-real-form adjoint on sl2 letters
-_LETTER_NAMES = "ehf"
 
 
 def _sl2_weight_matrices(lam):
@@ -336,10 +339,9 @@ def _affine_monomials(k, lam):
     return tuple(out)
 
 
-class AffineVerma:
-    """PBW basis and commutation engine for a truncated vacuum-type affine
-    sl2 module: lowering letters x(-n), n >= 1, over the (lam+1)-dim lowest
-    level, at level ell.
+class AffineVerma(_PBWVerma):
+    """Truncated vacuum-type affine sl2 module: lowering letters x(-n),
+    n >= 1, over the (lam+1)-dim lowest level, at level ell.
 
     Monomials are (letters, v): letters as in `_affine_monomials`, v the
     lowest-level weight index.  The central element acts as the scalar ell.
@@ -347,82 +349,54 @@ class AffineVerma:
 
     def __init__(self, spec, exact=None):
         assert spec.kind == "affine_sl2"
-        self.spec = spec
+        lam = spec.lam
         if exact is None:
-            exact = spec.lam <= 1 and spec.N <= EXACT_N_AFFINE
-        self.exact = exact
+            exact = lam <= 1 and spec.N <= EXACT_N_AFFINE
+        super().__init__(spec, exact,
+                         [_affine_monomials(k, lam) for k in range(spec.N + 1)])
         self.alg = sl2_chevalley()
         self.ell = Fraction(spec.ell) if exact else float(spec.ell)
-        ew, hw, fw = _sl2_weight_matrices(spec.lam)
+        wmat = _sl2_weight_matrices(lam)
         if exact:
             # entries are integers for lam <= 1
-            conv = lambda M: [[Fraction(round(x)) for x in row] for row in M]
-            self._wmat = (conv(ew), conv(hw), conv(fw))
-        else:
-            self._wmat = (ew, hw, fw)
-        self.monomials = [_affine_monomials(k, spec.lam)
-                          for k in range(spec.N + 1)]
-        self.index = [{m: i for i, m in enumerate(lvl)} for lvl in self.monomials]
-        self._memo = {}
-        self._gram = {}
-        self._transfer = {}
+            wmat = [[[Fraction(round(x)) for x in row] for row in M]
+                    for M in wmat]
+        self._wmat = wmat
+        c_lam = Fraction(lam * (lam + 2), 2)            # sl2 Casimir on V_lam
+        self.h0 = c_lam / (2 * (spec.ell + H_VEE_SL2))  # Sugawara lowest L0
 
-    @property
-    def level_dims(self):
-        return [len(lvl) for lvl in self.monomials]
-
-    def _zero_weight_action(self, j, v):
-        """x_j(0) on the lowest level: column v of the weight matrix."""
-        col = {}
-        M = self._wmat[j]
-        d = self.spec.lam + 1
-        for w in range(d):
-            val = M[w][v] if self.exact else M[w, v]
-            if val:
-                col[w] = val
-        return col
-
-    def apply_gen(self, j, m, mono):
-        """x_j(m) applied to a PBW monomial, as {monomial: coefficient}."""
-        key = (j, m, mono)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+    def _split(self, mono):
         letters, v = mono
-        lvl = sum(n for n, _ in letters)
-        one = self.ell * 0 + 1
-        if m < 0:
-            if lvl - m > self.spec.N:
-                out = {}
-            elif (not letters or -m > letters[0][0]
-                  or (-m == letters[0][0] and j <= letters[0][1])):
-                out = {(((-m, j),) + letters, v): one}
-            else:
-                out = self._straighten(j, m, mono)
-        elif not letters:
-            if m > 0:
-                out = {}
-            else:
-                out = {((), w): cf for w, cf in self._zero_weight_action(j, v).items()}
-        else:
-            out = self._straighten(j, m, mono)
-        self._memo[key] = out
-        return out
+        n1, j1 = letters[0]
+        return ("x", j1, -n1), (letters[1:], v)
 
-    def _straighten(self, j, m, mono):
+    def adjoint(self, gen):
+        # x_j(n)^dagger = x_{j^dagger}(-n) with e <-> f under dagger
+        return ("x", _ADJ[gen[1]], -gen[2])
+
+    def _apply(self, gen, mono):
         # x_j(m) x_j1(-n1) = x_j1(-n1) x_j(m) + [x_j, x_j1](m-n1)
         #                    + m d_{m,n1} <x_j, x_j1> ell
+        _, j, m = gen
         letters, v = mono
-        (n1, j1), rest = letters[0], (letters[1:], v)
+        if m < 0:
+            if sum(n for n, _ in letters) - m > self.spec.N:
+                return {}
+            if (not letters or -m > letters[0][0]
+                    or (-m == letters[0][0] and j <= letters[0][1])):
+                return {(((-m, j),) + letters, v): self.one}
+        elif not letters:
+            if m > 0:
+                return {}
+            # x_j(0) on the lowest level: column v of the weight matrix
+            M = self._wmat[j]
+            return {((), w): M[w][v] for w in range(self.spec.lam + 1)
+                    if M[w][v]}
+        first, rest = self._split(mono)
+        (n1, j1) = letters[0]
         out = {}
-
-        def acc(state, scale):
-            for mu, cf in state.items():
-                prev = out.get(mu)
-                out[mu] = cf * scale if prev is None else prev + cf * scale
-
-        for mu, cf in self.apply_gen(j, m, rest).items():
-            acc(self.apply_gen(j1, -n1, mu), cf)
+        for mu, cf in self.apply_gen(gen, rest).items():
+            _acc(out, self.apply_gen(first, mu), cf)
         bi = [0] * 3
         bi[j] = 1
         bj = [0] * 3
@@ -430,68 +404,12 @@ class AffineVerma:
         br = self.alg.bracket(bi, bj)
         for k in range(3):
             if br[k]:
-                acc(self.apply_gen(k, m - n1, rest), br[k])
+                _acc(out, self.apply_gen(("x", k, m - n1), rest), br[k])
         if m == n1:
             ip = self.alg.inner(bi, bj)
             if ip:
-                acc({rest: self.ell * 0 + 1}, self.ell * (m * ip))
+                _acc(out, {rest: self.one}, self.ell * (m * ip))
         return out
-
-    def transfer(self, j, n, k):
-        """Matrix of x_j(n): level k -> level k-n in the PBW bases."""
-        key = (j, n, k)
-        hit = self._transfer.get(key)
-        if hit is not None:
-            return hit
-        tgt, src = self.monomials[k - n], self.monomials[k]
-        idx = self.index[k - n]
-        if self.exact:
-            T = [[Fraction(0)] * len(src) for _ in tgt]
-            for col, mono in enumerate(src):
-                for mu, cf in self.apply_gen(j, n, mono).items():
-                    T[idx[mu]][col] = cf
-        else:
-            T = np.zeros((len(tgt), len(src)))
-            for col, mono in enumerate(src):
-                for mu, cf in self.apply_gen(j, n, mono).items():
-                    T[idx[mu], col] = cf
-        self._transfer[key] = T
-        return T
-
-    def gram(self, k):
-        """Gram matrix at level k via <x_j1(-n1) r, v> = <r, x_adj(j1)(n1) v>."""
-        hit = self._gram.get(k)
-        if hit is not None:
-            return hit
-        if k == 0:
-            d = self.spec.lam + 1
-            G = ([[Fraction(int(i == jj)) for jj in range(d)] for i in range(d)]
-                 if self.exact else np.eye(d))
-            self._gram[0] = G
-            return G
-        rows = []
-        ncols = len(self.monomials[k])
-        for mono in self.monomials[k]:
-            letters, v = mono
-            (n1, j1) = letters[0]
-            rest = (letters[1:], v)
-            prev = self.gram(k - n1)
-            ri = self.index[k - n1][rest]
-            T = self.transfer(_ADJ[j1], n1, k)
-            if self.exact:
-                prow = prev[ri]
-                rows.append([sum(prow[t] * T[t][col] for t in range(len(T)))
-                             for col in range(ncols)])
-            else:
-                rows.append(prev[ri] @ T)
-        G = rows if self.exact else np.array(rows)
-        self._gram[k] = G
-        return G
-
-    def gram_float(self, k):
-        G = self.gram(k)
-        return np.array([[float(x) for x in row] for row in G]) \
-            if self.exact else G
 
 
 def build_verma(spec, exact=None):
@@ -638,21 +556,19 @@ class GradedModule:
     blocks by definition.
     """
 
-    def __init__(self, verma, basis_change, level_dims, h0,
-                 exact_factors=None):
+    def __init__(self, verma, basis_change, level_dims, exact_factors=None):
         self.verma = verma
         self.spec = verma.spec
         self.basis_change = basis_change
         self.level_dims = level_dims
-        self.h0 = h0
+        self.h0 = verma.h0
         self.offsets = np.concatenate([[0], np.cumsum(level_dims)]).astype(int)
         self.dim = int(self.offsets[-1])
         self._blocks = {}
         self._gen_mats = {}
         # per-level (W, CU, d) LDL factors when rational arithmetic is
-        # active (see _ldl_basis); otherwise blocks go through gram_float
+        # active (see _ldl_basis); otherwise blocks go through the float Gram
         self._exact_factors = exact_factors
-        self._gram_f = [verma.gram_float(k) for k in range(self.spec.N + 1)]
 
     @property
     def N(self):
@@ -677,12 +593,7 @@ class GradedModule:
         """Orthonormal-basis block of a raising (or mode-0) generator,
         level k -> k - n."""
         n = gen[-1]
-        C_src = self.basis_change[k]
-        C_tgt = self.basis_change[k - n]
-        if self.spec.kind == "virasoro":
-            T = self.verma.transfer(n, k)
-        else:
-            T = self.verma.transfer(gen[1], n, k)
+        T = self.verma.transfer(gen, k)
         if self._exact_factors is not None:
             # B = C_tgt^T G_tgt T C_src with C^T G = diag(sqrt(d)) W and
             # C_src = CU_src diag(d_src^{-1/2}); the middle product is
@@ -696,9 +607,8 @@ class GradedModule:
             if len(d_tgt) and len(d_src):
                 E = s_tgt[:, None] * E / s_src[None, :]
             return E
-        if self.verma.exact:
-            T = np.array([[float(x) for x in row] for row in T])
-        return C_tgt.T @ self._gram_f[k - n] @ T @ C_src
+        return (self.basis_change[k - n].T @ self.verma.gram(k - n) @ T
+                @ self.basis_change[k])
 
     def block(self, gen, k):
         """Dense block of a generator from level k.
@@ -713,15 +623,12 @@ class GradedModule:
         hit = self._blocks.get(key)
         if hit is not None:
             return hit
-        if gen[0] == "L" and n == 0 and self.spec.kind == "virasoro":
+        if gen == ("L", 0):
             B = (float(self.h0) + k) * np.eye(self.level_dims[k])
         elif n >= 0:
             B = self._raising_block(gen, k)
-        elif gen[0] == "L":
-            B = self.block(("L", -n), k - n).conj().T
         else:
-            # x_j(n)^dagger = x_{j^dagger}(-n) with e <-> f under dagger
-            B = self.block(("x", _ADJ[gen[1]], -n), k - n).conj().T
+            B = self.block(self.verma.adjoint(gen), k - n).conj().T
         self._blocks[key] = B
         return B
 
@@ -875,13 +782,7 @@ def unitarize(verma, tol_psd=TOL_PSD, tol_null=TOL_NULL):
         C = V[:, keep] / np.sqrt(np.maximum(w[keep], 1e-300))
         basis_change.append(C)
         level_dims.append(C.shape[1])
-    if spec.kind == "virasoro":
-        h0 = spec.h
-    else:
-        lam = spec.lam
-        c_lam = Fraction(lam * (lam + 2), 2)            # sl2 Casimir on V_lam
-        h0 = c_lam / (2 * (spec.ell + H_VEE_SL2))       # Sugawara lowest L0
-    return GradedModule(verma, basis_change, level_dims, h0,
+    return GradedModule(verma, basis_change, level_dims,
                         exact_factors=exact_factors)
 
 

@@ -210,6 +210,36 @@ def test_build_module_verb(tmp_path, capsys):
     assert second["level_dims"] == first["level_dims"]
 
 
+def test_build_module_ignores_pickles_from_other_code(tmp_path, capsys,
+                                                     monkeypatch):
+    # a pickle under the old spec-only name, or under another code digest,
+    # is never loaded
+    spec = '{"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 3}'
+    cache = tmp_path / "cache"
+
+    def build():
+        assert cli.main(["--cache-dir", str(cache), "build-module", spec]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    monkeypatch.setattr(cli, "_code_digest", lambda: "000000000000")
+    info = build()
+    assert info["cached"] is False
+    other = cache / f"module-{info['key']}-000000000000.pkl"
+    (cache / f"module-{info['key']}.pkl").write_bytes(other.read_bytes())
+    monkeypatch.undo()
+    assert build()["cached"] is False
+    assert build()["cached"] is True
+
+
+def test_build_module_rejects_virasoro_above_exact_limit(tmp_path, capsys):
+    spec = '{"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 17}'
+    assert cli.main(["--cache-dir", str(tmp_path), "build-module",
+                     spec]) == 2
+    err = capsys.readouterr().err
+    assert "N=17" in err and "16" in err
+    assert not list(tmp_path.glob("**/*.pkl"))
+
+
 def test_build_module_rejects_nonunitarizable(tmp_path, capsys):
     spec = '{"kind": "virasoro", "c": "1/2", "h": "0.3", "N": 4}'
     assert cli.main(["--cache-dir", str(tmp_path), "build-module",

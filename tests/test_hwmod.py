@@ -171,6 +171,17 @@ class TestUnitarize:
             np.testing.assert_array_equal(Lmn, Ln.conj().T)
 
 
+def test_virasoro_level_dims_ising_sigma_character(vir12):
+    # (c, h) = (1/2, 1/16): the character is q^h prod_{n>=1} (1 + q^n),
+    # so dim V_n counts the partitions of n into distinct parts
+    want = [1] + [0] * 12
+    for part in range(1, 13):
+        for n in range(12, part - 1, -1):
+            want[n] += want[n - part]
+    assert want == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15]
+    assert list(vir12.level_dims) == want
+
+
 class TestCommutation:
 
     @pytest.fixture(scope="class")
@@ -312,6 +323,21 @@ class TestAffineAndSugawara:
         # e^dagger = f, so the matrix is diag(<f,e>, <h,h>, <e,f>) = diag(1,2,1)
         assert [G1[i][i] for i in range(3)] == [1, 2, 1]
         assert all(G1[i][j] == 0 for i in range(3) for j in range(3) if i != j)
+
+    @pytest.mark.parametrize("N, exact", [(4, True), (6, False)])
+    def test_affine_level_dims_lattice_character(self, N, exact):
+        # ell = 1, lam = 0 (Frenkel-Kac): the L0 character is
+        # sum_m q^{m^2} / prod_{n>=1} (1 - q^n), so dim V_n = sum_m p(n - m^2)
+        p = [1] + [0] * N                      # partition counts p(n)
+        for part in range(1, N + 1):
+            for n in range(part, N + 1):
+                p[n] += p[n - part]
+        want = [sum(p[n - m * m] for m in range(-n, n + 1) if m * m <= n)
+                for n in range(N + 1)]
+        assert want == [1, 3, 4, 7, 13, 19, 29][:N + 1]
+        mod = build_module(affine_spec(1, 0, N))
+        assert mod.verma.exact is exact
+        assert list(mod.level_dims) == want
 
     def test_module_json_roundtrip(self, amod):
         data = amod.to_json()
