@@ -159,7 +159,7 @@ class _PBWVerma:
         self.one = Fraction(1) if exact else 1.0
         self.monomials = monomials
         self.index = [{m: i for i, m in enumerate(lvl)} for lvl in monomials]
-        self._memo = {}
+        self._memo = {}              # gen -> {monomial: apply_gen result}
         self._gram = {}
         self._transfer = {}
 
@@ -173,10 +173,12 @@ class _PBWVerma:
         Central elements act as scalars; results with level > N are
         dropped (compression convention).
         """
-        key = (gen, mono)
-        hit = self._memo.get(key)
+        memo = self._memo.get(gen)
+        if memo is None:
+            memo = self._memo[gen] = {}
+        hit = memo.get(mono)
         if hit is None:
-            hit = self._memo[key] = self._apply(gen, mono)
+            hit = memo[mono] = self._apply(gen, mono)
         return hit
 
     def transfer(self, gen, k):
@@ -191,12 +193,11 @@ class _PBWVerma:
             return hit
         src = self.monomials[k]
         idx = self.index[k - gen[-1]]
-        T = [[self.one * 0] * len(src) for _ in idx]
+        T = ([[self.one * 0] * len(src) for _ in idx] if self.exact
+             else np.zeros((len(idx), len(src))))
         for j, mono in enumerate(src):
             for mu, cf in self.apply_gen(gen, mono).items():
                 T[idx[mu]][j] = cf
-        if not self.exact:
-            T = np.array(T)
         self._transfer[key] = T
         return T
 
