@@ -13,6 +13,14 @@ the straightening rule that moves a generator past the first lowering
 letter, the adjoint, the choice of exact or float scalars and the lowest
 L0 eigenvalue `h0`.
 
+Exact reduction works on the sparse action (a generator sends a monomial
+to a few monomials; transfer matrices are about 9% nonzero): Gram rows
+and the rational products T CU of the raising blocks are sums over it,
+and no dense rational transfer matrix is formed.  Each exact Gram level is
+factored by fraction-free (Bareiss) LDL^T on the integer matrix D G, D the
+lcm of its denominators, which yields the same pivots and rational factors
+as Fraction elimination.  Float modules use dense transfers and `eigh`.
+
 Conventions
 -----------
 * A generator is ("L", n) for Virasoro modes or ("x", j, n) for affine
@@ -43,10 +51,12 @@ import numpy as np
 from .liealg import (CentralElement, FourierVectorField, LoopAlgebraElement,
                      sl2_chevalley)
 
-# largest truncations at which exact rational Gram reduction is still fast.
-# Float null detection's relative eigenvalue threshold over-prunes once the
-# Gram spread exceeds ~1e8, so Virasoro specs above the limit are rejected
-# and only float (c, h) take the float path.
+# largest truncations reduced exactly.  A Virasoro spec above the limit is
+# rejected rather than reduced in floating point: float null detection's
+# relative eigenvalue threshold over-prunes once the Gram spread exceeds
+# ~1e8 (at (1/2, 1/16) level 10 keeps 6 of its 10 states), so only float
+# (c, h) take the float path.  Raising the limit costs only exact
+# reduction time.  Affine truncations above EXACT_N_AFFINE are float.
 EXACT_N_VIRASORO = 16
 EXACT_N_AFFINE = 4
 
@@ -182,10 +192,12 @@ class _PBWVerma:
         return hit
 
     def transfer(self, gen, k):
-        """Matrix of gen (mode n): level k -> level k-n in the PBW bases.
+        """Dense float matrix of gen (mode n): level k -> level k-n in the
+        PBW bases, rows indexed by target monomials, columns by source
+        monomials.
 
-        Returned as a nested list (exact) or ndarray (float), rows indexed
-        by target monomials, columns by source monomials.
+        Only the float path forms it; the exact path reads the sparse
+        action directly (`gram`, `act`).
         """
         key = (gen, k)
         hit = self._transfer.get(key)
@@ -193,20 +205,36 @@ class _PBWVerma:
             return hit
         src = self.monomials[k]
         idx = self.index[k - gen[-1]]
-        T = ([[self.one * 0] * len(src) for _ in idx] if self.exact
-             else np.zeros((len(idx), len(src))))
+        T = np.zeros((len(idx), len(src)))
         for j, mono in enumerate(src):
             for mu, cf in self.apply_gen(gen, mono).items():
-                T[idx[mu]][j] = cf
+                T[idx[mu], j] = cf
         self._transfer[key] = T
         return T
+
+    def act(self, gen, k, X):
+        """T(gen, k) X for a nested-list rational matrix X whose rows are
+        indexed by the level-k monomials, summed over the sparse action
+        without forming T."""
+        idx = self.index[k - gen[-1]]
+        zero = self.one * 0
+        out = [[zero] * (len(X[0]) if X else 0) for _ in idx]
+        for mono, xrow in zip(self.monomials[k], X):
+            for mu, cf in self.apply_gen(gen, mono).items():
+                orow = out[idx[mu]]
+                for q, x in enumerate(xrow):
+                    if x:
+                        orow[q] += cf * x
+        return out
 
     def gram(self, k):
         """Shapovalov matrix at level k: G[i][j] = <m_i Omega, m_j Omega>.
 
         Level 0 is the identity on the lowest level.  Above it, with
         m_i = a r for the first lowering letter a, <a r, v> = <r, a^+ v>,
-        i.e. row(m_i) = row(r, level k-n) . T(a^+, k).
+        i.e. row(m_i) = row(r, level k-n) . T(a^+, k).  Exact rows sum
+        G[r][mu] cf over the sparse action a^+ m_j = sum_mu cf mu (transfer
+        matrices are about 9% nonzero); float rows use the dense transfer.
         """
         hit = self._gram.get(k)
         if hit is not None:
@@ -217,16 +245,23 @@ class _PBWVerma:
                  if self.exact else np.eye(d))
         else:
             rows = []
+            zero = self.one * 0
             for mono in self.monomials[k]:
                 first, rest = self._split(mono)
                 prev_k = k + first[-1]
-                prow = self.gram(prev_k)[self.index[prev_k][rest]]
-                T = self.transfer(self.adjoint(first), k)
+                idx = self.index[prev_k]
+                prow = self.gram(prev_k)[idx[rest]]
+                adj = self.adjoint(first)
                 if self.exact:
-                    rows.append([sum(prow[t] * T[t][j] for t in range(len(T)))
-                                 for j in range(d)])
+                    row = []
+                    for src in self.monomials[k]:
+                        s = zero
+                        for mu, cf in self.apply_gen(adj, src).items():
+                            s += prow[idx[mu]] * cf
+                        row.append(s)
+                    rows.append(row)
                 else:
-                    rows.append(prow @ T)
+                    rows.append(prow @ self.transfer(adj, k))
             G = rows if self.exact else np.array(rows)
         self._gram[k] = G
         return G
@@ -445,44 +480,62 @@ def _exact_ldl(G):
     original index at pivot position i and d[i] > 0 for i < rank.  Raises
     _IndefiniteGram when a negative pivot (or a nonzero off-diagonal in
     an all-zero-diagonal trailing block) shows G is not PSD.
+
+    The elimination is fraction-free (symmetric Bareiss): G is scaled by
+    the lcm D of its denominators to an integer matrix A, and after i
+    pivots the lower triangle M holds p_prev times the Schur complement
+    of A, p_prev being the last pivot of M (1 before the first).  The
+    update (piv M[k][l] - M[k][i] M[l][i]) // p_prev divides exactly
+    (Sylvester's identity), and d[i] = piv / (p_prev D), L[k][i] =
+    M[k][i] / piv.  Since p_prev > 0, the diagonal of M has the same
+    largest entry and the same ties as the Schur complement, so the
+    pivots, and the factors, are those of rational elimination.
     """
     n = len(G)
-    M = [list(row) for row in G]
+    D = math.lcm(*(x.denominator for row in G for x in row))
+    M = [[G[k][l].numerator * (D // G[k][l].denominator)
+          for l in range(k + 1)] for k in range(n)]
     L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     perm = list(range(n))
     d = [Fraction(0)] * n
     rank = n
+    p_prev = 1
     for i in range(n):
         j = max(range(i, n), key=lambda t: abs(M[t][t]))
         piv = M[j][j]
         if piv == 0:
-            off = next((M[a][b] for a in range(i, n) for b in range(i, n)
-                        if a != b and M[a][b] != 0), None)
+            off = next((M[max(a, b)][min(a, b)] for a in range(i, n)
+                        for b in range(i, n)
+                        if a != b and M[max(a, b)][min(a, b)]), None)
             if off is not None:
-                raise _IndefiniteGram(-abs(off))
+                raise _IndefiniteGram(Fraction(-abs(off), p_prev * D))
             rank = i
             break
         if piv < 0:
-            raise _IndefiniteGram(piv)
+            raise _IndefiniteGram(Fraction(piv, p_prev * D))
         if j != i:
-            M[i], M[j] = M[j], M[i]
-            for row in M:
-                row[i], row[j] = row[j], row[i]
+            # symmetric swap of i < j within the lower triangle
+            M[i][i], M[j][j] = M[j][j], M[i][i]
+            for t in range(i + 1, j):
+                M[t][i], M[j][t] = M[j][t], M[t][i]
+            for t in range(j + 1, n):
+                M[t][i], M[t][j] = M[t][j], M[t][i]
             perm[i], perm[j] = perm[j], perm[i]
             for t in range(i):
                 L[i][t], L[j][t] = L[j][t], L[i][t]
-        d[i] = piv
-        for k in range(i + 1, n):
-            if M[k][i]:
-                L[k][i] = M[k][i] / piv
-        for k in range(i + 1, n):
-            f = L[k][i]
-            if f:
-                Mi = M[i]
-                Mk = M[k]
-                for l in range(i + 1, n):
-                    if Mi[l]:
-                        Mk[l] -= f * Mi[l]
+        d[i] = Fraction(piv, p_prev * D)
+        col = [M[k][i] for k in range(i + 1, n)]
+        for k, a in enumerate(col, i + 1):
+            Mk = M[k]
+            if a:
+                L[k][i] = Fraction(a, piv)
+                for l, b in zip(range(i + 1, k + 1), col):
+                    Mk[l] = (piv * Mk[l] - a * b) // p_prev
+            else:
+                for l in range(i + 1, k + 1):
+                    if Mk[l]:
+                        Mk[l] = piv * Mk[l] // p_prev
+        p_prev = piv
     return perm, L, d, rank
 
 
@@ -594,22 +647,22 @@ class GradedModule:
         """Orthonormal-basis block of a raising (or mode-0) generator,
         level k -> k - n."""
         n = gen[-1]
-        T = self.verma.transfer(gen, k)
         if self._exact_factors is not None:
             # B = C_tgt^T G_tgt T C_src with C^T G = diag(sqrt(d)) W and
             # C_src = CU_src diag(d_src^{-1/2}); the middle product is
-            # exact, only the diagonal scalings are floating point
+            # exact (T CU_src from the sparse action), only the diagonal
+            # scalings are floating point
             W_tgt, _, d_tgt = self._exact_factors[k - n]
             _, CU_src, d_src = self._exact_factors[k]
-            E = _rat_float(_rat_mm(W_tgt, _rat_mm(T, CU_src)),
+            E = _rat_float(_rat_mm(W_tgt, self.verma.act(gen, k, CU_src)),
                            len(d_tgt), len(d_src))
             s_tgt = np.sqrt([float(x) for x in d_tgt])
             s_src = np.sqrt([float(x) for x in d_src])
             if len(d_tgt) and len(d_src):
                 E = s_tgt[:, None] * E / s_src[None, :]
             return E
-        return (self.basis_change[k - n].T @ self.verma.gram(k - n) @ T
-                @ self.basis_change[k])
+        return (self.basis_change[k - n].T @ self.verma.gram(k - n)
+                @ self.verma.transfer(gen, k) @ self.basis_change[k])
 
     def block(self, gen, k):
         """Dense block of a generator from level k.
