@@ -36,7 +36,7 @@ from test_hwmod import oracle_gram
 
 @pytest.fixture(scope="module")
 def vir16():
-    """Virasoro (1/2, 1/16), N = 16 (exact Gram build, ~30 s)."""
+    """Virasoro (1/2, 1/16), N = 16 (exact Gram build, about 15 s on 2 CPUs)."""
     return build_module(virasoro_spec(Fraction(1, 2), Fraction(1, 16), 16))
 
 

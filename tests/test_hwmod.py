@@ -1,12 +1,15 @@
 from fractions import Fraction
+import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from prodexp.liealg import (CentralElement, FourierVectorField,
                             LoopAlgebraElement, bracket_vect, loop_bracket,
                             sl2_chevalley)
-from prodexp.hwmod import (HighestWeightSpec, NotUnitarizable, affine_spec,
+from prodexp.hwmod import (HighestWeightSpec, NotUnitarizable, _exact_ldl,
+                           _IndefiniteGram, affine_spec,
                            assemble_pi, build_module, build_verma,
                            discrete_series_c, discrete_series_h, gram_matrix,
                            partitions, sugawara, unitarize, virasoro_spec)
@@ -180,6 +183,152 @@ def test_virasoro_level_dims_ising_sigma_character(vir12):
             want[n] += want[n - part]
     assert want == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15]
     assert list(vir12.level_dims) == want
+
+
+# ---------------------------------------------------------------------------
+# exact LDL: fraction-free elimination against plain Fraction elimination
+
+def _fraction_ldl(G):
+    """LDL^T with diagonal pivoting in Fraction arithmetic: the elimination
+    `_exact_ldl` must reproduce exactly (same pivots, factors and errors)."""
+    n = len(G)
+    M = [list(row) for row in G]
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    d = [Fraction(0)] * n
+    rank = n
+    for i in range(n):
+        j = max(range(i, n), key=lambda t: abs(M[t][t]))
+        piv = M[j][j]
+        if piv == 0:
+            off = next((M[a][b] for a in range(i, n) for b in range(i, n)
+                        if a != b and M[a][b] != 0), None)
+            if off is not None:
+                raise _IndefiniteGram(-abs(off))
+            rank = i
+            break
+        if piv < 0:
+            raise _IndefiniteGram(piv)
+        if j != i:
+            M[i], M[j] = M[j], M[i]
+            for row in M:
+                row[i], row[j] = row[j], row[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            for t in range(i):
+                L[i][t], L[j][t] = L[j][t], L[i][t]
+        d[i] = piv
+        for k in range(i + 1, n):
+            if M[k][i]:
+                L[k][i] = M[k][i] / piv
+        for k in range(i + 1, n):
+            f = L[k][i]
+            if f:
+                for l in range(i + 1, n):
+                    if M[i][l]:
+                        M[k][l] -= f * M[i][l]
+    return perm, L, d, rank
+
+
+def _ldl_or_error(ldl, G):
+    try:
+        return ldl(G)
+    except _IndefiniteGram as exc:
+        return ("indefinite", exc.value)
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def _congruence(draw, weight):
+    """(B, q, G) with G = B^T diag(q) B, B r x n and r <= n, so G is
+    symmetric and rank-deficient whenever r < n."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, n))
+    B = [[draw(_RATIONAL) for _ in range(n)] for _ in range(r)]
+    q = [draw(weight) for _ in range(r)]
+    G = [[sum((B[t][a] * q[t] * B[t][b] for t in range(r)), Fraction(0))
+          for b in range(n)] for a in range(n)]
+    return B, q, G
+
+
+_POSITIVE = st.builds(Fraction, st.integers(1, 5), st.integers(1, 7))
+_NONZERO = st.builds(lambda x, s: s * x, _POSITIVE, st.sampled_from((1, -1)))
+
+
+class TestExactLDL:
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_congruence(_POSITIVE))
+    def test_psd_factorization(self, case):
+        import sympy
+        B, q, G = case
+        n = len(G)
+        perm, L, d, rank = _exact_ldl(G)
+        assert sorted(perm) == list(range(n))
+        assert rank == sympy.Matrix(len(B), n, [
+            sympy.Rational(x.numerator, x.denominator)
+            for row in B for x in row]).rank()
+        assert all(x > 0 for x in d[:rank])
+        assert all(x == 0 for x in d[rank:])
+        for a in range(n):
+            assert L[a][a] == 1 and all(x == 0 for x in L[a][a + 1:])
+            for b in range(n):
+                assert G[perm[a]][perm[b]] == sum(
+                    L[a][t] * d[t] * L[b][t] for t in range(n))
+        assert (perm, L, d, rank) == _fraction_ldl(G)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_congruence(_NONZERO))
+    def test_matches_fraction_elimination_on_symmetric(self, case):
+        # indefinite inputs must raise with the same value as the oracle
+        G = case[2]
+        assert _ldl_or_error(_exact_ldl, G) == _ldl_or_error(_fraction_ldl, G)
+
+    @pytest.mark.parametrize("G, value", [
+        ([[0, 1], [1, 0]], -1),
+        ([[1, 2], [2, 1]], -3),
+    ])
+    def test_indefinite(self, G, value):
+        G = [[Fraction(x) for x in row] for row in G]
+        assert _ldl_or_error(_fraction_ldl, G) == ("indefinite", value)
+        with pytest.raises(_IndefiniteGram) as ei:
+            _exact_ldl(G)
+        assert ei.value.value == value
+
+    def test_matches_fraction_elimination_on_gram_levels(self, vir12):
+        for k in range(13):
+            G = vir12.verma.gram(k)
+            assert _exact_ldl(G) == _fraction_ldl(G), k
+
+    def test_kac_determinant_ratio_at_c1(self):
+        # det G_n(c, h) = K_n prod_{r,s >= 1, rs <= n} (h - h_rs)^p(n - rs)
+        # with K_n independent of (c, h); at c = 1, h_rs = (r - s)^2 / 4,
+        # so the ratio at two weights off the Kac table cancels K_n
+        h1, h2 = Fraction(1, 3), Fraction(5, 7)
+        v1 = build_verma(virasoro_spec(Fraction(1), h1, 6))
+        v2 = build_verma(virasoro_spec(Fraction(1), h2, 6))
+        for n in range(1, 7):
+            dets = []
+            for v in (v1, v2):
+                _, _, d, rank = _exact_ldl(v.gram(n))
+                assert rank == len(d)
+                dets.append(math.prod(d))
+            want = Fraction(1)
+            for r in range(1, n + 1):
+                for s in range(1, n // r + 1):
+                    h_rs = Fraction((r - s) ** 2, 4)
+                    want *= ((h1 - h_rs) / (h2 - h_rs)) ** len(
+                        partitions(n - r * s))
+            assert dets[0] / dets[1] == want, n
+
+
+def test_exact_path_forms_no_dense_transfer(vir8):
+    for n in range(-4, 5):
+        vir8.generator_matrix(("L", n))
+    assert vir8.verma.exact and vir8.verma._transfer == {}
+    amod = build_module(affine_spec(1, 0, 6))
+    assert not amod.verma.exact and amod.verma._transfer
 
 
 class TestCommutation:
