@@ -68,6 +68,12 @@ class CheckContext:
             spec = affine_spec(1, 0, 4)
         return self.build(spec)
 
+    def su2(self):
+        """The descriptor's su(2) representation (or spins 1/2 + 3/2)."""
+        if isinstance(self.module_spec, nelson.FinDimRep):
+            return self.module_spec
+        return nelson.FinDimRep((Fraction(1, 2), Fraction(3, 2)))
+
     def bound(self, check_id, default):
         return float(self.tolerances.get(check_id, default))
 
@@ -420,10 +426,10 @@ def chk_sugawara_lowest_weight(ctx):
 
 
 def chk_nelson_axis_angle(ctx):
-    rep = nelson.FinDimRep((0.5, 1.5))
+    rep = ctx.su2()
     path = nelson.su2_path(lambda t: np.array([0.4, -0.2, 0.9]))
     out = nelson.exponentiate_vs_oracle(rep, path, tol=1e-10)
-    return out["axis-angle"], {"spins": ["1/2", "3/2"],
+    return out["axis-angle"], {"spins": [str(s) for s in rep.spins],
                                "unitarity": out["unitarity"]}, 0.0
 
 

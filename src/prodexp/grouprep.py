@@ -400,7 +400,7 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
     P0 = product_integral(rep, homotopy.boundary_path(0.0), **kw)
     P1 = product_integral(rep, homotopy.boundary_path(1.0), **kw)
     R = P1.matrix @ P0.matrix.conj().T            # U_{p0} is unitary
-    d = int(rep.offsets[window + 1]) if hasattr(rep, "offsets") else None
+    d = int((rep.level_of() <= window).sum())
     block = R[:d, :d]
     measured = complex(np.trace(block) / block.shape[0])
     dev = float(np.abs(block - measured * np.eye(block.shape[0])).max())

@@ -50,6 +50,8 @@ import numpy as np
 
 from .liealg import (CentralElement, FourierVectorField, LoopAlgebraElement,
                      sl2_chevalley)
+from .scale import (gw_loop_a_seminorm, gw_loop_seminorm,
+                    gw_virasoro_a_seminorm, gw_virasoro_seminorm)
 
 # largest truncations reduced exactly.  A Virasoro spec above the limit is
 # rejected rather than reduced in floating point: float null detection's
@@ -736,21 +738,30 @@ class GradedModule:
             M += 1j * t * np.eye(self.dim)
         return M
 
+    @property
+    def central_charge(self):
+        """c of a Virasoro module; affine modules carry none (their
+        Virasoro action is the SugawaraAction)."""
+        if self.spec.kind != "virasoro":
+            raise TypeError("no central charge available")
+        return self.spec.c
+
     def seminorm(self, X, t):
-        """|X|_t with the constants matching this module's algebra
-        (central coefficients contribute their modulus)."""
-        from .scale import module_seminorms
-        sn, _ = module_seminorms(self, self.spec)
+        """|X|_t with the Goodman-Wallach constants of this module's
+        algebra: Virasoro c, or loop level ell (central coefficients
+        contribute their modulus)."""
         extra = abs(complex(X.central)) if isinstance(X, CentralElement) else 0.0
         base = X.base if isinstance(X, CentralElement) else X
-        return sn(base, t) + extra
+        if self.spec.kind == "virasoro":
+            return gw_virasoro_seminorm(base, t, float(self.spec.c)) + extra
+        return gw_loop_seminorm(base, None, t, self.spec.ell) + extra
 
     def a_seminorm(self, X, t):
         """|X|_{A,t} (the central part commutes with A and drops out)."""
-        from .scale import module_seminorms
-        _, asn = module_seminorms(self, self.spec)
         base = X.base if isinstance(X, CentralElement) else X
-        return asn(base, t)
+        if self.spec.kind == "virasoro":
+            return gw_virasoro_a_seminorm(base, t, float(self.spec.c))
+        return gw_loop_a_seminorm(base, None, t, self.spec.ell)
 
     def projective_cocycle(self, X, Y):
         """B(X, Y) with [pi(X), pi(Y)] = pi([X, Y]) + i B(X, Y)."""
@@ -932,21 +943,14 @@ class SugawaraAction:
         return self.module.pi(X, l_blocks=self.matrix)
 
     def seminorm(self, X, t):
-        from .scale import gw_loop_seminorm
         extra = abs(complex(X.central)) if isinstance(X, CentralElement) else 0.0
         base = X.base if isinstance(X, CentralElement) else X
         return gw_loop_seminorm(None, base, t, self.ell) + extra
 
     def a_seminorm(self, X, t):
-        from .scale import gw_loop_a_seminorm
         base = X.base if isinstance(X, CentralElement) else X
         return gw_loop_a_seminorm(None, base, t, self.ell)
 
 
 def sugawara(module):
     return SugawaraAction(module)
-
-
-def assemble_pi(module, X):
-    """Matrix of a CentralElement on a built module (see GradedModule.pi)."""
-    return module.pi(X)

@@ -161,6 +161,7 @@ class Trajectory:
 
 
 def _top_fraction(rep, v):
+    """Leakage: the fraction of ||v|| in the top two retained levels."""
     lv = rep.level_of()
     top = lv.max()
     total = np.linalg.norm(v)

@@ -1,14 +1,25 @@
 """Sobolev scale of A = 1 + L0 and numerical verification of the
 operator estimates.
 
-`rep` arguments below are any object with `.dim`, `.a_diag()` and
-`.pi(element) -> matrix` (a GradedModule, a SugawaraAction, or the su(2)
-testbed representation); A is diagonal in the working basis throughout.
+`rep` arguments below are representations: a GradedModule, a
+SugawaraAction or the su(2) testbed's FinDimRep.  Each provides
+
+* `dim` and `pi(element) -> dim x dim matrix`;
+* `a_diag()`, the diagonal of A in the working basis (A is diagonal
+  throughout), and `level_of()`, the grading level of each coordinate;
+* `seminorm(X, t)` and `a_seminorm(X, t)`, the representation's own
+  constants |X|_t and |X|_{A,t} in its commutator estimates.
+
+Module representations add `N`, `safe_dim(depth)` and `central_charge`
+(`check_gw_virasoro` reads it).
+
+The `leakage` of a report is the fraction of a vector's norm in the top
+two retained levels (`prodint._top_fraction`, as in the report rows).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import io
 import json
 import math
@@ -16,7 +27,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .liealg import FourierVectorField, LoopAlgebraElement, CentralElement, seminorm
+from .liealg import CentralElement, seminorm
+from .prodint import _top_fraction
 
 
 class SobolevScale:
@@ -88,17 +100,6 @@ def gw_loop_a_seminorm(X, f, t, ell, dim_g=3):
                             t, ell, dim_g)
 
 
-def module_seminorms(rep, spec):
-    """(|.|_t, |.|_{A,t}) pair appropriate for the module's algebra."""
-    if spec.kind == "virasoro":
-        c = float(spec.c)
-        return (lambda X, t: gw_virasoro_seminorm(X, t, c),
-                lambda X, t: gw_virasoro_a_seminorm(X, t, c))
-    ell = spec.ell
-    return (lambda X, t: gw_loop_seminorm(X, None, t, ell),
-            lambda X, t: gw_loop_a_seminorm(X, None, t, ell))
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -139,14 +140,6 @@ def reports_to_csv(reports):
     return buf.getvalue()
 
 
-def _leakage(rep, v):
-    """Mass of v in the top two retained levels."""
-    lv = rep.level_of()
-    top = lv.max()
-    mask = lv >= top - 1
-    return float(np.linalg.norm(np.asarray(v)[mask]))
-
-
 # ---------------------------------------------------------------------------
 # the checks
 
@@ -155,12 +148,9 @@ def _base(X):
     return X.base if isinstance(X, CentralElement) else X
 
 
-def check_basic_estimates(rep, X, xi, n, seminorm_fn=None, a_seminorm_fn=None):
+def check_basic_estimates(rep, X, xi, n):
     """Both sides of ||pi(X)xi||_n <= |X|_{n+1} ||xi||_{n+1} and
     ||[A, pi(X)]xi||_n <= |X|_{A,n+1} ||xi||_{n+1}."""
-    spec = getattr(rep, "spec", None) or rep.module.spec
-    if seminorm_fn is None:
-        seminorm_fn, a_seminorm_fn = module_seminorms(rep, spec)
     scale = SobolevScale(rep)
     P = rep.pi(X)
     Xb = _base(X)
@@ -169,22 +159,19 @@ def check_basic_estimates(rep, X, xi, n, seminorm_fn=None, a_seminorm_fn=None):
     norm_next = scale.norm(xi, n + 1)
     return [
         EstimateReport("pi-bound", {"n": n},
-                       scale.norm(w, n), seminorm_fn(Xb, n + 1) * norm_next,
-                       leakage=_leakage(rep, w)),
+                       scale.norm(w, n), rep.seminorm(Xb, n + 1) * norm_next,
+                       leakage=_top_fraction(rep, w)),
         EstimateReport("commutator-bound", {"n": n},
                        scale.norm(comm, n),
-                       a_seminorm_fn(Xb, n + 1) * norm_next,
-                       leakage=_leakage(rep, comm)),
+                       rep.a_seminorm(Xb, n + 1) * norm_next,
+                       leakage=_top_fraction(rep, comm)),
     ]
 
 
 def check_gw_virasoro(rep, X, xi, t):
     """||pi(X)xi||_t <= sqrt2 ||X||_|t| ||xi||_{t+1}
     + M ||X||_{|t|+1} ||xi||_{t+1/2} + M ||X||_{|t|+3/2} ||xi||_t."""
-    spec = getattr(rep, "spec", None) or rep.module.spec
-    c = float(spec.c) if spec.kind == "virasoro" else \
-        float(sugawara_central_charge(rep))
-    M = math.sqrt(c / 12.0)
+    M = math.sqrt(float(rep.central_charge) / 12.0)
     scale = SobolevScale(rep)
     Xb = _base(X)
     w = rep.pi(X) @ xi
@@ -193,14 +180,7 @@ def check_gw_virasoro(rep, X, xi, t):
            + M * seminorm(Xb, a + 1) * scale.norm(xi, t + 0.5)
            + M * seminorm(Xb, a + 1.5) * scale.norm(xi, t))
     return EstimateReport("gw-virasoro", {"t": t}, scale.norm(w, t), rhs,
-                          leakage=_leakage(rep, w))
-
-
-def sugawara_central_charge(rep):
-    from .hwmod import SugawaraAction
-    if isinstance(rep, SugawaraAction):
-        return rep.central_charge
-    raise TypeError("no central charge available")
+                          leakage=_top_fraction(rep, w))
 
 
 def check_gw_loop(module, sug, X, f, xi, t):
@@ -216,41 +196,34 @@ def check_gw_loop(module, sug, X, f, xi, t):
         out.append(EstimateReport(
             "gw-loop-element", {"t": t}, scale.norm(w, t),
             (ell + 1) * seminorm(_base(X), a + 0.5) * scale.norm(xi, t + 0.5),
-            leakage=_leakage(module, w)))
+            leakage=_top_fraction(module, w)))
     if f is not None:
         w = sug.pi(f) @ xi
         out.append(EstimateReport(
             "gw-loop-field", {"t": t}, scale.norm(w, t),
             3 * seminorm(_base(f), a + 1.5) * scale.norm(xi, t + 1),
-            leakage=_leakage(module, w)))
+            leakage=_top_fraction(module, w)))
     return out
 
 
-def check_exp_estimate(rep, X, n, a_seminorm_fn=None):
+def check_exp_estimate(rep, X, n):
     """||A^n e^{pi(X)} A^{-n}|| <= e^{2n |X|_{A,n}} on the truncation."""
-    spec = getattr(rep, "spec", None) or rep.module.spec
-    if a_seminorm_fn is None:
-        _, a_seminorm_fn = module_seminorms(rep, spec)
     scale = SobolevScale(rep)
     U = expm(rep.pi(X))
     lhs = scale.operator_norm(U, n, n)
-    rhs = math.exp(2 * n * a_seminorm_fn(_base(X), n))
+    rhs = math.exp(2 * n * rep.a_seminorm(_base(X), n))
     return EstimateReport("exp-estimate", {"n": n}, lhs, rhs)
 
 
-def check_exp_difference(rep, X, Y, xi, n,
-                         seminorm_fn=None, a_seminorm_fn=None):
+def check_exp_difference(rep, X, Y, xi, n):
     """||(e^{pi(X)} - e^{pi(Y)}) xi||_n <= |X-Y|_{n+1}
     e^{2(n+1) max(|X|_{A,n+1}, |Y|_{A,n+1})} ||xi||_{n+1}."""
-    spec = getattr(rep, "spec", None) or rep.module.spec
-    if seminorm_fn is None:
-        seminorm_fn, a_seminorm_fn = module_seminorms(rep, spec)
     scale = SobolevScale(rep)
     Xb, Yb = _base(X), _base(Y)
     w = (expm(rep.pi(X)) - expm(rep.pi(Y))) @ xi
-    rhs = (seminorm_fn(Xb - Yb, n + 1)
-           * math.exp(2 * (n + 1) * max(a_seminorm_fn(Xb, n + 1),
-                                        a_seminorm_fn(Yb, n + 1)))
+    rhs = (rep.seminorm(Xb - Yb, n + 1)
+           * math.exp(2 * (n + 1) * max(rep.a_seminorm(Xb, n + 1),
+                                        rep.a_seminorm(Yb, n + 1)))
            * scale.norm(xi, n + 1))
     return EstimateReport("exp-difference", {"n": n}, scale.norm(w, n), rhs,
-                          leakage=_leakage(rep, w))
+                          leakage=_top_fraction(rep, w))

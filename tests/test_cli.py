@@ -92,6 +92,18 @@ def test_bundled_rotation_descriptor(tmp_path, cache_dir):
     assert rows["rotation-phase"]["verdict"] == "pass"
 
 
+def test_su2_descriptor_spins_are_measured(tmp_path, cache_dir):
+    desc = write_descriptor(tmp_path, {
+        "name": "spin-one", "module": {"kind": "su2", "spins": ["1"]},
+        "checks": ["nelson-axis-angle"]})
+    out = tmp_path / "su2.json"
+    assert cli.main(["--cache-dir", cache_dir, "run", desc,
+                     "--output", str(out)]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["verdict"] == "pass"
+    assert row["params"]["spins"] == ["1"]
+
+
 def test_unknown_check_id_named(tmp_path, capsys):
     desc = write_descriptor(tmp_path, {"name": "bad",
                                        "checks": ["no-such-check"]})

@@ -9,8 +9,11 @@ from prodexp.grouprep import (BoundaryViolation, CirclePath, CurvatureTooLarge,
                               holonomy_phase, local_cocycle, log_derivative,
                               phase_function, scalar_part,
                               shrinking_loop_homotopy, verify_up_properties)
-from prodexp.liealg import CentralElement, FourierVectorField
+from prodexp.liealg import (CentralElement, FourierVectorField,
+                            LoopAlgebraElement, sl2_chevalley)
+from prodexp.nelson import FinDimRep
 from prodexp.prodint import GeneratorPath, product_integral
+from prodexp.scale import SobolevScale
 
 
 def mobius_diffeo(eps=0.2, grid_size=64):
@@ -221,11 +224,13 @@ def test_holonomy_nontrivial_vir8(vir8):
     assert rep.curvature < 1e-12
 
 
-def test_holonomy_magnus4_matches_step_scheme(vir8):
+@pytest.mark.parametrize("window", [1, 3])
+def test_holonomy_magnus4_matches_step_scheme(vir8, window):
     # the measured phase is the window trace of U_{p1} U_{p0}^*, built from
     # the boundary propagators; the step scheme gives the same trace
     hom = shrinking_loop_homotopy(k=2)
-    d = int(vir8.offsets[4])                    # holonomy_phase's window=3
+    d = int((vir8.level_of() <= window).sum())
+    assert d == int(vir8.offsets[window + 1])
 
     def window_trace(rule):
         P0, P1 = (product_integral(vir8, hom.boundary_path(y), rule=rule,
@@ -236,8 +241,34 @@ def test_holonomy_magnus4_matches_step_scheme(vir8):
 
     magnus = window_trace("magnus4")
     assert abs(magnus - window_trace("midpoint")) < 1e-6
-    assert magnus == pytest.approx(holonomy_phase(vir8, hom).measured,
-                                   abs=1e-12)
+    assert magnus == pytest.approx(
+        holonomy_phase(vir8, hom, window=window).measured, abs=1e-12)
+
+
+def _real_loop_element():
+    a, b = 0.3 + 0.2j, 0.1
+    return LoopAlgebraElement(sl2_chevalley(), {
+        1: (a, b, 0.5 * a), -1: (-0.5 * a.conjugate(), -b, -a.conjugate())})
+
+
+@pytest.mark.parametrize("rep_name, element", [
+    ("vir8", FourierVectorField({1: 0.3, -1: 0.3, 2: 0.1j, -2: -0.1j})),
+    ("aff5", _real_loop_element()),
+    ("sug5", FourierVectorField({1: 0.2 - 0.1j, -1: 0.2 + 0.1j})),
+    ("su2", np.array([0.4, -0.2, 0.9])),
+])
+def test_representation_protocol(request, rep_name, element):
+    # every representation serves product_integral, SobolevScale and its
+    # own seminorms through the same methods
+    rep = (FinDimRep((0.5, 1.5)) if rep_name == "su2"
+           else request.getfixturevalue(rep_name))
+    P = product_integral(rep, GeneratorPath.constant(element),
+                         rule="magnus4")
+    np.testing.assert_allclose(P.matrix, expm(rep.pi(element)), atol=1e-9)
+    assert SobolevScale(rep).diag.shape == (rep.dim,)
+    for t in (0, 1, 2):
+        for value in (rep.seminorm(element, t), rep.a_seminorm(element, t)):
+            assert np.isfinite(value) and value >= 0
 
 
 # ---------------------------------------------------------------------------

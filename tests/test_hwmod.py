@@ -10,7 +10,7 @@ from prodexp.liealg import (CentralElement, FourierVectorField,
                             sl2_chevalley)
 from prodexp.hwmod import (HighestWeightSpec, NotUnitarizable, _exact_ldl,
                            _IndefiniteGram, affine_spec,
-                           assemble_pi, build_module, build_verma,
+                           build_module, build_verma,
                            discrete_series_c, discrete_series_h, gram_matrix,
                            partitions, sugawara, unitarize, virasoro_spec)
 
@@ -366,10 +366,10 @@ class TestAssemblePi:
 
     def test_zero(self, mod):
         X = CentralElement(FourierVectorField())
-        assert np.abs(assemble_pi(mod, X)).max() == 0
+        assert np.abs(mod.pi(X)).max() == 0
 
     def test_e0_is_i_l0(self, mod):
-        M = assemble_pi(mod, FourierVectorField({0: 1}))
+        M = mod.pi(FourierVectorField({0: 1}))
         want = 1j * np.diag(1 / 16 + mod.level_of().astype(float))
         np.testing.assert_allclose(M, want, atol=1e-12)
 
@@ -383,15 +383,15 @@ class TestAssemblePi:
                 coeffs[-n] = a.conjugate()
             coeffs[0] = float(rng.normal())
             X = CentralElement(FourierVectorField(coeffs), float(rng.normal()))
-            M = assemble_pi(mod, X)
+            M = mod.pi(X)
             assert np.abs(M + M.conj().T).max() <= 1e-12 * max(1, np.abs(M).max())
 
     def test_projective_commutator(self, mod):
         X = FourierVectorField({2: 0.3 + 0.1j, -2: 0.3 - 0.1j})
         Y = FourierVectorField({2: 1j, -2: -1j})
-        PX, PY = assemble_pi(mod, X), assemble_pi(mod, Y)
+        PX, PY = mod.pi(X), mod.pi(Y)
         B = mod.projective_cocycle(X, Y)
-        want = assemble_pi(mod, bracket_vect(X, Y)) + 1j * B * np.eye(mod.dim)
+        want = mod.pi(bracket_vect(X, Y)) + 1j * B * np.eye(mod.dim)
         d = mod.safe_dim(4)
         assert np.abs((PX @ PY - PY @ PX - want)[:d, :d]).max() < 1e-10
         assert abs(B.imag) < 1e-14 and abs(B) > 0.01
@@ -399,7 +399,7 @@ class TestAssemblePi:
     def test_kind_mismatch(self, mod):
         alg = sl2_chevalley()
         with pytest.raises(TypeError):
-            assemble_pi(mod, LoopAlgebraElement.single(alg, 0, 1, 1.0))
+            mod.pi(LoopAlgebraElement.single(alg, 0, 1, 1.0))
 
 
 class TestAffineAndSugawara:

@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from prodexp.liealg import FourierVectorField, LoopAlgebraElement, sl2_chevalley
+from prodexp.liealg import (FourierVectorField, LoopAlgebraElement, seminorm,
+                            sl2_chevalley)
+from prodexp.prodint import _top_fraction
 from prodexp.scale import (SobolevScale, check_basic_estimates,
                            check_exp_difference, check_exp_estimate,
                            check_gw_loop, check_gw_virasoro,
@@ -117,6 +120,43 @@ def test_gw_loop(aff5, sug5):
         for t in (0, 0.5, 1):
             for r in check_gw_loop(aff5, sug5, X, f, xi, t):
                 assert r.holds, (t, r.estimate, r.lhs, r.rhs)
+
+
+def test_sugawara_estimates_use_its_own_constants(aff5, sug5):
+    # the field seminorm dim(g)||f||_{t+1/2} of the Sugawara action, not
+    # the loop-element constant of the underlying affine module
+    rng = np.random.default_rng(12)
+    s = SobolevScale(sug5)
+    for _ in range(20):
+        f = real_field(rng, (1, 2), scale=0.2)
+        xi = safe_vector(rng, sug5, 2)
+        for n in (0, 1):
+            norm_next = s.norm(xi, n + 1)
+            pi_bound, comm_bound = check_basic_estimates(sug5, f, xi, n)
+            assert pi_bound.rhs == sug5.seminorm(f, n + 1) * norm_next
+            assert comm_bound.rhs == sug5.a_seminorm(f, n + 1) * norm_next
+            exp_bound = check_exp_estimate(sug5, f, n)
+            assert exp_bound.rhs == math.exp(2 * n * sug5.a_seminorm(f, n))
+            for r in (pi_bound, comm_bound, exp_bound):
+                assert r.holds, (n, r.estimate, r.lhs, r.rhs)
+    # check_gw_virasoro takes c = 1 from the Sugawara action
+    r = check_gw_virasoro(sug5, f, xi, 0.5)
+    M = math.sqrt(1 / 12)
+    assert r.rhs == pytest.approx(
+        math.sqrt(2) * seminorm(f, 0.5) * s.norm(xi, 1.5)
+        + M * seminorm(f, 1.5) * s.norm(xi, 1.0)
+        + M * seminorm(f, 2.0) * s.norm(xi, 0.5), rel=1e-14)
+    with pytest.raises(TypeError):
+        check_gw_virasoro(aff5, f, xi, 0.5)
+
+
+def test_report_leakage_is_top_fraction(vir8):
+    rng = np.random.default_rng(13)
+    X = FourierVectorField({1: 0.7, -1: 0.7})
+    xi = vir8.random_vector(rng)
+    r = check_basic_estimates(vir8, X, xi, 0)[0]
+    assert 0 < r.leakage <= 1
+    assert r.leakage == _top_fraction(vir8, vir8.pi(X) @ xi)
 
 
 def test_exp_estimate(vir8):
