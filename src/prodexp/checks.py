@@ -18,9 +18,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .liealg import CentralElement, FourierVectorField, bracket_vect
-from .hwmod import (NotUnitarizable, affine_spec, build_module,
-                    discrete_series_c, discrete_series_h, gram_matrix,
-                    build_verma, sugawara, virasoro_spec)
+from .hwmod import (NotUnitarizable, SugawaraAction, affine_spec,
+                    build_module, build_verma, discrete_series_c,
+                    discrete_series_h, virasoro_spec)
 from .prodint import (GeneratorPath, StepSubdivision, dyson_expansion,
                       gateaux_derivative, product_integral, solve_homogeneous,
                       solve_inhomogeneous, step_product, _top_fraction)
@@ -130,9 +130,9 @@ def chk_projective_defect(ctx):
 def chk_vir_gram_exact(ctx):
     """Exact low-level Shapovalov values in rational arithmetic."""
     c, h = Fraction(1, 2), Fraction(1, 16)
-    verma = build_verma(virasoro_spec(c, h, 4), exact=True)
-    g1 = gram_matrix(verma, 1)
-    g2 = gram_matrix(verma, 2)
+    verma = build_verma(virasoro_spec(c, h, 4))
+    g1 = verma.gram(1)
+    g2 = verma.gram(2)
     ok = (g1[0][0] == 2 * h
           and g2[0][0] == 4 * h + c / 2          # (L_{-2}, L_{-2})
           and g2[1][1] == 8 * h * h + 4 * h)     # (L_{-1}^2, L_{-1}^2)
@@ -269,11 +269,8 @@ def chk_ode_residual(ctx):
 def chk_inhomogeneous_residual(ctx):
     mod = ctx.virasoro()
     path = _oscillator(0.3)
-    rng = ctx.rng("inhomogeneous-residual")
-    d = mod.safe_dim(3)
-    w = np.zeros(mod.dim, dtype=complex)
-    w[:d] = rng.normal(size=d) + 1j * rng.normal(size=d)
-    w /= np.linalg.norm(w)
+    w = mod.random_vector(ctx.rng("inhomogeneous-residual"),
+                          max_level=mod.N - 3)
     grid = np.linspace(0, 1, 129)
     traj = solve_inhomogeneous(mod, path, lambda t: np.cos(2 * t) * w,
                                grid, tol=1e-9)
@@ -340,7 +337,7 @@ def chk_gw_loop_estimate(ctx, samples=200):
     """Randomized samples of both loop-algebra scale inequalities."""
     from .liealg import LoopAlgebraElement, sl2_chevalley
     mod = ctx.affine()
-    sug = sugawara(mod)
+    sug = SugawaraAction(mod)
     alg = sl2_chevalley()
     rng = ctx.rng("gw-loop-estimate")
     violations = 0
@@ -383,13 +380,46 @@ def chk_exp_difference_estimate(ctx):
     return float(violations), {"deltas": [1e-1, 1e-2, 1e-3]}, 0.0
 
 
+def chk_basic_estimates(ctx):
+    """Randomized safe-window samples of ||pi(X)xi||_n <= |X|_{n+1}
+    ||xi||_{n+1} and its commutator form on the three instances:
+    Virasoro, Sugawara on affine sl2, and su(2)."""
+    vir, aff, su2 = ctx.virasoro(), ctx.affine(), ctx.su2()
+    rng = ctx.rng("basic-estimates")
+    samples = 50
+
+    def su2_vector():
+        v = rng.normal(size=su2.dim) + 1j * rng.normal(size=su2.dim)
+        return v / np.linalg.norm(v)
+
+    instances = (
+        (vir, lambda: _real_field(rng, (1, 2, 3)),
+         lambda: vir.random_vector(rng, max_level=vir.N - 3)),
+        (SugawaraAction(aff), lambda: _real_field(rng, (1, 2), 0.5),
+         lambda: aff.random_vector(rng, max_level=aff.N - 2)),
+        (su2, lambda: rng.normal(size=3), su2_vector),
+    )
+    violations = 0
+    for rep, element, vector in instances:
+        for _ in range(samples):
+            X, xi = element(), vector()
+            for n in (0, 1, 2):
+                violations += sum(not r.holds for r in
+                                  scale.check_basic_estimates(rep, X, xi, n))
+    return float(violations), {
+        "virasoro": {"c": str(vir.spec.c), "h": str(vir.spec.h), "N": vir.N},
+        "sugawara": {"ell": aff.spec.ell, "lam": aff.spec.lam, "N": aff.N},
+        "su2": [str(s) for s in su2.spins],
+        "samples": samples, "orders": [0, 1, 2]}, 0.0
+
+
 # ---------------------------------------------------------------------------
 # Sugawara checks
 
 
 def chk_sugawara_central_charge(ctx):
     mod = ctx.affine()
-    sug = sugawara(mod)
+    sug = SugawaraAction(mod)
     ell = mod.spec.ell
     want = 3 * ell / (ell + 2)
     return (abs(sug.central_charge - want),
@@ -399,7 +429,7 @@ def chk_sugawara_central_charge(ctx):
 def chk_sugawara_intertwining(ctx):
     """[L_m, x(n)] = -n x(m + n) on the safe window."""
     mod = ctx.affine()
-    sug = sugawara(mod)
+    sug = SugawaraAction(mod)
     worst = 0.0
     for m in (-2, -1, 0, 1, 2):
         L = sug.matrix(m)
@@ -414,7 +444,7 @@ def chk_sugawara_intertwining(ctx):
 
 def chk_sugawara_lowest_weight(ctx):
     mod = ctx.affine()
-    sug = sugawara(mod)
+    sug = SugawaraAction(mod)
     L0 = sug.matrix(0)
     eigs = np.linalg.eigvalsh((L0 + L0.conj().T) / 2)
     want = float(sug.h0_shift)
@@ -427,28 +457,33 @@ def chk_sugawara_lowest_weight(ctx):
 
 def chk_nelson_axis_angle(ctx):
     rep = ctx.su2()
-    path = nelson.su2_path(lambda t: np.array([0.4, -0.2, 0.9]))
+    path = GeneratorPath(lambda t: np.array([0.4, -0.2, 0.9]))
     out = nelson.exponentiate_vs_oracle(rep, path, tol=1e-10)
     return out["axis-angle"], {"spins": [str(s) for s in rep.spins],
                                "unitarity": out["unitarity"]}, 0.0
 
 
 def chk_nelson_full_turn(ctx):
-    rep = nelson.FinDimRep((0.5,))
+    """The 2 pi rotation is (-1)^{2j} on each spin-j block."""
+    rep = ctx.su2()
     axis = 2 * np.pi * np.array([0.0, 0.0, 1.0])
-    P = product_integral(rep, nelson.su2_path(lambda t: axis), tol=1e-10,
+    P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10,
                          rule="magnus4", record_bound=False)
-    return float(np.abs(P.matrix + np.eye(2)).max()), {"spin": "1/2"}, 0.0
+    want = np.empty(rep.dim)
+    for sl, s in zip(rep.block_slices(), rep.spins):
+        want[sl] = (-1) ** int(2 * s)
+    return (float(np.abs(P.matrix - np.diag(want)).max()),
+            {"spins": [str(s) for s in rep.spins]}, 0.0)
 
 
 def chk_nelson_assumptions(ctx):
-    rep = nelson.FinDimRep((0.5, 1.5))
-    rows = nelson.verify_assumptions(rep)
-    finite = all(r["finite"] for r in rows)
-    single = nelson.FinDimRep((1,))
-    comm = max(r["commutator_constant"]
-               for r in nelson.verify_assumptions(single))
-    return (comm if finite else float("inf")), {"rows": len(rows)}, 0.0
+    """Finite constants on the sum; vanishing commutators on each block."""
+    rep = ctx.su2()
+    finite = all(r["finite"] for r in nelson.verify_assumptions(rep))
+    comm = max(r["commutator_constant"] for s in rep.spins
+               for r in nelson.verify_assumptions(nelson.FinDimRep((s,))))
+    return ((comm if finite else float("inf")),
+            {"spins": [str(s) for s in rep.spins]}, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +605,12 @@ CATALOG = {
         "exponential"),
     "nelson-full-turn": (
         chk_nelson_full_turn, 1e-9,
-        "2 pi rotation on spin 1/2 gives -Id (double cover)"),
+        "2 pi rotation acts as (-1)^{2j} on each spin-j block "
+        "(double cover)"),
     "nelson-assumptions": (
         chk_nelson_assumptions, 1e-12,
         "scale-estimate constants finite; commutator constants vanish "
-        "for a single irreducible"),
+        "on each irreducible block"),
     "extension-cocycle": (
         chk_extension_cocycle, 1e-3,
         "finite-difference Lie-algebra cocycle of the local multiplier "
@@ -583,6 +619,11 @@ CATALOG = {
         chk_local_cocycle_invariance, 1e-12,
         "local multiplier cocycle invariant under unit rescaling of "
         "the lifts"),
+    # appended last: ctx.rng keys each check's stream by catalog position
+    "basic-estimates": (
+        chk_basic_estimates, 0.0,
+        "||pi(X)xi||_n <= |X|_{n+1} ||xi||_{n+1} and ||[A, pi(X)]xi||_n <= "
+        "|X|_{A,n+1} ||xi||_{n+1} on Virasoro, Sugawara and su(2)"),
 }
 
 

@@ -97,10 +97,6 @@ class CirclePath:
         return "generator" if self.generator is not None else "diffeo"
 
     @classmethod
-    def generator_form(cls, path):
-        return cls(generator=path, interval=path.interval)
-
-    @classmethod
     def rotation(cls, angle, interval=(0.0, 1.0)):
         """Constant-speed rigid rotation by `angle` over the interval."""
         a, b = interval
@@ -162,23 +158,23 @@ def log_derivative(path, max_modes=None, root_tol=1e-12):
     return GeneratorPath(func, path.interval)
 
 
-def exponentiate_path(rep, path, tol=1e-8, rule="magnus4", r=0, **kw):
+def exponentiate_path(rep, path, tol=1e-8):
     """U_p: the product integral of the path's logarithmic derivative."""
     if isinstance(path, GeneratorPath):
         gen = path
     else:
         gen = log_derivative(path)
-    return product_integral(rep, gen, tol=tol, r=r, rule=rule, **kw)
+    return product_integral(rep, gen, tol=tol, rule="magnus4")
 
 
-def scalar_part(rep, matrix, depth=2):
+def scalar_part(rep, matrix, window):
     """(Rayleigh scalar, deviation) of a near-scalar operator.
 
-    The scalar is trace/dimension over the safe window of the given
-    depth; the deviation is the max entrywise distance from scalar * Id
-    on that window.
+    The scalar is trace/dimension over the coordinates of levels
+    0..window; the deviation is the max entrywise distance from
+    scalar * Id on that window.
     """
-    d = rep.safe_dim(depth)
+    d = int((rep.level_of() <= window).sum())
     block = matrix[:d, :d]
     s = complex(np.trace(block) / d)
     dev = float(np.abs(block - s * np.eye(d)).max())
@@ -400,10 +396,7 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
     P0 = product_integral(rep, homotopy.boundary_path(0.0), **kw)
     P1 = product_integral(rep, homotopy.boundary_path(1.0), **kw)
     R = P1.matrix @ P0.matrix.conj().T            # U_{p0} is unitary
-    d = int((rep.level_of() <= window).sum())
-    block = R[:d, :d]
-    measured = complex(np.trace(block) / block.shape[0])
-    dev = float(np.abs(block - measured * np.eye(block.shape[0])).max())
+    measured, dev = scalar_part(rep, R, window)
     return HolonomyReport(predicted, measured, dev, I, n, curv)
 
 

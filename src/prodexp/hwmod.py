@@ -281,11 +281,10 @@ class VirasoroVerma(_PBWVerma):
     standing for L_{-n_1} ... L_{-n_j} Omega.
     """
 
-    def __init__(self, spec, exact=None):
+    def __init__(self, spec):
         assert spec.kind == "virasoro"
-        if exact is None:
-            exact = (isinstance(spec.c, (int, Fraction))
-                     and isinstance(spec.h, (int, Fraction)))
+        exact = (isinstance(spec.c, (int, Fraction))
+                 and isinstance(spec.h, (int, Fraction)))
         super().__init__(spec, exact,
                          [partitions(k) for k in range(spec.N + 1)])
         num = Fraction if exact else float
@@ -385,11 +384,10 @@ class AffineVerma(_PBWVerma):
     lowest-level weight index.  The central element acts as the scalar ell.
     """
 
-    def __init__(self, spec, exact=None):
+    def __init__(self, spec):
         assert spec.kind == "affine_sl2"
         lam = spec.lam
-        if exact is None:
-            exact = lam <= 1 and spec.N <= EXACT_N_AFFINE
+        exact = lam <= 1 and spec.N <= EXACT_N_AFFINE
         super().__init__(spec, exact,
                          [_affine_monomials(k, lam) for k in range(spec.N + 1)])
         self.alg = sl2_chevalley()
@@ -450,16 +448,11 @@ class AffineVerma(_PBWVerma):
         return out
 
 
-def build_verma(spec, exact=None):
+def build_verma(spec):
     """Reduction engine + PBW bases for a HighestWeightSpec."""
     if spec.kind == "virasoro":
-        return VirasoroVerma(spec, exact=exact)
-    return AffineVerma(spec, exact=exact)
-
-
-def gram_matrix(verma, k):
-    """Shapovalov/Gram matrix at level k (exact nested lists or ndarray)."""
-    return verma.gram(k)
+        return VirasoroVerma(spec)
+    return AffineVerma(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -780,38 +773,20 @@ class GradedModule:
         return int(self.offsets[cut + 1]) if cut >= 0 else 0
 
     def random_vector(self, rng, max_level=None, unit=True):
-        v = np.zeros(self.dim, dtype=complex)
+        """Gaussian vector supported on levels 0..max_level (default N)."""
         top = self.N if max_level is None else max_level
+        if not 0 <= top <= self.N:
+            raise ValueError(f"random_vector: max_level={top} is outside "
+                             f"0..N={self.N}")
+        v = np.zeros(self.dim, dtype=complex)
         d = int(self.offsets[top + 1])
         v[:d] = rng.normal(size=d) + 1j * rng.normal(size=d)
         if unit:
             v /= np.linalg.norm(v)
         return v
 
-    # -- serialization ------------------------------------------------------
 
-    def to_json(self):
-        gens = sorted({g for g, _ in self._blocks})
-        return {
-            "schema": 1,
-            "kind": self.spec.kind,
-            "params": {"c": str(self.spec.c), "h": str(self.spec.h)}
-            if self.spec.kind == "virasoro"
-            else {"ell": self.spec.ell, "lam": self.spec.lam},
-            "N": self.spec.N,
-            "h0": float(self.h0),
-            "level_dims": list(map(int, self.level_dims)),
-            "basis_change": [C.tolist() for C in self.basis_change],
-            "blocks": {
-                "|".join(map(str, g)): {
-                    str(k): self.block(g, k).tolist()
-                    for k in range(self.N + 1)
-                    if 0 <= k - g[-1] <= self.N}
-                for g in gens},
-        }
-
-
-def unitarize(verma, tol_psd=TOL_PSD, tol_null=TOL_NULL):
+def unitarize(verma):
     """Orthonormalize the Verma module level by level.
 
     Diagonalizes each Gram matrix; raises NotUnitarizable when an
@@ -840,9 +815,9 @@ def unitarize(verma, tol_psd=TOL_PSD, tol_null=TOL_NULL):
         G = verma.gram_float(k)
         scale = max(np.abs(G).max(), 1.0)
         w, V = np.linalg.eigh(G)
-        if w.min() < -tol_psd * scale:
+        if w.min() < -TOL_PSD * scale:
             raise NotUnitarizable(k, float(w.min()))
-        keep = np.where(w > tol_null * scale)[0]
+        keep = np.where(w > TOL_NULL * scale)[0]
         keep = sorted(keep, key=lambda i: -w[i])
         C = V[:, keep] / np.sqrt(np.maximum(w[keep], 1e-300))
         basis_change.append(C)
@@ -851,9 +826,8 @@ def unitarize(verma, tol_psd=TOL_PSD, tol_null=TOL_NULL):
                         exact_factors=exact_factors)
 
 
-def build_module(spec, exact=None, tol_psd=TOL_PSD, tol_null=TOL_NULL):
-    return unitarize(build_verma(spec, exact=exact),
-                     tol_psd=tol_psd, tol_null=tol_null)
+def build_module(spec):
+    return unitarize(build_verma(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +924,3 @@ class SugawaraAction:
     def a_seminorm(self, X, t):
         base = X.base if isinstance(X, CentralElement) else X
         return gw_loop_a_seminorm(None, base, t, self.ell)
-
-
-def sugawara(module):
-    return SugawaraAction(module)

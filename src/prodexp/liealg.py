@@ -7,7 +7,7 @@ Vector fields on the circle are stored by their Fourier data,
 
 with finitely many nonzero complex amplitudes a_n.  The basis of the
 (centrally extended) Witt algebra used elsewhere is L_n = -i e_n, so that
-e_n = i L_n; `from_l_basis`/`to_l_basis` convert between the two.
+e_n = i L_n.
 
 Coefficients may be ordinary complex numbers or exact Gaussian rationals
 (`QC`), which the algebraic identity tests rely on.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import json
 import numbers
 
 
@@ -159,33 +158,6 @@ class FourierVectorField:
     def basis(cls, n, amplitude=1):
         return cls({n: amplitude})
 
-    @classmethod
-    def from_l_basis(cls, l_coeffs):
-        """Field sum_n c_n L_n given the c_n (L_n = -i e_n)."""
-        return cls({n: _mul_i(-1 * c) for n, c in l_coeffs.items()})
-
-    def to_l_basis(self):
-        """Coefficients in the L_n basis (e_n = i L_n)."""
-        return {n: _mul_i(a) for n, a in self.coeffs.items()}
-
-    def modes(self):
-        return sorted(self.coeffs)
-
-    def max_degree(self):
-        return max((abs(n) for n in self.coeffs), default=0)
-
-    def is_real(self, tol=0.0):
-        """True iff the field is real on the circle: a_{-n} = conj(a_n)."""
-        for n, a in self.coeffs.items():
-            b = self.coeffs.get(-n, 0)
-            d = b - _conj(a)
-            if isinstance(d, QC):
-                if d:
-                    return False
-            elif abs(d) > tol:
-                return False
-        return True
-
     def mode_derivative(self):
         """Field with Fourier data n*a_n (the bracket with L_0, up to i)."""
         return FourierVectorField({n: n * a for n, a in self.coeffs.items()})
@@ -246,26 +218,12 @@ def vect_cocycle_integral(f, g):
     return total
 
 
-def virasoro_cocycle(f, g):
-    """Central kappa-coefficient of [f, g] in the Virasoro algebra.
-
-    Normalised so that in the L_n basis the value on (L_m, L_{-m}) is
-    (m^3 - m)/12; equals i times `vect_cocycle_integral`.
-    """
-    return _mul_i(vect_cocycle_integral(f, g))
-
-
 def seminorm(x, s):
     """Goodman-Wallach weight sum_n (1+|n|)^s |a_n| (vect or loop element)."""
     if isinstance(x, LoopAlgebraElement):
         return sum((1 + abs(n)) ** s * x.algebra.coeff_norm(v)
                    for n, v in x.coeffs.items())
     return sum((1 + abs(n)) ** s * abs(a) for n, a in x.coeffs.items())
-
-
-def dtheta_bracket_norm(x, s):
-    """Seminorm of the mode-wise derivative: the |[L_0, X]| weight."""
-    return seminorm(x.mode_derivative(), s)
 
 
 # ---------------------------------------------------------------------------
@@ -330,33 +288,6 @@ class FiniteLieAlgebra:
                     total += (complex(_conj(x[i])) * c * complex(x[j])).real
         return total ** 0.5
 
-    def validate(self):
-        """Check antisymmetry, Jacobi and invariance of the inner product."""
-        d = self.dim
-        basis = [tuple(1 if t == i else 0 for t in range(d)) for i in range(d)]
-        for i in range(d):
-            for j in range(d):
-                xij = self.bracket(basis[i], basis[j])
-                xji = self.bracket(basis[j], basis[i])
-                if any(a + b != 0 for a, b in zip(xij, xji)):
-                    raise LieAlgebraError("structure constants not antisymmetric")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    acc = [0] * d
-                    for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-                        t = self.bracket(self.bracket(basis[u], basis[v]), basis[w])
-                        acc = [a + b for a, b in zip(acc, t)]
-                    if any(a != 0 for a in acc):
-                        raise LieAlgebraError("Jacobi identity fails")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = self.inner(self.bracket(basis[k], basis[i]), basis[j])
-                    rhs = self.inner(basis[i], self.bracket(basis[k], basis[j]))
-                    if lhs + rhs != 0:
-                        raise LieAlgebraError("inner product not invariant")
-
 
 def sl2_chevalley():
     """sl2 in the Chevalley basis (e, h, f).
@@ -419,12 +350,6 @@ class LoopAlgebraElement:
         v = [0] * algebra.dim
         v[index] = amplitude
         return cls(algebra, {n: tuple(v)})
-
-    def modes(self):
-        return sorted(self.coeffs)
-
-    def max_degree(self):
-        return max((abs(n) for n in self.coeffs), default=0)
 
     def mode_derivative(self):
         return LoopAlgebraElement(
@@ -502,26 +427,6 @@ class CentralElement:
         self.base = base
         self.central = central
 
-    @property
-    def kind(self):
-        return "loop" if isinstance(self.base, LoopAlgebraElement) else "vect"
-
-    def max_degree(self):
-        return self.base.max_degree()
-
-    def is_real(self, tol=0.0):
-        if isinstance(self.base, FourierVectorField):
-            return self.base.is_real(tol)
-        # loop reality: x_{-n} = -x_n^dagger in the matrix realisation;
-        # only checked for sl2 (e,h,f) where conjugation swaps e and f.
-        for n, v in self.base.coeffs.items():
-            w = self.base.coeffs.get(-n, (0,) * self.base.algebra.dim)
-            want = (-_conj(v[2]), -_conj(v[1]), -_conj(v[0]))
-            if any(abs(complex(a - b)) > tol if not isinstance(a - b, QC)
-                   else bool(a - b) for a, b in zip(w, want)):
-                return False
-        return True
-
     def __add__(self, other):
         if not isinstance(other, CentralElement):
             return NotImplemented
@@ -540,73 +445,3 @@ class CentralElement:
 
     def __repr__(self):
         return f"CentralElement({self.base!r}, central={self.central!r})"
-
-
-def central_bracket(a, b):
-    """Bracket on the central extension: [X+tc, Y+sc] = [X,Y] + omega(X,Y)c.
-
-    The central coefficient is the kappa-normalised cocycle (so the value
-    on (L_2, L_{-2}) is 1/2 and on (x(m), y(-m)) is m<x,y>); the central
-    components of the inputs never contribute.
-    """
-    if not isinstance(a, CentralElement):
-        a = CentralElement(a)
-    if not isinstance(b, CentralElement):
-        b = CentralElement(b)
-    fa, fb = a.base, b.base
-    if isinstance(fa, FourierVectorField) and isinstance(fb, FourierVectorField):
-        return CentralElement(bracket_vect(fa, fb), virasoro_cocycle(fa, fb))
-    if isinstance(fa, LoopAlgebraElement) and isinstance(fb, LoopAlgebraElement):
-        return CentralElement(loop_bracket(fa, fb), _mul_i(loop_cocycle(fa, fb)))
-    raise LieAlgebraError(
-        f"incompatible element kinds: {a.kind} and {b.kind}")
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-#
-# Schema: {"kind": "vect"|"loop", "modes": [...], "central": float}
-#   vect mode entry: {"n": int, "re": float, "im": float}
-#   loop mode entry: {"n": int, "coeffs": [[re, im], ...]}  (length = dim,
-#   basis order as in the algebra's labels; only sl2 is supported).
-
-
-def element_to_json(elem):
-    if isinstance(elem, (FourierVectorField, LoopAlgebraElement)):
-        elem = CentralElement(elem)
-    base = elem.base
-    if isinstance(base, FourierVectorField):
-        modes = [{"n": n, "re": float(complex(a).real), "im": float(complex(a).imag)}
-                 for n, a in sorted(base.coeffs.items())]
-        kind = "vect"
-    else:
-        modes = [{"n": n,
-                  "coeffs": [[float(complex(c).real), float(complex(c).imag)]
-                             for c in v]}
-                 for n, v in sorted(base.coeffs.items())]
-        kind = "loop"
-    return {"kind": kind, "modes": modes, "central": float(complex(elem.central).real)}
-
-
-def element_from_json(data, algebra=None):
-    kind = data["kind"]
-    if kind == "vect":
-        coeffs = {m["n"]: complex(m["re"], m["im"]) for m in data["modes"]}
-        base = FourierVectorField(coeffs)
-    elif kind == "loop":
-        if algebra is None:
-            algebra = sl2_chevalley()
-        coeffs = {m["n"]: tuple(complex(re, im) for re, im in m["coeffs"])
-                  for m in data["modes"]}
-        base = LoopAlgebraElement(algebra, coeffs)
-    else:
-        raise LieAlgebraError(f"unknown element kind {kind!r}")
-    return CentralElement(base, data.get("central", 0.0))
-
-
-def element_dumps(elem):
-    return json.dumps(element_to_json(elem))
-
-
-def element_loads(s, algebra=None):
-    return element_from_json(json.loads(s), algebra=algebra)

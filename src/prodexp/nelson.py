@@ -111,17 +111,6 @@ class FinDimRep:
         return float(np.linalg.norm(
             (a ** s)[:, None] * M * (a ** (-s))[None, :], 2))
 
-    def validate(self):
-        """Max residual of the structure constants and skew-Hermiticity."""
-        G = self._gens()
-        worst = 0.0
-        for i in range(3):
-            worst = max(worst, float(np.abs(G[i] + G[i].conj().T).max()))
-            j, k = (i + 1) % 3, (i + 2) % 3
-            comm = G[i] @ G[j] - G[j] @ G[i]
-            worst = max(worst, float(np.abs(comm - G[k]).max()))
-        return worst
-
 
 def laplacian(rep):
     """(Delta, A) with Delta = sum pi(X_i)^2 and A = 1 - Delta."""
@@ -176,11 +165,6 @@ def axis_angle_oracle(rep, x):
         w = np.round(w * 2) / 2            # exact spectrum -j..j
         U[sl, sl] = (V * np.exp(-1j * theta * w)) @ V.conj().T
     return U
-
-
-def su2_path(func, interval=(0.0, 1.0)):
-    """GeneratorPath of coordinate 3-vectors t -> x(t)."""
-    return GeneratorPath(func, interval)
 
 
 def exponentiate_vs_oracle(rep, path, tol=1e-9, split=0.5):

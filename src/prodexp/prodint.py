@@ -139,26 +139,6 @@ class Trajectory:
     def __getitem__(self, i):
         return self.vectors[i]
 
-    def to_csv(self, rep=None):
-        import csv, io
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        if rep is None:
-            w.writerow(["t", "norm"])
-            for t, v in zip(self.times, self.vectors):
-                w.writerow([repr(t), repr(float(np.linalg.norm(v)))])
-        else:
-            lv = rep.level_of()
-            levels = list(range(int(lv.max()) + 1))
-            w.writerow(["t", "norm"] + [f"level{k}" for k in levels]
-                       + ["leakage"])
-            for t, v in zip(self.times, self.vectors):
-                per = [float(np.linalg.norm(v[lv == k])) for k in levels]
-                w.writerow([repr(t), repr(float(np.linalg.norm(v)))]
-                           + [repr(x) for x in per]
-                           + [repr(_top_fraction(rep, v))])
-        return buf.getvalue()
-
 
 def _top_fraction(rep, v):
     """Leakage: the fraction of ||v|| in the top two retained levels."""
@@ -252,7 +232,7 @@ def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="left",
         U_prev, n = U, n2
 
 
-def solve_homogeneous(rep, path, xi0, grid, tol=1e-8, r=0,
+def solve_homogeneous(rep, path, xi0, grid, tol=1e-8,
                       overflow_threshold=1e-6, rule="left"):
     """xi(t) = product integral over [t_0, t] applied to xi0.
 
@@ -263,7 +243,7 @@ def solve_homogeneous(rep, path, xi0, grid, tol=1e-8, r=0,
     vecs = [np.asarray(xi0, dtype=complex)]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         seg = GeneratorPath(path.func, (t0, t1))
-        P = product_integral(rep, seg, tol=tol, r=r, n0=4, rule=rule,
+        P = product_integral(rep, seg, tol=tol, n0=4, rule=rule,
                              record_bound=False)
         v = P @ vecs[-1]
         if overflow_threshold is not None:
@@ -300,11 +280,12 @@ def cumulative_simpson(values, h):
     return out
 
 
-def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8, r=0, rule="magnus4"):
+def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8):
     """J(t) = int_0^t Prod_{t>=tau>=s} Exp(X dtau) eta(s) ds via Duhamel.
 
     Requires a uniform grid; J(t) = U(t) int_0^t U(s)^* eta(s) ds with
-    the integral by cumulative Simpson (U(s) is unitary for real paths).
+    the integral by cumulative Simpson (U(s), a fourth-order Magnus
+    propagator, is unitary for real paths).
     """
     grid = np.asarray(grid, dtype=float)
     h = grid[1] - grid[0]
@@ -314,7 +295,7 @@ def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8, r=0, rule="magnus4"):
     Us = [np.eye(rep.dim, dtype=complex)]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         seg = GeneratorPath(path.func, (t0, t1))
-        P = product_integral(rep, seg, tol=tol, r=r, n0=4, rule=rule,
+        P = product_integral(rep, seg, tol=tol, n0=4, rule="magnus4",
                              record_bound=False)
         Us.append(P.matrix @ Us[-1])
     integrand = np.array([U.conj().T @ np.asarray(eta(t), dtype=complex)
@@ -324,18 +305,17 @@ def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8, r=0, rule="magnus4"):
     return Trajectory(grid, vecs, path)
 
 
-def gateaux_derivative(rep, path, xi0, direction, grid, tol=1e-8,
-                       rule="magnus4"):
+def gateaux_derivative(rep, path, xi0, direction, grid, tol=1e-8):
     """Derivative of the solution map in the generator: the solution of
     the inhomogeneous equation with source pi(direction(t)) xi(t)."""
-    base = solve_homogeneous(rep, path, xi0, grid, tol=tol, rule=rule,
+    base = solve_homogeneous(rep, path, xi0, grid, tol=tol, rule="magnus4",
                              overflow_threshold=None)
     interp = {float(t): v for t, v in zip(base.times, base.vectors)}
 
     def eta(t):
         return rep.pi(direction(t)) @ interp[float(t)]
 
-    return solve_inhomogeneous(rep, path, eta, grid, tol=tol, rule=rule)
+    return solve_inhomogeneous(rep, path, eta, grid, tol=tol)
 
 
 def dyson_expansion(rep, path, xi0, order, scaling, nodes=129):
@@ -358,17 +338,16 @@ def dyson_expansion(rep, path, xi0, order, scaling, nodes=129):
 
 
 def change_of_variable_check(rep, path, phi, phi_prime, source_interval,
-                             tol=1e-8, r=0, rule="magnus4"):
+                             tol=1e-8):
     """Compare the product integral of X over phi(source_interval) with
     that of phi' . (X o phi) over source_interval; returns the operator-
     norm difference and the two propagators."""
     a, b = source_interval
     c, d = phi(a), phi(b)
-    direct = product_integral(
-        rep, GeneratorPath(path.func, (c, d)),
-        tol=tol, r=r, rule=rule, record_bound=False)
+    kw = dict(tol=tol, rule="magnus4", record_bound=False)
+    direct = product_integral(rep, GeneratorPath(path.func, (c, d)), **kw)
     pulled = product_integral(
         rep, GeneratorPath(lambda s: phi_prime(s) * path.func(phi(s)), (a, b)),
-        tol=tol, r=r, rule=rule, record_bound=False)
+        **kw)
     diff = float(np.linalg.norm(direct.matrix - pulled.matrix, 2))
     return diff, direct, pulled

@@ -20,8 +20,6 @@ two retained levels (`prodint._top_fraction`, as in the report rows).
 from __future__ import annotations
 
 from dataclasses import dataclass
-import io
-import json
 import math
 
 import numpy as np
@@ -55,10 +53,6 @@ class SobolevScale:
         """||A^s M A^{-t}||, the norm of M as a map H^t -> H^s."""
         W = self.power(s)[:, None] * M * self.power(-t)[None, :]
         return float(np.linalg.norm(W, 2))
-
-
-def sobolev_norm(rep, v, t):
-    return SobolevScale(rep).norm(v, t)
 
 
 # ---------------------------------------------------------------------------
@@ -115,29 +109,6 @@ class EstimateReport:
     @property
     def holds(self):
         return self.lhs <= self.rhs * (1 + 1e-12) + 1e-14
-
-    def to_json(self):
-        return {"estimate": self.estimate, "params": self.params,
-                "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-                "leakage": self.leakage}
-
-    def csv_row(self):
-        return [self.estimate, json.dumps(self.params, sort_keys=True),
-                repr(self.lhs), repr(self.rhs), str(self.holds),
-                repr(self.leakage)]
-
-
-CSV_HEADER = ["estimate", "params", "lhs", "rhs", "holds", "leakage"]
-
-
-def reports_to_csv(reports):
-    import csv
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(CSV_HEADER)
-    for r in reports:
-        w.writerow(r.csv_row())
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

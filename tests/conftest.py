@@ -4,7 +4,8 @@ import prodexp  # noqa: F401  (before numpy: pins the OpenBLAS pool)
 import numpy as np
 import pytest
 
-from prodexp.hwmod import affine_spec, build_module, sugawara, virasoro_spec
+from prodexp.hwmod import (SugawaraAction, affine_spec, build_module,
+                           virasoro_spec)
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +28,7 @@ def aff5():
 
 @pytest.fixture(scope="session")
 def sug5(aff5):
-    return sugawara(aff5)
+    return SugawaraAction(aff5)
 
 
 def safe_vector(rng, module, depth, unit=True):

@@ -19,10 +19,10 @@ from prodexp.grouprep import (CirclePath, PhaseChart, exponentiate_path,
                               local_cocycle, scalar_part,
                               shrinking_loop_homotopy)
 from prodexp.hwmod import (NotUnitarizable, build_module, build_verma,
-                           gram_matrix, virasoro_spec)
+                           virasoro_spec)
 from prodexp.liealg import (CentralElement, FourierVectorField,
                             LoopAlgebraElement, sl2_chevalley)
-from prodexp.nelson import FinDimRep, axis_angle_oracle, su2_path
+from prodexp.nelson import FinDimRep, axis_angle_oracle
 from prodexp.prodint import (GeneratorPath, StepSubdivision, dyson_expansion,
                              gateaux_derivative, product_integral,
                              solve_homogeneous, solve_inhomogeneous,
@@ -91,8 +91,8 @@ def test_virasoro_commutation_n12(vir12):
 def test_shapovalov_low_levels_exact():
     c, h = Fraction(1, 2), Fraction(1, 16)
     v = build_verma(virasoro_spec(c, h, 4))
-    assert gram_matrix(v, 1) == [[2 * h]]
-    G2 = gram_matrix(v, 2)
+    assert v.gram(1) == [[2 * h]]
+    G2 = v.gram(2)
     assert G2[0][0] == 4 * h + c / 2        # basis order (2,), (1,1)
 
 
@@ -103,7 +103,7 @@ def test_shapovalov_vs_symbolic_oracle_through_level4():
     v = build_verma(virasoro_spec(Fraction(1, 2), Fraction(1, 16), 4))
     for k in range(5):
         G_sym = oracle_gram(k, cs, hs)
-        G = gram_matrix(v, k)
+        G = v.gram(k)
         for i in range(len(G)):
             for j in range(len(G)):
                 want = sympy.nsimplify(G_sym[i, j].subs(subs))
@@ -135,7 +135,7 @@ def test_unitarity_region_level8():
 def test_rotation_phase(vir8):
     t0 = time.perf_counter()
     P = exponentiate_path(vir8, CirclePath.rotation(2 * np.pi), tol=1e-10)
-    s, dev = scalar_part(vir8, P.matrix, depth=0)
+    s, dev = scalar_part(vir8, P.matrix, vir8.N)
     want = np.exp(2j * np.pi / 16)
     assert abs(s - want) < 1e-8
     assert dev < 1e-8
@@ -345,7 +345,7 @@ def test_sugawara_lowest_weight_vacuum(aff5, sug5):
 def test_nelson_axis_angle_residual():
     rep = FinDimRep((0.5, 1.5))
     x = np.array([0.4, -0.2, 0.9])
-    P = product_integral(rep, su2_path(lambda t: x), tol=1e-10,
+    P = product_integral(rep, GeneratorPath(lambda t: x), tol=1e-10,
                          rule="midpoint", record_bound=False)
     assert np.abs(P.matrix - axis_angle_oracle(rep, x)).max() < 1e-12
 
@@ -383,7 +383,7 @@ def test_nelson_path_independence():
 def test_nelson_spin_half_full_turn():
     rep = FinDimRep((0.5,))
     axis = 2 * np.pi * np.array([0.0, 0.0, 1.0])
-    P = product_integral(rep, su2_path(lambda t: axis), tol=1e-10,
+    P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10,
                          rule="midpoint", record_bound=False)
     assert np.abs(P.matrix + np.eye(2)).max() < 1e-9
 

@@ -93,15 +93,20 @@ def test_bundled_rotation_descriptor(tmp_path, cache_dir):
 
 
 def test_su2_descriptor_spins_are_measured(tmp_path, cache_dir):
+    # the full turn on an integer spin is +Id, not the spin-1/2 -Id
+    su2_checks = ["nelson-axis-angle", "nelson-full-turn",
+                  "nelson-assumptions"]
     desc = write_descriptor(tmp_path, {
         "name": "spin-one", "module": {"kind": "su2", "spins": ["1"]},
-        "checks": ["nelson-axis-angle"]})
+        "checks": su2_checks})
     out = tmp_path / "su2.json"
     assert cli.main(["--cache-dir", cache_dir, "run", desc,
                      "--output", str(out)]) == 0
-    row = json.loads(out.read_text())["rows"][0]
-    assert row["verdict"] == "pass"
-    assert row["params"]["spins"] == ["1"]
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["check"] for r in rows] == su2_checks
+    for row in rows:
+        assert row["verdict"] == "pass", row
+        assert row["params"]["spins"] == ["1"], row
 
 
 def test_unknown_check_id_named(tmp_path, capsys):
@@ -269,6 +274,52 @@ def test_truncation_overflow_is_a_row_not_a_crash(monkeypatch):
     row = checks.run_check("explode-test", ctx)
     assert row["verdict"] == "error"
     assert "TruncationOverflow" in row["params"]["error"]
+
+
+# the catalog order before basic-estimates: ctx.rng keys each check's stream
+# by its position, so a row inserted among these would reseed later rows
+CATALOG_ORDER = [
+    "vir-commutation", "projective-defect", "vir-gram-exact",
+    "vir-unitarity-region", "rotation-phase", "holonomy-phase",
+    "holonomy-mobius", "up-properties", "prodint-convergence-order",
+    "refinement-bound", "dyson-order-scaling", "ode-norm-conservation",
+    "ode-residual", "inhomogeneous-residual", "gateaux-central-difference",
+    "gw-virasoro-estimate", "gw-loop-estimate", "exp-estimate",
+    "exp-difference-estimate", "sugawara-central-charge",
+    "sugawara-intertwining", "sugawara-lowest-weight", "nelson-axis-angle",
+    "nelson-full-turn", "nelson-assumptions", "extension-cocycle",
+    "local-cocycle-invariance"]
+
+
+def test_catalog_order_is_pinned():
+    assert list(checks.CATALOG)[:27] == CATALOG_ORDER
+
+
+@pytest.mark.parametrize("module", [
+    None,
+    {"kind": "su2", "spins": ["1", "5/2"]},
+    {"kind": "affine_sl2", "ell": 1, "lam": 1, "N": 5}])
+def test_basic_estimates_pass(module, cache_dir):
+    spec = None if module is None else cli.parse_module_spec(module)
+    ctx = checks.CheckContext(seed=3, module_spec=spec,
+                              cache=cli.ModuleCache(cache_dir))
+    row = checks.run_check("basic-estimates", ctx)
+    assert row["verdict"] == "pass", row
+    assert set(row["params"]) >= {"virasoro", "sugawara", "su2"}
+
+
+def test_samples_outside_the_truncation_are_error_rows(cache_dir):
+    # at N=2 these checks ask for vectors on levels up to N-4, N-3 and N-3
+    desc = cli.validate_descriptor({
+        "name": "n2", "seed": 7,
+        "module": {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 2},
+        "checks": ["ode-norm-conservation", "gw-virasoro-estimate",
+                   "inhomogeneous-residual"]})
+    report = cli.execute(desc, cache=cli.ModuleCache(cache_dir))
+    for row in report["rows"]:
+        assert row["verdict"] == "error", row
+        assert "max_level" in row["params"]["error"], row
+        assert "N=2" in row["params"]["error"], row
 
 
 def test_rng_streams_independent_per_check():

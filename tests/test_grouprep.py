@@ -51,7 +51,7 @@ def test_circle_path_validation():
 
 def test_generator_form_passthrough():
     gen = oscillator()
-    path = CirclePath.generator_form(gen)
+    path = CirclePath(generator=gen, interval=gen.interval)
     assert path.form == "generator"
     assert log_derivative(path) is gen
 
@@ -108,7 +108,7 @@ def test_rotation_propagator_phase(vir8):
     assert np.abs(P.matrix - want * np.eye(vir8.dim)).max() < 1e-8
     off = P.matrix - np.diag(np.diag(P.matrix))
     assert np.abs(off).max() < 1e-12
-    s, dev = scalar_part(vir8, P.matrix, 0)
+    s, dev = scalar_part(vir8, P.matrix, vir8.N)
     assert abs(s - want) < 1e-8 and dev < 1e-8
 
 

@@ -11,8 +11,9 @@ from prodexp.liealg import (CentralElement, FourierVectorField,
 from prodexp.hwmod import (HighestWeightSpec, NotUnitarizable, _exact_ldl,
                            _IndefiniteGram, affine_spec,
                            build_module, build_verma,
-                           discrete_series_c, discrete_series_h, gram_matrix,
-                           partitions, sugawara, unitarize, virasoro_spec)
+                           SugawaraAction, discrete_series_c,
+                           discrete_series_h, partitions, unitarize,
+                           virasoro_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +85,8 @@ class TestVermaAndGram:
     def test_gram_level1_and_2(self):
         c, h = Fraction(7, 10), Fraction(2, 5)
         v = build_verma(virasoro_spec(c, h, 4))
-        assert gram_matrix(v, 1) == [[2 * h]]
-        G2 = gram_matrix(v, 2)
+        assert v.gram(1) == [[2 * h]]
+        G2 = v.gram(2)
         # basis order: (2,), (1,1)
         assert G2[0][0] == 4 * h + c / 2
         assert G2[0][1] == G2[1][0] == 6 * h
@@ -94,7 +95,7 @@ class TestVermaAndGram:
     def test_gram_hermitian_rational(self):
         v = build_verma(virasoro_spec(Fraction(1, 2), Fraction(1, 16), 6))
         for k in range(7):
-            G = gram_matrix(v, k)
+            G = v.gram(k)
             n = len(G)
             for i in range(n):
                 for j in range(n):
@@ -108,7 +109,7 @@ class TestVermaAndGram:
         v = build_verma(virasoro_spec(Fraction(1, 2), Fraction(1, 16), 4))
         for k in range(5):
             G_sym = oracle_gram(k, cs, hs)
-            G = gram_matrix(v, k)
+            G = v.gram(k)
             for i in range(len(G)):
                 for j in range(len(G)):
                     want = sympy.nsimplify(G_sym[i, j].subs(subs))
@@ -123,7 +124,7 @@ class TestVermaAndGram:
         for k in (2, 3):
             G_sym = oracle_gram(k, cs, hs).subs(
                 {cs: sympy.Integer(1), hs: sympy.Integer(1)})
-            G = gram_matrix(v, k)
+            G = v.gram(k)
             for i in range(len(G)):
                 for j in range(len(G)):
                     assert sympy.Rational(G[i][j].numerator,
@@ -410,7 +411,7 @@ class TestAffineAndSugawara:
 
     @pytest.fixture(scope="class")
     def sug(self, amod):
-        return sugawara(amod)
+        return SugawaraAction(amod)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -467,7 +468,7 @@ class TestAffineAndSugawara:
     def test_affine_exact_gram_small(self):
         v = build_verma(affine_spec(1, 0, 2))
         assert v.exact
-        G1 = gram_matrix(v, 1)
+        G1 = v.gram(1)
         # <x(-1) O, y(-1) O> = ell <x^dagger, y>; basis order e,h,f with
         # e^dagger = f, so the matrix is diag(<f,e>, <h,h>, <e,f>) = diag(1,2,1)
         assert [G1[i][i] for i in range(3)] == [1, 2, 1]
@@ -487,8 +488,3 @@ class TestAffineAndSugawara:
         mod = build_module(affine_spec(1, 0, N))
         assert mod.verma.exact is exact
         assert list(mod.level_dims) == want
-
-    def test_module_json_roundtrip(self, amod):
-        data = amod.to_json()
-        assert data["level_dims"] == list(amod.level_dims)
-        assert data["N"] == 5 and data["kind"] == "affine_sl2"

@@ -1,11 +1,13 @@
 import unittest
+from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from prodexp.nelson import (FinDimRep, axis_angle_oracle,
                             exponentiate_vs_oracle, laplacian, spin_matrices,
-                            su2_path, verify_assumptions)
+                            verify_assumptions)
 from prodexp.prodint import (GeneratorPath, StepSubdivision, product_integral,
                              step_product)
 
@@ -37,9 +39,18 @@ class FinDimRepTests(unittest.TestCase):
         with self.assertRaises(ValueError):
             FinDimRep((-1,))
 
-    def test_structure_constants(self):
-        self.assertLess(MIXED.validate(), 1e-13)
-        self.assertLess(FinDimRep((1,)).validate(), 1e-13)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    @example([1, 3])
+    @example([2])
+    def test_structure_constants(self, twice_spins):
+        # skew-Hermitian generators with [X_i, X_j] = eps_ijk X_k
+        G = FinDimRep(tuple(Fraction(t, 2) for t in twice_spins)).generators()
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            self.assertLess(np.abs(G[i] + G[i].conj().T).max(), 1e-13)
+            self.assertLess(np.abs(G[i] @ G[j] - G[j] @ G[i] - G[k]).max(),
+                            1e-13)
 
     def test_dimensions(self):
         self.assertEqual(MIXED.dim, 6)
@@ -103,7 +114,7 @@ def test_axis_angle_against_expm():
 
 
 def test_constant_path_matches_oracle():
-    path = su2_path(lambda t: np.array([0.4, -0.2, 0.9]))
+    path = GeneratorPath(lambda t: np.array([0.4, -0.2, 0.9]))
     rep = exponentiate_vs_oracle(MIXED, path, tol=1e-10)
     assert rep["axis-angle"] < 1e-12
     assert rep["unitarity"] < 1e-12
@@ -116,7 +127,7 @@ def test_full_turn_spin_half_is_minus_identity():
     axis = 2 * np.pi * np.array([0.0, 0.0, 1.0])
     U = axis_angle_oracle(rep, axis)
     assert np.abs(U + np.eye(2)).max() < 1e-12
-    P = product_integral(rep, su2_path(lambda t: axis), tol=1e-10,
+    P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10,
                          rule="midpoint", record_bound=False)
     assert np.abs(P.matrix + np.eye(2)).max() < 1e-9
     # ...and on the mixed sum the spin-1/2 block flips sign while the
@@ -128,7 +139,7 @@ def test_full_turn_spin_half_is_minus_identity():
 def test_time_dependent_path_report():
     def f(t):
         return np.array([np.sin(t), 0.3 * np.cos(2 * t), 0.5 * t])
-    rep = exponentiate_vs_oracle(MIXED, su2_path(f), tol=1e-9)
+    rep = exponentiate_vs_oracle(MIXED, GeneratorPath(f), tol=1e-9)
     assert "axis-angle" not in rep
     assert rep["unitarity"] < 1e-12
     assert rep["reference"] < 1e-6
@@ -182,7 +193,7 @@ def test_block_determinants_unimodular():
 
 def test_magnus4_axis_angle():
     x = np.array([0.4, -0.2, 0.9])
-    P = product_integral(MIXED, su2_path(lambda t: x), tol=1e-10,
+    P = product_integral(MIXED, GeneratorPath(lambda t: x), tol=1e-10,
                          rule="magnus4", record_bound=False)
     assert np.abs(P.matrix - axis_angle_oracle(MIXED, x)).max() < 1e-12
     assert P.unitarity_defect() < 1e-13
@@ -196,7 +207,7 @@ def test_magnus4_noncommuting_path_vs_ode():
     def f(t):
         return np.array([np.sin(3 * t), 0.8 * np.cos(2 * t), 0.5 + t])
 
-    path = su2_path(f)
+    path = GeneratorPath(f)
     sol = solve_ivp(lambda t, y: (MIXED.pi(f(t)) @ y.reshape(6, 6)).ravel(),
                     (0, 1), np.eye(6, dtype=complex).ravel(),
                     rtol=1e-12, atol=1e-13)

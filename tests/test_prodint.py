@@ -294,18 +294,6 @@ def test_change_of_variable(vir8):
     assert d < 1e-6
 
 
-def test_trajectory_csv(vir8):
-    path = oscillating_path(scale=0.2)
-    xi0 = np.zeros(vir8.dim, dtype=complex)
-    xi0[0] = 1.0
-    traj = solve_homogeneous(vir8, path, xi0, np.linspace(0, 1, 5), tol=1e-6,
-                             overflow_threshold=None)
-    text = traj.to_csv(vir8)
-    lines = text.splitlines()
-    assert lines[0].startswith("t,norm,level0")
-    assert len(lines) == 6
-
-
 # ---------------------------------------------------------------------------
 # the fourth-order Magnus rule
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,8 +10,7 @@ from prodexp.prodint import _top_fraction
 from prodexp.scale import (SobolevScale, check_basic_estimates,
                            check_exp_difference, check_exp_estimate,
                            check_gw_loop, check_gw_virasoro,
-                           gw_virasoro_a_seminorm, gw_virasoro_seminorm,
-                           reports_to_csv, sobolev_norm)
+                           gw_virasoro_a_seminorm, gw_virasoro_seminorm)
 
 from conftest import safe_vector
 
@@ -35,14 +33,15 @@ def test_scale_diagonal(vir8):
 
 
 def test_sobolev_norm_basics(vir8):
+    scale = SobolevScale(vir8)
     omega = np.zeros(vir8.dim)
     omega[0] = 1.0
     a0 = 1 + 1 / 16
     for t in (0, 0.5, 1, 2, -1):
-        assert sobolev_norm(vir8, omega, t) == pytest.approx(a0 ** t)
+        assert scale.norm(omega, t) == pytest.approx(a0 ** t)
     rng = np.random.default_rng(1)
     v = rng.normal(size=vir8.dim)
-    assert sobolev_norm(vir8, v, 0) == pytest.approx(np.linalg.norm(v))
+    assert scale.norm(v, 0) == pytest.approx(np.linalg.norm(v))
 
 
 def test_interpolation_inequality(vir8):
@@ -197,18 +196,3 @@ def test_a_seminorm_relation():
     Xp = FourierVectorField({3: 1.5, -2: -2.0})
     assert gw_virasoro_a_seminorm(X, 2, 0.5) == pytest.approx(
         gw_virasoro_seminorm(Xp, 2, 0.5))
-
-
-def test_report_serialization(vir8):
-    rng = np.random.default_rng(11)
-    xi = safe_vector(rng, vir8, 1)
-    reps = check_basic_estimates(vir8, FourierVectorField({1: 1.0, -1: 1.0}),
-                                 xi, 0)
-    rows = [r.to_json() for r in reps]
-    parsed = json.loads(json.dumps(rows))
-    assert parsed[0]["estimate"] == "pi-bound"
-    assert set(parsed[0]) == {"estimate", "params", "lhs", "rhs", "holds",
-                              "leakage"}
-    csv_text = reports_to_csv(reps)
-    assert csv_text.splitlines()[0] == "estimate,params,lhs,rhs,holds,leakage"
-    assert len(csv_text.splitlines()) == 3
