@@ -6,7 +6,8 @@ Verbs
   emit a versioned JSON report; exit 0 iff every verdict passes.
 * ``sweep <descriptor.json> --param dotted.path --values v1,v2,...``
   rerun the checks once per value of the addressed descriptor field and
-  emit plot-ready CSV with log-log slope-fit metadata.
+  emit plot-ready CSV with fit metadata (log-log slope, log-linear
+  rate per unit of the value, monotone decrease).
 * ``list-checks``                      print the static catalog.
 * ``build-module <spec.json>``         build (and cache) a module.
 
@@ -263,22 +264,23 @@ def sweep(descriptor, param, values, cache=None):
                         repr(row["leakage"])])
             per_check.setdefault(row["check"], []).append(
                 (val, row["measured"]))
-    # slope-fit metadata: log-log regression of measured vs value where
-    # both are positive numbers, plus a monotone-decrease flag
+    # fit metadata where value and measured are positive numbers: the
+    # log-log slope (power-law decay), the log-linear rate exp(slope of
+    # log(measured) against the value), i.e. the factor per unit of the
+    # value (geometric decay), and a monotone-decrease flag
     for cid, pts in per_check.items():
         pts = [(v, m) for v, m in pts
                if isinstance(v, (int, float)) and v > 0
                and isinstance(m, (int, float)) and m > 0]
         ms = [m for _, m in pts]
         mono = all(b < a for a, b in zip(ms, ms[1:])) if len(ms) > 1 else False
+        slope = rate = float("nan")
         if len(pts) >= 2:
-            slope = float(np.polyfit(np.log([v for v, _ in pts]),
-                                     np.log(ms), 1)[0])
-            buf.write(f"# fit check={cid} n={len(pts)} "
-                      f"loglog_slope={slope!r} monotone_decreasing={mono}\n")
-        else:
-            buf.write(f"# fit check={cid} n={len(pts)} loglog_slope=nan "
-                      f"monotone_decreasing={mono}\n")
+            vs = [v for v, _ in pts]
+            slope = float(np.polyfit(np.log(vs), np.log(ms), 1)[0])
+            rate = float(np.exp(np.polyfit(vs, np.log(ms), 1)[0]))
+        buf.write(f"# fit check={cid} n={len(pts)} loglog_slope={slope!r} "
+                  f"loglin_rate={rate!r} monotone_decreasing={mono}\n")
     return buf.getvalue(), ok
 
 

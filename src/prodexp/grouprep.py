@@ -47,6 +47,15 @@ class OutsideChart(ValueError):
     """(U xi, xi) too close to zero for the phase chart."""
 
 
+# root-finding tolerance of phi_t^{-1} in log_derivative; the flatness
+# and boundary tolerances of the homotopy checkers; the stopping
+# tolerance of holonomy_phase's Simpson panel doubling
+ROOT_TOL = 1e-12
+CURVATURE_TOL = 1e-6
+BOUNDARY_TOL = 1e-10
+QUAD_TOL = 1e-6
+
+
 # ---------------------------------------------------------------------------
 # circle-diffeomorphism paths
 
@@ -105,19 +114,19 @@ class CirclePath:
                    interval=interval, grid_size=8)
 
 
-def log_derivative(path, max_modes=None, root_tol=1e-12):
+def log_derivative(path):
     """Logarithmic derivative of a circle path as a GeneratorPath.
 
     Diffeo form: X(t)(theta) = d_t phi(t, phi_t^{-1}(theta)) d/dtheta,
-    fitted spectrally on a uniform 2^k-point theta grid; phi_t^{-1} is
-    evaluated by monotone root-finding per node.  Generator form passes
-    through unchanged.
+    fitted spectrally on a uniform M-point theta grid (M = grid_size, a
+    power of two) and kept to modes |n| <= M/4; phi_t^{-1} is evaluated
+    by monotone root-finding per node.  Generator form passes through
+    unchanged.
     """
     if path.form == "generator":
         return path.generator
     M = path.grid_size
-    if max_modes is None:
-        max_modes = max(M // 4, 1)
+    max_modes = max(M // 4, 1)
     theta = 2 * np.pi * np.arange(M) / M
     cache = {}
 
@@ -140,7 +149,7 @@ def log_derivative(path, max_modes=None, root_tol=1e-12):
 
         L = sum(abs(complex(v)) for v in c.values()) + 0.1
         inv = np.array([brentq(lambda s, tj=tj: float(phi(s)) - tj,
-                               tj - L, tj + L, xtol=root_tol)
+                               tj - L, tj + L, xtol=ROOT_TOL)
                         for tj in theta])
         samples = _eval_series(dc, inv)
         if np.abs(samples.imag).max() > 1e-9 * (1 + np.abs(samples).max()):
@@ -290,18 +299,18 @@ class FlatSectionResult:
     residual2: float            # d_2 F = pi(X_2) F, interior nodes
 
 
-def flat_section(rep, homotopy, xi0, nx=9, ny=9, tol=1e-8,
-                 curvature_tol=1e-6):
+def flat_section(rep, homotopy, xi0, nx=9, ny=9, tol=1e-8):
     """The section F with dF = pi(X_i) F dx_i and F(0, 0) = xi0.
 
     Computed as in the integrability construction: a horizontal product
     integral along the bottom edge followed by vertical product
-    integrals, F(x, y) = Prod Exp(X_2(x, v) dv) Prod Exp(X_1(u, 0) du) xi0.
-    Both partial-derivative residuals are measured by central
-    differences on interior nodes.
+    integrals, F(x, y) = Prod Exp(X_2(x, v) dv) Prod Exp(X_1(u, 0) du) xi0,
+    each propagating the section's vector alone (vector mode).  Both
+    partial-derivative residuals are measured by central differences on
+    interior nodes.
     """
     curv = homotopy.curvature_residual()
-    if curv >= curvature_tol:
+    if curv >= CURVATURE_TOL:
         raise CurvatureTooLarge(f"curvature residual {curv:.3e}")
     xs = np.linspace(0.0, 1.0, nx)
     ys = np.linspace(0.0, 1.0, ny)
@@ -312,14 +321,15 @@ def flat_section(rep, homotopy, xi0, nx=9, ny=9, tol=1e-8,
     for i in range(1, nx):
         seg = GeneratorPath(lambda u: homotopy.X1(u, 0.0),
                             (xs[i - 1], xs[i]))
-        bottom = product_integral(rep, seg, **kw) @ bottom
+        bottom = product_integral(rep, seg, V=bottom[:, None],
+                                  **kw).matrix[:, 0]
         F[i, 0] = bottom
     for i, x in enumerate(xs):
         v = F[i, 0]
         for j in range(1, ny):
             seg = GeneratorPath(lambda w, x=x: homotopy.X2(x, w),
                                 (ys[j - 1], ys[j]))
-            v = product_integral(rep, seg, **kw) @ v
+            v = product_integral(rep, seg, V=v[:, None], **kw).matrix[:, 0]
             F[i, j] = v
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     r1 = r2 = 0.0
@@ -359,23 +369,24 @@ class HolonomyReport:
         return abs(self.measured - self.predicted)
 
 
-def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
-                   curvature_tol=1e-6, boundary_tol=1e-10):
+def holonomy_phase(rep, homotopy, window=3, tol=1e-7):
     """Predicted vs measured holonomy phase of a flat homotopy.
 
     The prediction is exp(i * Simpson integral of B(X_1, X_2)) over the
-    square (panels doubled until stable to quad_tol); the measurement is
+    square (panels doubled until stable to QUAD_TOL); the measurement is
     the scalar part of U_{p_1} U_{p_0}^{-1} on the fixed comparison
     window of levels 0..window (fixed so that truncation sweeps over N
     compare like with like), where p_y is the horizontal boundary path
     x -> X_1(x, y), each integrated with the fourth-order Magnus rule.
+    Only the window columns are propagated: through the reversed p_0,
+    whose propagator is U_{p_0}^{-1}, and then through p_1.
     """
     bnd = homotopy.boundary_residual()
-    if bnd > boundary_tol:
+    if bnd > BOUNDARY_TOL:
         raise BoundaryViolation(
             f"X_2 does not vanish on {{0,1}} x I (residual {bnd:.3e})")
     curv = homotopy.curvature_residual()
-    if curv >= curvature_tol:
+    if curv >= CURVATURE_TOL:
         raise CurvatureTooLarge(f"curvature residual {curv:.3e}")
 
     def integrand(x, y):
@@ -386,17 +397,19 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7, quad_tol=1e-6,
     I = _simpson_2d(integrand, n)
     while True:
         I2 = _simpson_2d(integrand, 2 * n)
-        if abs(I2 - I) < quad_tol:
+        if abs(I2 - I) < QUAD_TOL:
             I, n = I2, 2 * n
             break
         I, n = I2, 2 * n
     predicted = complex(np.exp(1j * I))
 
     kw = dict(tol=tol, rule="magnus4", record_bound=False)
-    P0 = product_integral(rep, homotopy.boundary_path(0.0), **kw)
-    P1 = product_integral(rep, homotopy.boundary_path(1.0), **kw)
-    R = P1.matrix @ P0.matrix.conj().T            # U_{p0} is unitary
-    measured, dev = scalar_part(rep, R, window)
+    d = int((rep.level_of() <= window).sum())
+    W = np.eye(rep.dim, d, dtype=complex)
+    for path in (homotopy.boundary_path(0.0).reversed(),
+                 homotopy.boundary_path(1.0)):
+        W = product_integral(rep, path, V=W, **kw).matrix
+    measured, dev = scalar_part(rep, W, window)
     return HolonomyReport(predicted, measured, dev, I, n, curv)
 
 
@@ -483,9 +496,6 @@ class PhaseChart:
         if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
             raise ValueError("chart basepoint must have unit norm")
         object.__setattr__(self, "xi", xi)
-
-    def __hash__(self):
-        return hash(self.xi.tobytes())
 
 
 def _matrix_of(U):

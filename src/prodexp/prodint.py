@@ -21,11 +21,30 @@ one of three rules, in two roles:
   This is the rule the propagator consumers use (the ODE solvers,
   Gateaux derivatives, and grouprep's U_p, flat sections and holonomy).
 
+A product is formed in one of two modes:
+
+* dense: the dim x dim propagator, each step multiplied on as
+  ``expm(Omega) @ U``.  The claims about the propagator itself use it:
+  grouprep's U_p and its properties, the Duhamel solver, the step-scheme
+  checks and the su(2) cross-checks.
+* vector: given a probe block V (dim x k), only U V is propagated.  Each
+  step applies exp(Omega) to the block by a truncated Taylor series whose
+  degree and substep count are fixed in advance from a 1-norm bound of
+  Omega (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), and the
+  magnus4 commutator is applied as A_2 (A_1 W) - A_1 (A_2 W), so no
+  dim x dim matrix product is formed.  Refinement compares the propagated
+  columns.  The consumers that read a propagator only through a few
+  vectors use it: the homogeneous solver (hence the Gateaux base
+  solution), flat sections and the holonomy window.
+
 Also: homogeneous and inhomogeneous ODE solvers, Gateaux derivatives of
 the propagator in the generator, and Dyson expansions.
 """
 
 from __future__ import annotations
+
+import bisect
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -106,7 +125,8 @@ class StepSubdivision:
 
 
 class Propagator:
-    """Dense unitary (for real paths) matrix with its construction record."""
+    """A product with its construction record: the dense propagator,
+    unitary for real paths, or in vector mode the propagated probe block."""
 
     def __init__(self, matrix, interval, steps, refinement_error=None):
         self.matrix = matrix
@@ -150,38 +170,131 @@ def _top_fraction(rep, v):
     return float(np.linalg.norm(v[lv >= top - 1]) / total)
 
 
-def step_product(rep, path, subdivision):
-    """Ordered product of exponentials over the subdivision."""
+# The Taylor action: unit roundoff of double precision, and the largest
+# degree it uses (the rounding of the partial sums grows like e^theta_m)
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TAYLOR_MAX_DEGREE = 24
+
+
+def _taylor_thetas():
+    """theta_m for m = 1.._TAYLOR_MAX_DEGREE: the largest x with
+
+        x^{m+1}/(m+1)! / (1 - x/(m+2)) <= u x,
+
+    a bound on the remainder of the degree-m Taylor polynomial of exp at
+    norm x, relative to x.  The fixed-point iterates alternate around
+    the root, so the smaller of the last two lies below it.
+    """
+    out = []
+    for m in range(1, _TAYLOR_MAX_DEGREE + 1):
+        c = math.log(_UNIT_ROUNDOFF) + math.lgamma(m + 2)
+        x = prev = 0.0
+        for _ in range(40):
+            prev, x = x, math.exp((c + math.log1p(-x / (m + 2))) / m)
+        out.append(min(x, prev))
+    return out
+
+
+_THETAS = _taylor_thetas()
+
+
+def _taylor_plan(norm):
+    """(degree m, substeps s) for ||Omega||_1 <= norm: each substep's
+    remainder is below u ||Omega/s||_1, so the s of them stay below
+    u ||Omega||_1, a backward error of unit roundoff."""
+    if norm == 0:
+        return 0, 1
+    s = max(1, math.ceil(norm / _THETAS[-1]))
+    m = min(bisect.bisect_left(_THETAS, norm / s) + 1, _TAYLOR_MAX_DEGREE)
+    return m, s
+
+
+def _expm_action(apply, norm, V):
+    """exp(Omega) V by s substeps of the degree-m Taylor polynomial of
+    exp(Omega/s), with (m, s) from `_taylor_plan(norm)`; apply(W) is
+    Omega W and norm bounds ||Omega||_1.  No term is tested for size."""
+    m, s = _taylor_plan(norm)
+    for _ in range(s):
+        W = V
+        for j in range(1, m + 1):
+            W = apply(W)
+            W *= 1.0 / (s * j)
+            V = V + W
+    return V
+
+
+def _norm1(A):
+    return float(np.abs(A).sum(axis=0).max())
+
+
+def step_product(rep, path, subdivision, V=None):
+    """Ordered product of exponentials over the subdivision; with a probe
+    block V (dim x k), that product applied to V (vector mode)."""
     if subdivision.rule == "magnus4":
-        return _magnus4_product(rep, path, subdivision)
+        return _magnus4_product(rep, path, subdivision, V)
     pts, widths = subdivision.samples()
-    U = np.eye(rep.dim, dtype=complex)
-    for t, dt in zip(pts, widths):
-        U = expm(dt * rep.pi(path(t))) @ U
+    if V is None:
+        U = np.eye(rep.dim, dtype=complex)
+        for t, dt in zip(pts, widths):
+            U = expm(dt * rep.pi(path(t))) @ U
+    else:
+        U = np.asarray(V, dtype=complex)
+        for t, dt in zip(pts, widths):
+            A = dt * rep.pi(path(t))
+            U = _expm_action(A.__matmul__, _norm1(A), U)
     return Propagator(U, path.interval, subdivision.steps)
 
 
-def _magnus4_product(rep, path, subdivision):
+def _magnus4_product(rep, path, subdivision, V=None):
     """Ordered product of exp(D/2 (A1 + A2) + (sqrt(3)/12) D^2 [A2, A1])."""
     bp = subdivision.breakpoints
     widths = np.diff(bp)
     mid = bp[:-1] + widths / 2
     offset = _GAUSS_OFFSET * widths
-    U = np.eye(rep.dim, dtype=complex)
+    U = (np.eye(rep.dim, dtype=complex) if V is None
+         else np.asarray(V, dtype=complex))
     for t1, t2, dt in zip(mid - offset, mid + offset, widths):
         A1 = rep.pi(path(t1))
         A2 = rep.pi(path(t2))
+        if V is not None:
+            U = _magnus4_action(A1, A2, dt, U)
+            continue
         omega = (dt / 2) * (A1 + A2) + (_MAGNUS_COMMUTATOR * dt * dt) * (
             A2 @ A1 - A1 @ A2)
         U = expm(omega) @ U
     return Propagator(U, path.interval, subdivision.steps)
 
 
-def _probe_difference(rep, U1, U2, r):
-    """max_j ||(U1 - U2) e_j / ||e_j||_{r+1}||_r over the coordinate basis."""
+def _magnus4_action(A1, A2, dt, V):
+    """exp(Omega) V for the magnus4 exponent Omega of one step.
+
+    With h = D/2 and c = (sqrt(3)/12) D^2, Omega W = h (A1 W + A2 W)
+    + c (A2 (A1 W) - A1 (A2 W)) = K (S W) for S = [A1; A2] and
+    K = [h + c A2, h - c A1]: two block products per Taylor term, and
+    the commutator is never formed.
+    """
+    h, c = dt / 2, _MAGNUS_COMMUTATOR * dt * dt
+    hI = h * np.eye(len(A1))
+    S = np.vstack((A1, A2))
+    K = np.hstack((hI + c * A2, hI - c * A1))
+    n1, n2 = _norm1(A1), _norm1(A2)
+    return _expm_action(lambda W: K @ (S @ W),
+                        h * (n1 + n2) + 2 * c * n1 * n2, V)
+
+
+def _probe_difference(rep, U1, U2, r, V=None):
+    """max_j ||(U1 - U2) v_j||_r / ||v_j||_{r+1} over the probe columns:
+    the coordinate basis e_j (dense mode) or the columns of V, where U1,
+    U2 are the propagated blocks.  An exactly zero column counts as
+    converged."""
     a = np.asarray(rep.a_diag(), dtype=float)
-    W = (a ** r)[:, None] * (U1 - U2) * (a ** (-(r + 1)))[None, :]
-    return float(np.max(np.linalg.norm(W, axis=0)))
+    if V is None:
+        W = (a ** r)[:, None] * (U1 - U2) * (a ** (-(r + 1)))[None, :]
+        return float(np.max(np.linalg.norm(W, axis=0)))
+    num = np.linalg.norm((a ** r)[:, None] * (U1 - U2), axis=0)
+    den = np.linalg.norm((a ** (r + 1))[:, None] * V, axis=0)
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return float(ratio.max(initial=0.0))
 
 
 def _difference_bound(rep, path, n_coarse, r):
@@ -202,19 +315,23 @@ def _difference_bound(rep, path, n_coarse, r):
 
 
 def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="left",
-                     max_steps=2 ** 20, record_bound=True):
+                     max_steps=2 ** 20, record_bound=True, V=None):
     """Dyadically refined product integral of a generator path.
 
-    Successive refinements are compared on the coordinate probe basis in
-    the ||A^r . A^{-r-1}|| weighted sense; the theoretical difference-
-    estimate bound is recorded alongside each empirical difference.  That
-    estimate is stated for the step scheme, so for "magnus4" (and with
-    record_bound=False) the recorded bound is nan.
+    Successive refinements are compared on the probe columns in the
+    ||A^r . A^{-r-1}|| weighted sense: the coordinate basis, or with a
+    probe block V (dim x k) the columns of V, in which case only U V is
+    propagated and returned as the Propagator's matrix.  The theoretical
+    difference-estimate bound is recorded alongside each empirical
+    difference.  That estimate is stated for the step scheme, so for
+    "magnus4" (and with record_bound=False) the recorded bound is nan.
     """
     record_bound = record_bound and rule in STEP_RULES
+    if V is not None:
+        V = np.asarray(V, dtype=complex)
     n = n0
     U_prev = step_product(rep, path, StepSubdivision.uniform(
-        path.interval, n, rule)).matrix
+        path.interval, n, rule), V).matrix
     record = []
     while True:
         n2 = 2 * n
@@ -222,8 +339,8 @@ def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="left",
             raise MaxRefinementExceeded(
                 f"no convergence to {tol} within {max_steps} steps")
         U = step_product(rep, path, StepSubdivision.uniform(
-            path.interval, n2, rule)).matrix
-        diff = _probe_difference(rep, U_prev, U, r)
+            path.interval, n2, rule), V).matrix
+        diff = _probe_difference(rep, U_prev, U, r, V)
         bound = (_difference_bound(rep, path, n, r) if record_bound
                  else float("nan"))
         record.append((n2, diff, bound))
@@ -234,7 +351,9 @@ def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="left",
 
 def solve_homogeneous(rep, path, xi0, grid, tol=1e-8,
                       overflow_threshold=1e-6, rule="left"):
-    """xi(t) = product integral over [t_0, t] applied to xi0.
+    """xi(t) = product integral over [t_0, t] applied to xi0, each grid
+    segment in vector mode: the segment's refinement is tested on the
+    vector it propagates.
 
     Monitors the trajectory-mass fraction in the top two levels and raises
     TruncationOverflow beyond `overflow_threshold` (set None to disable).
@@ -243,9 +362,9 @@ def solve_homogeneous(rep, path, xi0, grid, tol=1e-8,
     vecs = [np.asarray(xi0, dtype=complex)]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         seg = GeneratorPath(path.func, (t0, t1))
-        P = product_integral(rep, seg, tol=tol, n0=4, rule=rule,
-                             record_bound=False)
-        v = P @ vecs[-1]
+        v = product_integral(rep, seg, tol=tol, n0=4, rule=rule,
+                             record_bound=False,
+                             V=vecs[-1][:, None]).matrix[:, 0]
         if overflow_threshold is not None:
             frac = _top_fraction(rep, v)
             if frac > overflow_threshold:

@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 
 import prodexp  # noqa: F401  (before numpy: pins the OpenBLAS pool)
@@ -39,3 +40,29 @@ def safe_vector(rng, module, depth, unit=True):
     if unit:
         v /= np.linalg.norm(v)
     return v
+
+
+
+@contextlib.contextmanager
+def dense_at_vector_steps():
+    """Within the block, every vector-mode product integral returns its
+    dense reference: the vector refinement picks the step count, and the
+    returned block is the dense propagator at that step count times the
+    probe block."""
+    from prodexp import grouprep, prodint
+
+    vector = prodint.product_integral
+
+    def dense(rep, path, *args, V=None, **kw):
+        P = vector(rep, path, *args, V=V, **kw)
+        if V is None:
+            return P
+        U = prodint.step_product(rep, path, prodint.StepSubdivision.uniform(
+            path.interval, P.steps, kw.get("rule", "left"))).matrix
+        return prodint.Propagator(U @ V, path.interval, P.steps,
+                                  P.refinement_error)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (prodint, grouprep):
+            mp.setattr(module, "product_integral", dense)
+        yield

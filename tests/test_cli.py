@@ -197,6 +197,22 @@ def test_sweep_csv(tmp_path, cache_dir, capsys):
     assert any("loglog_slope" in l and "vir-commutation" in l for l in meta)
 
 
+def test_sweep_holonomy_loglin_rate(tmp_path, cache_dir, capsys):
+    # the holonomy mismatch decays geometrically in N, by about 0.41 per
+    # level; the log-linear fit reports that factor
+    data = dict(FAST_DESCRIPTOR, checks=["holonomy-phase"])
+    desc = write_descriptor(tmp_path, data)
+    assert cli.main(["--cache-dir", cache_dir, "sweep", desc, "--param",
+                     "module.N", "--values", "8,10,12"]) == 0
+    fit = [l for l in capsys.readouterr().out.splitlines()
+           if l.startswith("# fit check=holonomy-phase ")]
+    assert len(fit) == 1
+    fields = dict(f.split("=", 1) for f in fit[0].split()[2:])
+    assert 0.3 < float(fields["loglin_rate"]) < 0.5
+    assert float(fields["loglog_slope"]) < 0
+    assert fields["monotone_decreasing"] == "True"
+
+
 def test_sweep_single_value(tmp_path, cache_dir, capsys):
     data = dict(FAST_DESCRIPTOR, checks=["vir-gram-exact"])
     desc = write_descriptor(tmp_path, data)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import dense_at_vector_steps
 from prodexp.grouprep import (BoundaryViolation, CirclePath, CurvatureTooLarge,
                               FlatHomotopy, NonMonotone, OutsideChart,
                               PhaseChart, exponentiate_path,
@@ -243,6 +244,41 @@ def test_holonomy_magnus4_matches_step_scheme(vir8, window):
     assert abs(magnus - window_trace("midpoint")) < 1e-6
     assert magnus == pytest.approx(
         holonomy_phase(vir8, hom, window=window).measured, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["vir8", "vir12"])
+def test_vector_consumers_match_dense(request, name):
+    # holonomy_phase and flat_section propagate only their vectors; at
+    # equal step counts they equal the dense magnus4 products
+    rep = request.getfixturevalue(name)
+    hom = shrinking_loop_homotopy(k=2)
+    xi0 = np.zeros(rep.dim, dtype=complex)
+    xi0[0] = 1.0
+
+    def run():
+        h = holonomy_phase(rep, hom)
+        return [h.measured, h.deviation], flat_section(
+            rep, hom, xi0, nx=5, ny=5).values
+
+    vector = run()
+    with dense_at_vector_steps():
+        dense = run()
+    assert np.abs(np.subtract(vector[0], dense[0])).max() < 1e-12
+    assert np.abs(vector[1] - dense[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["vir8", "vir12"])
+def test_holonomy_matches_dense_window_trace(request, name):
+    # the dense propagators refine on every coordinate column, the window
+    # columns alone may stop a level earlier: they agree within tol
+    rep = request.getfixturevalue(name)
+    hom = shrinking_loop_homotopy(k=2)
+    tol = 1e-7
+    P0, P1 = (product_integral(rep, hom.boundary_path(y), rule="magnus4",
+                               tol=tol, record_bound=False)
+              for y in (0.0, 1.0))
+    dense, _ = scalar_part(rep, P1.matrix @ P0.matrix.conj().T, 3)
+    assert abs(holonomy_phase(rep, hom, tol=tol).measured - dense) < tol
 
 
 def _real_loop_element():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import dense_at_vector_steps
 from prodexp.liealg import CentralElement, FourierVectorField
 from prodexp.prodint import (GeneratorPath, MaxRefinementExceeded,
                              Propagator, StepSubdivision, TruncationOverflow,
@@ -371,3 +372,89 @@ def test_magnus4_records_no_step_bound(vir8):
                          rule="magnus4")
     assert P.refinement_error
     assert all(np.isnan(bound) for _, _, bound in P.refinement_error)
+
+
+# ---------------------------------------------------------------------------
+# vector mode
+
+
+@pytest.mark.parametrize("norm", [0.05, 0.3, 1.0, 2.0, 3.0, 5.0])
+def test_taylor_action_matches_expm(norm):
+    from prodexp.prodint import _expm_action, _norm1, _taylor_plan
+    rng = np.random.default_rng(int(norm * 100))
+    d = 30
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    omega = G - G.conj().T
+    omega *= norm / _norm1(omega)
+    V = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
+    got = _expm_action(omega.__matmul__, norm, V)
+    assert np.abs(got - expm(omega) @ V).max() < 1e-13
+    # one Taylor polynomial up to 2, substeps beyond
+    assert (_taylor_plan(norm)[1] > 1) == (norm > 2.0)
+
+
+def test_taylor_plan_remainder_below_roundoff():
+    from math import factorial
+    from prodexp.prodint import _THETAS, _taylor_plan
+    for m, x in enumerate(_THETAS, 1):
+        # at the root the bound holds with equality, up to rounding
+        tail = sum(x ** k / factorial(k) for k in range(m + 1, m + 60))
+        assert tail <= 2.0 ** -53 * x * (1 + 1e-12)
+    assert _taylor_plan(0.0) == (0, 1)
+    for norm in (1e-3, 0.1, 1.0, 10.0, 100.0):
+        m, s = _taylor_plan(norm)
+        assert norm / s <= _THETAS[m - 1]
+
+
+@pytest.mark.parametrize("rule", ["magnus4", "midpoint"])
+def test_vector_mode_matches_dense_product(vir8, rule):
+    path = oscillating_path(scale=0.5)
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(vir8.dim, 3)) + 1j * rng.normal(size=(vir8.dim, 3))
+    sub = StepSubdivision.uniform((0, 1), 32, rule)
+    dense = step_product(vir8, path, sub).matrix
+    vec = step_product(vir8, path, sub, V=V)
+    assert vec.matrix.shape == V.shape and vec.steps == 32
+    assert np.abs(vec.matrix - dense @ V).max() < 1e-12
+
+
+def test_zero_probe_column_converges(vir8):
+    path = oscillating_path(scale=0.5)
+    kw = dict(tol=1e-9, rule="magnus4", record_bound=False)
+    zero = product_integral(vir8, path, V=np.zeros((vir8.dim, 1)), **kw)
+    assert zero.steps == 16 and zero.refinement_error[0][1] == 0.0
+    assert not zero.matrix.any()
+    V = np.zeros((vir8.dim, 2), dtype=complex)
+    V[0, 1] = 1.0
+    P = product_integral(vir8, path, V=V, **kw)
+    alone = product_integral(vir8, path, V=V[:, 1:], **kw)
+    assert P.steps == alone.steps > 16
+    assert not P.matrix[:, 0].any()
+    np.testing.assert_allclose(P.matrix[:, 1], alone.matrix[:, 0],
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["vir8", "vir12"])
+def test_vector_solvers_match_dense(request, name):
+    # the homogeneous solver and the Gateaux base solve propagate one
+    # vector; at equal step counts they equal the dense magnus4 product
+    rep = request.getfixturevalue(name)
+    path = oscillating_path(scale=0.3)
+    delta = GeneratorPath(lambda t: CentralElement(FourierVectorField(
+        {2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)})), (0, 1))
+    xi0 = np.zeros(rep.dim, dtype=complex)
+    xi0[0] = 1.0
+    grid = np.linspace(0, 1, 9)
+
+    def solve():
+        return (solve_homogeneous(rep, path, xi0, grid, tol=1e-9,
+                                  rule="magnus4",
+                                  overflow_threshold=None).vectors,
+                gateaux_derivative(rep, path, xi0, delta, grid,
+                                   tol=1e-9).vectors)
+
+    vector = solve()
+    with dense_at_vector_steps():
+        dense = solve()
+    for v, d in zip(vector, dense):
+        assert np.abs(v - d).max() < 1e-12
