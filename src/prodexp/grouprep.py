@@ -173,7 +173,7 @@ def exponentiate_path(rep, path, tol=1e-8):
         gen = path
     else:
         gen = log_derivative(path)
-    return product_integral(rep, gen, tol=tol, rule="magnus4")
+    return product_integral(rep, gen, tol=tol)
 
 
 def scalar_part(rep, matrix, window):
@@ -208,10 +208,9 @@ def verify_up_properties(rep, path, reparam=None, split=0.5, tol=1e-8):
     gen = path if isinstance(path, GeneratorPath) else log_derivative(path)
     a, b = gen.interval
     out = {}
-    kw = dict(tol=tol, rule="magnus4", record_bound=False)
 
     X0 = gen(a)
-    Pc = product_integral(rep, GeneratorPath.constant(X0, (0.0, 1.0)), **kw)
+    Pc = product_integral(rep, GeneratorPath.constant(X0, (0.0, 1.0)), tol=tol)
     out["constant-exponential"] = float(
         np.abs(Pc.matrix - expm(rep.pi(X0))).max())
 
@@ -232,13 +231,13 @@ def verify_up_properties(rep, path, reparam=None, split=0.5, tol=1e-8):
         seminorm((gen(t) - gen(t)).base, 1) for t in probes)
 
     s = a + split * (b - a)
-    P = product_integral(rep, gen, **kw)
-    P1 = product_integral(rep, GeneratorPath(gen.func, (a, s)), **kw)
-    P2 = product_integral(rep, GeneratorPath(gen.func, (s, b)), **kw)
+    P = product_integral(rep, gen, tol=tol)
+    P1 = product_integral(rep, GeneratorPath(gen.func, (a, s)), tol=tol)
+    P2 = product_integral(rep, GeneratorPath(gen.func, (s, b)), tol=tol)
     out["concatenation"] = float(np.abs(P2.matrix @ P1.matrix
                                         - P.matrix).max())
 
-    Pinv = product_integral(rep, gen.reversed(), **kw)
+    Pinv = product_integral(rep, gen.reversed(), tol=tol)
     out["adjoint"] = float(np.abs(P.matrix.conj().T - Pinv.matrix).max())
     return out
 
@@ -314,7 +313,7 @@ def flat_section(rep, homotopy, xi0, nx=9, ny=9, tol=1e-8):
         raise CurvatureTooLarge(f"curvature residual {curv:.3e}")
     xs = np.linspace(0.0, 1.0, nx)
     ys = np.linspace(0.0, 1.0, ny)
-    kw = dict(tol=tol, rule="magnus4", n0=4, record_bound=False)
+    kw = dict(tol=tol, n0=4)
     F = np.empty((nx, ny, rep.dim), dtype=complex)
     bottom = np.asarray(xi0, dtype=complex)
     F[0, 0] = bottom
@@ -403,12 +402,11 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7):
         I, n = I2, 2 * n
     predicted = complex(np.exp(1j * I))
 
-    kw = dict(tol=tol, rule="magnus4", record_bound=False)
     d = int((rep.level_of() <= window).sum())
     W = np.eye(rep.dim, d, dtype=complex)
     for path in (homotopy.boundary_path(0.0).reversed(),
                  homotopy.boundary_path(1.0)):
-        W = product_integral(rep, path, V=W, **kw).matrix
+        W = product_integral(rep, path, tol=tol, V=W).matrix
     measured, dev = scalar_part(rep, W, window)
     return HolonomyReport(predicted, measured, dev, I, n, curv)
 

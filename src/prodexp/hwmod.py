@@ -390,7 +390,12 @@ class AffineVerma(_PBWVerma):
         exact = lam <= 1 and spec.N <= EXACT_N_AFFINE
         super().__init__(spec, exact,
                          [_affine_monomials(k, lam) for k in range(spec.N + 1)])
-        self.alg = sl2_chevalley()
+        alg = sl2_chevalley()
+        unit = [[int(i == j) for i in range(3)] for j in range(3)]
+        # (bracket, inner product) of each pair of letters x_j, x_j1
+        self._letter_table = [[(alg.bracket(unit[j], unit[j1]),
+                                alg.inner(unit[j], unit[j1]))
+                               for j1 in range(3)] for j in range(3)]
         self.ell = Fraction(spec.ell) if exact else float(spec.ell)
         wmat = _sl2_weight_matrices(lam)
         if exact:
@@ -433,18 +438,12 @@ class AffineVerma(_PBWVerma):
         out = {}
         for mu, cf in self.apply_gen(gen, rest).items():
             _acc(out, self.apply_gen(first, mu), cf)
-        bi = [0] * 3
-        bi[j] = 1
-        bj = [0] * 3
-        bj[j1] = 1
-        br = self.alg.bracket(bi, bj)
+        br, ip = self._letter_table[j][j1]
         for k in range(3):
             if br[k]:
                 _acc(out, self.apply_gen(("x", k, m - n1), rest), br[k])
-        if m == n1:
-            ip = self.alg.inner(bi, bj)
-            if ip:
-                _acc(out, {rest: self.one}, self.ell * (m * ip))
+        if m == n1 and ip:
+            _acc(out, {rest: self.one}, self.ell * (m * ip))
         return out
 
 
@@ -772,8 +771,8 @@ class GradedModule:
         cut = max(self.N - depth, -1)
         return int(self.offsets[cut + 1]) if cut >= 0 else 0
 
-    def random_vector(self, rng, max_level=None, unit=True):
-        """Gaussian vector supported on levels 0..max_level (default N)."""
+    def random_vector(self, rng, max_level=None):
+        """Gaussian vector of unit norm on levels 0..max_level (default N)."""
         top = self.N if max_level is None else max_level
         if not 0 <= top <= self.N:
             raise ValueError(f"random_vector: max_level={top} is outside "
@@ -781,9 +780,7 @@ class GradedModule:
         v = np.zeros(self.dim, dtype=complex)
         d = int(self.offsets[top + 1])
         v[:d] = rng.normal(size=d) + 1j * rng.normal(size=d)
-        if unit:
-            v /= np.linalg.norm(v)
-        return v
+        return v / np.linalg.norm(v)
 
 
 def unitarize(verma):

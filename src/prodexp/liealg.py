@@ -121,11 +121,9 @@ def _conj(x):
     return x.conjugate() if isinstance(x, complex) else x
 
 
-def _is_zero(x, tol=0.0):
+def _is_zero(x):
     if isinstance(x, QC):
         return not bool(x)
-    if tol:
-        return abs(x) <= tol
     return x == 0
 
 

@@ -120,10 +120,14 @@ def laplacian(rep):
     return Delta, A
 
 
-def verify_assumptions(rep, n_max=4):
+# the highest Sobolev order at which verify_assumptions measures
+N_MAX = 4
+
+
+def verify_assumptions(rep):
     """Smallest dense-norm constants of the two scale estimates.
 
-    For each basis element X_i and 0 <= n <= n_max reports
+    For each basis element X_i and 0 <= n <= N_MAX reports
     * pi-bound constant:        ||A^n pi(X_i) A^{-(n+1)}||,
     * commutator-bound constant ||A^n [A, pi(X_i)] A^{-(n+1)}||,
     together with their finiteness.  For a single irreducible block A is
@@ -134,7 +138,7 @@ def verify_assumptions(rep, n_max=4):
     rows = []
     for i, G in enumerate(rep._gens()):
         comm = A @ G - G @ A
-        for n in range(n_max + 1):
+        for n in range(N_MAX + 1):
             wl, wr = a ** n, a ** (-(n + 1))
             c_pi = float(np.linalg.norm(wl[:, None] * G * wr[None, :], 2))
             c_comm = float(np.linalg.norm(wl[:, None] * comm * wr[None, :], 2))
@@ -177,8 +181,7 @@ def exponentiate_vs_oracle(rep, path, tol=1e-9, split=0.5):
     """
     from scipy.integrate import solve_ivp
     a, b = path.interval
-    kw = dict(tol=tol, rule="magnus4", record_bound=False)
-    P = product_integral(rep, path, **kw)
+    P = product_integral(rep, path, tol=tol)
     out = {"unitarity": P.unitarity_defect()}
 
     probes = np.linspace(a, b, 7)
@@ -197,8 +200,8 @@ def exponentiate_vs_oracle(rep, path, tol=1e-9, split=0.5):
     out["reference"] = float(np.abs(P.matrix - ref).max())
 
     s = a + split * (b - a)
-    P1 = product_integral(rep, GeneratorPath(path.func, (a, s)), **kw)
-    P2 = product_integral(rep, GeneratorPath(path.func, (s, b)), **kw)
+    P1 = product_integral(rep, GeneratorPath(path.func, (a, s)), tol=tol)
+    P2 = product_integral(rep, GeneratorPath(path.func, (s, b)), tol=tol)
     out["homomorphism"] = float(np.abs(P2.matrix @ P1.matrix
                                        - P.matrix).max())
     return out

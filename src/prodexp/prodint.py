@@ -1,25 +1,30 @@
 """Product integrals (time-ordered exponentials) on truncated modules.
 
 The propagator of a generator path X is approximated by ordered products
-of matrix exponentials over a subdivision,
+of matrix exponentials over n uniform steps of its interval,
 
     Exp(Omega_n) ... Exp(Omega_1),   rightmost factor first,
 
 with dyadic refinement until successive approximants agree on a probe
-basis in a Sobolev-weighted norm.  The per-interval exponent comes from
-one of three rules, in two roles:
+basis in a Sobolev-weighted norm.  The per-step exponent comes from one
+of three rules, in two roles:
 
-* the step scheme, ``"left"`` and ``"midpoint"``: Omega_k = D_k X(s_k)
-  with s_k the left end or the midpoint of the interval.  This is the
-  paper's reference object, of first and second order; the step-function
-  difference estimate recorded along the refinement is stated for it.
-* ``"magnus4"``, the fourth-order Magnus rule (Iserles & Norsett 1999;
-  Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): with A_1, A_2 the
-  path at the Gauss-Legendre nodes t_0 + (1/2 -+ sqrt(3)/6) D,
+* ``"magnus4"``, the default, is the fourth-order Magnus rule (Iserles &
+  Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): with
+  A_1, A_2 the path at the Gauss-Legendre nodes t_0 + (1/2 -+ sqrt(3)/6) D,
   Omega = D/2 (A_1 + A_2) + (sqrt(3)/12) D^2 [A_2, A_1].  Omega is
   skew-Hermitian for real paths, so every factor is exactly unitary.
-  This is the rule the propagator consumers use (the ODE solvers,
-  Gateaux derivatives, and grouprep's U_p, flat sections and holonomy).
+  Every propagator consumer uses it: the ODE solvers, Gateaux
+  derivatives, grouprep's U_p, flat sections and holonomy, and the su(2)
+  cross-checks.
+* the step scheme, ``"left"`` and ``"midpoint"``: Omega_k = D_k X(s_k)
+  with s_k the left end or the midpoint of the step.  This is the
+  paper's reference object, of first and second order.  The step-function
+  difference estimate samples the left step functions, so it is recorded
+  along the refinement exactly for ``"left"``: the ``refinement-bound``
+  check reads it and ``prodint-convergence-order`` fits the left
+  scheme's order.  ``"midpoint"`` is the second-order reference that
+  tests compare ``"magnus4"`` against.
 
 A product is formed in one of two modes:
 
@@ -85,52 +90,19 @@ class GeneratorPath:
                              self.interval)
 
 
-STEP_RULES = ("left", "midpoint")
-RULES = STEP_RULES + ("magnus4",)
+RULES = ("magnus4", "left", "midpoint")
 
 # Gauss-Legendre nodes 1/2 -+ sqrt(3)/6 and the Magnus commutator weight
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_COMMUTATOR = np.sqrt(3.0) / 12.0
 
 
-class StepSubdivision:
-    """Breakpoints a = tau_0 < ... < tau_n = b with a per-interval rule
-    (one of RULES)."""
-
-    def __init__(self, breakpoints, rule="left"):
-        bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1 or len(bp) < 2 or not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if rule not in RULES:
-            raise ValueError(f"unknown sample rule {rule!r}")
-        self.breakpoints = bp
-        self.rule = rule
-
-    @classmethod
-    def uniform(cls, interval, n, rule="left"):
-        return cls(np.linspace(interval[0], interval[1], n + 1), rule)
-
-    @property
-    def steps(self):
-        return len(self.breakpoints) - 1
-
-    def samples(self):
-        """(sample time, width) per interval of a step rule."""
-        if self.rule not in STEP_RULES:
-            raise ValueError(f"{self.rule!r} is not a step rule")
-        bp = self.breakpoints
-        widths = np.diff(bp)
-        pts = bp[:-1] if self.rule == "left" else bp[:-1] + widths / 2
-        return pts, widths
-
-
 class Propagator:
     """A product with its construction record: the dense propagator,
     unitary for real paths, or in vector mode the propagated probe block."""
 
-    def __init__(self, matrix, interval, steps, refinement_error=None):
+    def __init__(self, matrix, steps, refinement_error=None):
         self.matrix = matrix
-        self.interval = interval
         self.steps = steps
         # list of (steps, empirical difference, theoretical bound) triples
         self.refinement_error = refinement_error or []
@@ -148,10 +120,9 @@ class Propagator:
 class Trajectory:
     """Vectors xi(t_i) along a time grid."""
 
-    def __init__(self, times, vectors, path=None):
+    def __init__(self, times, vectors):
         self.times = np.asarray(times, dtype=float)
         self.vectors = np.asarray(vectors)
-        self.path = path
 
     def norms(self):
         return np.linalg.norm(self.vectors, axis=1)
@@ -227,42 +198,35 @@ def _norm1(A):
     return float(np.abs(A).sum(axis=0).max())
 
 
-def step_product(rep, path, subdivision, V=None):
-    """Ordered product of exponentials over the subdivision; with a probe
-    block V (dim x k), that product applied to V (vector mode)."""
-    if subdivision.rule == "magnus4":
-        return _magnus4_product(rep, path, subdivision, V)
-    pts, widths = subdivision.samples()
-    if V is None:
-        U = np.eye(rep.dim, dtype=complex)
-        for t, dt in zip(pts, widths):
-            U = expm(dt * rep.pi(path(t))) @ U
-    else:
-        U = np.asarray(V, dtype=complex)
-        for t, dt in zip(pts, widths):
-            A = dt * rep.pi(path(t))
-            U = _expm_action(A.__matmul__, _norm1(A), U)
-    return Propagator(U, path.interval, subdivision.steps)
-
-
-def _magnus4_product(rep, path, subdivision, V=None):
-    """Ordered product of exp(D/2 (A1 + A2) + (sqrt(3)/12) D^2 [A2, A1])."""
-    bp = subdivision.breakpoints
+def step_product(rep, path, n, rule="magnus4", V=None):
+    """Ordered product of exponentials over n uniform steps of
+    path.interval, each step's exponent by `rule` (one of RULES); with a
+    probe block V (dim x k), that product applied to V (vector mode)."""
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    bp = np.linspace(path.interval[0], path.interval[1], n + 1)
     widths = np.diff(bp)
-    mid = bp[:-1] + widths / 2
-    offset = _GAUSS_OFFSET * widths
     U = (np.eye(rep.dim, dtype=complex) if V is None
          else np.asarray(V, dtype=complex))
-    for t1, t2, dt in zip(mid - offset, mid + offset, widths):
-        A1 = rep.pi(path(t1))
-        A2 = rep.pi(path(t2))
-        if V is not None:
-            U = _magnus4_action(A1, A2, dt, U)
-            continue
-        omega = (dt / 2) * (A1 + A2) + (_MAGNUS_COMMUTATOR * dt * dt) * (
-            A2 @ A1 - A1 @ A2)
-        U = expm(omega) @ U
-    return Propagator(U, path.interval, subdivision.steps)
+    if rule == "magnus4":
+        mid = bp[:-1] + widths / 2
+        offset = _GAUSS_OFFSET * widths
+        for t1, t2, dt in zip(mid - offset, mid + offset, widths):
+            A1 = rep.pi(path(t1))
+            A2 = rep.pi(path(t2))
+            if V is None:
+                omega = (dt / 2) * (A1 + A2) + (
+                    _MAGNUS_COMMUTATOR * dt * dt) * (A2 @ A1 - A1 @ A2)
+                U = expm(omega) @ U
+            else:
+                U = _magnus4_action(A1, A2, dt, U)
+    else:
+        pts = bp[:-1] if rule == "left" else bp[:-1] + widths / 2
+        for t, dt in zip(pts, widths):
+            A = dt * rep.pi(path(t))
+            U = (expm(A) @ U if V is None
+                 else _expm_action(A.__matmul__, _norm1(A), U))
+    return Propagator(U, n)
 
 
 def _magnus4_action(A1, A2, dt, V):
@@ -314,43 +278,40 @@ def _difference_bound(rep, path, n_coarse, r):
     return (b - a) * sup_diff * np.exp(2 * (r + 1) * (b - a) * sup_a)
 
 
-def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="left",
-                     max_steps=2 ** 20, record_bound=True, V=None):
+def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="magnus4",
+                     max_steps=2 ** 20, V=None):
     """Dyadically refined product integral of a generator path.
 
     Successive refinements are compared on the probe columns in the
     ||A^r . A^{-r-1}|| weighted sense: the coordinate basis, or with a
     probe block V (dim x k) the columns of V, in which case only U V is
-    propagated and returned as the Propagator's matrix.  The theoretical
-    difference-estimate bound is recorded alongside each empirical
-    difference.  That estimate is stated for the step scheme, so for
-    "magnus4" (and with record_bound=False) the recorded bound is nan.
+    propagated and returned as the Propagator's matrix.  For the "left"
+    step scheme the difference-estimate bound, which samples its step
+    functions, is recorded alongside each empirical difference; for the
+    other rules the recorded bound is nan.
     """
-    record_bound = record_bound and rule in STEP_RULES
     if V is not None:
         V = np.asarray(V, dtype=complex)
     n = n0
-    U_prev = step_product(rep, path, StepSubdivision.uniform(
-        path.interval, n, rule), V).matrix
+    U_prev = step_product(rep, path, n, rule, V).matrix
     record = []
     while True:
         n2 = 2 * n
         if n2 > max_steps:
             raise MaxRefinementExceeded(
                 f"no convergence to {tol} within {max_steps} steps")
-        U = step_product(rep, path, StepSubdivision.uniform(
-            path.interval, n2, rule), V).matrix
+        U = step_product(rep, path, n2, rule, V).matrix
         diff = _probe_difference(rep, U_prev, U, r, V)
-        bound = (_difference_bound(rep, path, n, r) if record_bound
+        bound = (_difference_bound(rep, path, n, r) if rule == "left"
                  else float("nan"))
         record.append((n2, diff, bound))
         if diff < tol:
-            return Propagator(U, path.interval, n2, record)
+            return Propagator(U, n2, record)
         U_prev, n = U, n2
 
 
 def solve_homogeneous(rep, path, xi0, grid, tol=1e-8,
-                      overflow_threshold=1e-6, rule="left"):
+                      overflow_threshold=1e-6):
     """xi(t) = product integral over [t_0, t] applied to xi0, each grid
     segment in vector mode: the segment's refinement is tested on the
     vector it propagates.
@@ -362,15 +323,14 @@ def solve_homogeneous(rep, path, xi0, grid, tol=1e-8,
     vecs = [np.asarray(xi0, dtype=complex)]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         seg = GeneratorPath(path.func, (t0, t1))
-        v = product_integral(rep, seg, tol=tol, n0=4, rule=rule,
-                             record_bound=False,
+        v = product_integral(rep, seg, tol=tol, n0=4,
                              V=vecs[-1][:, None]).matrix[:, 0]
         if overflow_threshold is not None:
             frac = _top_fraction(rep, v)
             if frac > overflow_threshold:
                 raise TruncationOverflow(frac, t=float(t1))
         vecs.append(v)
-    return Trajectory(grid, vecs, path)
+    return Trajectory(grid, vecs)
 
 
 def cumulative_simpson(values, h):
@@ -414,20 +374,19 @@ def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8):
     Us = [np.eye(rep.dim, dtype=complex)]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         seg = GeneratorPath(path.func, (t0, t1))
-        P = product_integral(rep, seg, tol=tol, n0=4, rule="magnus4",
-                             record_bound=False)
+        P = product_integral(rep, seg, tol=tol, n0=4)
         Us.append(P.matrix @ Us[-1])
     integrand = np.array([U.conj().T @ np.asarray(eta(t), dtype=complex)
                           for U, t in zip(Us, grid)])
     I = cumulative_simpson(integrand, h)
     vecs = np.array([U @ v for U, v in zip(Us, I)])
-    return Trajectory(grid, vecs, path)
+    return Trajectory(grid, vecs)
 
 
 def gateaux_derivative(rep, path, xi0, direction, grid, tol=1e-8):
     """Derivative of the solution map in the generator: the solution of
     the inhomogeneous equation with source pi(direction(t)) xi(t)."""
-    base = solve_homogeneous(rep, path, xi0, grid, tol=tol, rule="magnus4",
+    base = solve_homogeneous(rep, path, xi0, grid, tol=tol,
                              overflow_threshold=None)
     interp = {float(t): v for t, v in zip(base.times, base.vectors)}
 
@@ -463,10 +422,9 @@ def change_of_variable_check(rep, path, phi, phi_prime, source_interval,
     norm difference and the two propagators."""
     a, b = source_interval
     c, d = phi(a), phi(b)
-    kw = dict(tol=tol, rule="magnus4", record_bound=False)
-    direct = product_integral(rep, GeneratorPath(path.func, (c, d)), **kw)
+    direct = product_integral(rep, GeneratorPath(path.func, (c, d)), tol=tol)
     pulled = product_integral(
         rep, GeneratorPath(lambda s: phi_prime(s) * path.func(phi(s)), (a, b)),
-        **kw)
+        tol=tol)
     diff = float(np.linalg.norm(direct.matrix - pulled.matrix, 2))
     return diff, direct, pulled

@@ -77,21 +77,25 @@ def gw_virasoro_a_seminorm(X, t, c):
     return gw_virasoro_seminorm(X.mode_derivative(), t, c)
 
 
-def gw_loop_seminorm(X, f, t, ell, dim_g=3):
+# dim G of the loop algebras' finite part, sl2
+DIM_G = 3
+
+
+def gw_loop_seminorm(X, f, t, ell):
     """|X + f d/theta|_t = (ell+1)||X||_{t-1/2} + dim(G)||f||_{t+1/2}."""
     t = _fold_index(t)
     out = 0.0
     if X is not None:
         out += (ell + 1) * seminorm(X, t - 0.5)
     if f is not None:
-        out += dim_g * seminorm(f, t + 0.5)
+        out += DIM_G * seminorm(f, t + 0.5)
     return out
 
 
-def gw_loop_a_seminorm(X, f, t, ell, dim_g=3):
+def gw_loop_a_seminorm(X, f, t, ell):
     return gw_loop_seminorm(None if X is None else X.mode_derivative(),
                             None if f is None else f.mode_derivative(),
-                            t, ell, dim_g)
+                            t, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 from fractions import Fraction
 
 import prodexp  # noqa: F401  (before numpy: pins the OpenBLAS pool)
@@ -52,15 +53,15 @@ def dense_at_vector_steps():
     from prodexp import grouprep, prodint
 
     vector = prodint.product_integral
+    default_rule = inspect.signature(vector).parameters["rule"].default
 
     def dense(rep, path, *args, V=None, **kw):
         P = vector(rep, path, *args, V=V, **kw)
         if V is None:
             return P
-        U = prodint.step_product(rep, path, prodint.StepSubdivision.uniform(
-            path.interval, P.steps, kw.get("rule", "left"))).matrix
-        return prodint.Propagator(U @ V, path.interval, P.steps,
-                                  P.refinement_error)
+        U = prodint.step_product(rep, path, P.steps,
+                                 kw.get("rule", default_rule)).matrix
+        return prodint.Propagator(U @ V, P.steps, P.refinement_error)
 
     with pytest.MonkeyPatch.context() as mp:
         for module in (prodint, grouprep):

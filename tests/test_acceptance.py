@@ -23,7 +23,7 @@ from prodexp.hwmod import (NotUnitarizable, build_module, build_verma,
 from prodexp.liealg import (CentralElement, FourierVectorField,
                             LoopAlgebraElement, sl2_chevalley)
 from prodexp.nelson import FinDimRep, axis_angle_oracle
-from prodexp.prodint import (GeneratorPath, StepSubdivision, dyson_expansion,
+from prodexp.prodint import (GeneratorPath, dyson_expansion,
                              gateaux_derivative, product_integral,
                              solve_homogeneous, solve_inhomogeneous,
                              step_product)
@@ -166,12 +166,10 @@ def test_holonomy_mobius_trivial(vir8):
 
 def test_step_scheme_first_order(vir8):
     path = oscillating_path()
-    ref = product_integral(vir8, path, tol=1e-9, rule="midpoint",
-                           record_bound=False).matrix
+    ref = product_integral(vir8, path, tol=1e-9).matrix
     ns = np.array([8, 16, 32, 64, 128, 256])
-    errs = [np.linalg.norm(step_product(vir8, path,
-                                        StepSubdivision.uniform((0, 1), int(n))
-                                        ).matrix - ref, 2) for n in ns]
+    errs = [np.linalg.norm(step_product(vir8, path, int(n), "left").matrix
+                           - ref, 2) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
 
@@ -194,7 +192,8 @@ def test_dyson_scaling_orders(vir8):
 
 
 def test_refinement_differences_within_bound(vir8):
-    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1)
+    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1,
+                         rule="left")
     assert len(P.refinement_error) >= 2
     for n, emp, bound in P.refinement_error:
         assert emp <= bound
@@ -208,7 +207,7 @@ def test_homogeneous_norm_and_residual(vir8):
     path = oscillating_path(scale=0.3)
     grid = np.linspace(0, 1, 129)
     traj = solve_homogeneous(vir8, path, omega(vir8), grid, tol=1e-9,
-                             rule="midpoint", overflow_threshold=None)
+                             overflow_threshold=None)
     assert np.abs(traj.norms() - 1).max() < 1e-9
     h = grid[1] - grid[0]
     worst = max(np.linalg.norm((traj[i + 1] - traj[i - 1]) / (2 * h)
@@ -243,7 +242,7 @@ def test_gateaux_matches_central_difference(vir8):
     xi0 = omega(vir8)
     traj = gateaux_derivative(vir8, path, xi0, delta, grid, tol=1e-9)
     eps = 1e-4
-    kw = dict(tol=1e-10, rule="midpoint", overflow_threshold=None)
+    kw = dict(tol=1e-10, overflow_threshold=None)
 
     def shifted(s):
         return GeneratorPath(lambda t: path(t) + s * delta(t), (0, 1))
@@ -346,7 +345,7 @@ def test_nelson_axis_angle_residual():
     rep = FinDimRep((0.5, 1.5))
     x = np.array([0.4, -0.2, 0.9])
     P = product_integral(rep, GeneratorPath(lambda t: x), tol=1e-10,
-                         rule="midpoint", record_bound=False)
+                         rule="midpoint")
     assert np.abs(P.matrix - axis_angle_oracle(rep, x)).max() < 1e-12
 
 
@@ -363,7 +362,7 @@ def test_nelson_path_independence():
             return 3 * beta * ex
         return 3 * gamma * ez
 
-    kw = dict(tol=1e-9, rule="midpoint", record_bound=False)
+    kw = dict(tol=1e-9, rule="midpoint")
     P = product_integral(rep, GeneratorPath(euler, (0, 1 / 3)), **kw)
     for seg in ((1 / 3, 2 / 3), (2 / 3, 1.0)):
         P = product_integral(rep, GeneratorPath(euler, seg), **kw) @ P
@@ -384,7 +383,7 @@ def test_nelson_spin_half_full_turn():
     rep = FinDimRep((0.5,))
     axis = 2 * np.pi * np.array([0.0, 0.0, 1.0])
     P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10,
-                         rule="midpoint", record_bound=False)
+                         rule="midpoint")
     assert np.abs(P.matrix + np.eye(2)).max() < 1e-9
 
 

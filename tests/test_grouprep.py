@@ -235,7 +235,7 @@ def test_holonomy_magnus4_matches_step_scheme(vir8, window):
 
     def window_trace(rule):
         P0, P1 = (product_integral(vir8, hom.boundary_path(y), rule=rule,
-                                   tol=1e-7, record_bound=False)
+                                   tol=1e-7)
                   for y in (0.0, 1.0))
         R = P1.matrix @ P0.matrix.conj().T
         return np.trace(R[:d, :d]) / d
@@ -274,8 +274,7 @@ def test_holonomy_matches_dense_window_trace(request, name):
     rep = request.getfixturevalue(name)
     hom = shrinking_loop_homotopy(k=2)
     tol = 1e-7
-    P0, P1 = (product_integral(rep, hom.boundary_path(y), rule="magnus4",
-                               tol=tol, record_bound=False)
+    P0, P1 = (product_integral(rep, hom.boundary_path(y), tol=tol)
               for y in (0.0, 1.0))
     dense, _ = scalar_part(rep, P1.matrix @ P0.matrix.conj().T, 3)
     assert abs(holonomy_phase(rep, hom, tol=tol).measured - dense) < tol
@@ -298,8 +297,7 @@ def test_representation_protocol(request, rep_name, element):
     # own seminorms through the same methods
     rep = (FinDimRep((0.5, 1.5)) if rep_name == "su2"
            else request.getfixturevalue(rep_name))
-    P = product_integral(rep, GeneratorPath.constant(element),
-                         rule="magnus4")
+    P = product_integral(rep, GeneratorPath.constant(element))
     np.testing.assert_allclose(P.matrix, expm(rep.pi(element)), atol=1e-9)
     assert SobolevScale(rep).diag.shape == (rep.dim,)
     for t in (0, 1, 2):

@@ -8,7 +8,7 @@ import pytest
 from prodexp.nelson import (FinDimRep, axis_angle_oracle,
                             exponentiate_vs_oracle, laplacian, spin_matrices,
                             verify_assumptions)
-from prodexp.prodint import (GeneratorPath, StepSubdivision, product_integral,
+from prodexp.prodint import (GeneratorPath, product_integral,
                              step_product)
 
 MIXED = FinDimRep((0.5, 1.5))
@@ -128,7 +128,7 @@ def test_full_turn_spin_half_is_minus_identity():
     U = axis_angle_oracle(rep, axis)
     assert np.abs(U + np.eye(2)).max() < 1e-12
     P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10,
-                         rule="midpoint", record_bound=False)
+                         rule="midpoint")
     assert np.abs(P.matrix + np.eye(2)).max() < 1e-9
     # ...and on the mixed sum the spin-1/2 block flips sign while the
     # spin-3/2 block returns to -Id as well (half-integer spins)
@@ -161,7 +161,7 @@ def test_path_independence_euler_decomposition():
             return 3 * beta * ex
         return 3 * gamma * ez
 
-    kw = dict(tol=1e-9, rule="midpoint", record_bound=False)
+    kw = dict(tol=1e-9, rule="midpoint")
     # product of the three constant segments (rightmost acts first)
     P = product_integral(MIXED, GeneratorPath(euler, (0, 1 / 3)), **kw)
     for seg in ((1 / 3, 2 / 3), (2 / 3, 1.0)):
@@ -193,8 +193,7 @@ def test_block_determinants_unimodular():
 
 def test_magnus4_axis_angle():
     x = np.array([0.4, -0.2, 0.9])
-    P = product_integral(MIXED, GeneratorPath(lambda t: x), tol=1e-10,
-                         rule="magnus4", record_bound=False)
+    P = product_integral(MIXED, GeneratorPath(lambda t: x), tol=1e-10)
     assert np.abs(P.matrix - axis_angle_oracle(MIXED, x)).max() < 1e-12
     assert P.unitarity_defect() < 1e-13
 
@@ -212,11 +211,9 @@ def test_magnus4_noncommuting_path_vs_ode():
                     (0, 1), np.eye(6, dtype=complex).ravel(),
                     rtol=1e-12, atol=1e-13)
     ref = sol.y[:, -1].reshape(6, 6)
-    errs = {rule: np.abs(step_product(
-        MIXED, path, StepSubdivision.uniform((0, 1), 16, rule)).matrix
-        - ref).max() for rule in ("midpoint", "magnus4")}
+    errs = {rule: np.abs(step_product(MIXED, path, 16, rule).matrix
+                         - ref).max() for rule in ("midpoint", "magnus4")}
     assert errs["magnus4"] < 1e-5
     assert errs["magnus4"] < errs["midpoint"] / 50
-    P = product_integral(MIXED, path, tol=1e-11, rule="magnus4",
-                         record_bound=False)
+    P = product_integral(MIXED, path, tol=1e-11)
     assert np.abs(P.matrix - ref).max() < 1e-9

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from conftest import dense_at_vector_steps
 from prodexp.liealg import CentralElement, FourierVectorField
 from prodexp.prodint import (GeneratorPath, MaxRefinementExceeded,
-                             Propagator, StepSubdivision, TruncationOverflow,
+                             TruncationOverflow,
                              _probe_difference, change_of_variable_check,
                              cumulative_simpson, dyson_expansion,
                              gateaux_derivative, product_integral,
@@ -20,15 +20,21 @@ def oscillating_path(scale=1.0, interval=(0.0, 1.0)):
     return GeneratorPath(f, interval)
 
 
-def test_subdivision_validation():
+def recording_path(interval):
+    """(seen, path): a constant path that appends each time it is
+    evaluated at to the list `seen`."""
+    seen = []
+    X = CentralElement(FourierVectorField({1: 0.1, -1: 0.1}))
+    return seen, GeneratorPath(lambda t: seen.append(t) or X, interval)
+
+
+def test_step_product_rules(vir8):
     with pytest.raises(ValueError):
-        StepSubdivision([0.0, 0.5, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        StepSubdivision([0.0, 1.0], rule="right")
-    s = StepSubdivision.uniform((0, 1), 4, rule="midpoint")
-    pts, widths = s.samples()
-    np.testing.assert_allclose(pts, [0.125, 0.375, 0.625, 0.875])
-    np.testing.assert_allclose(widths, 0.25)
+        step_product(vir8, oscillating_path(), 4, rule="right")
+    # the midpoint rule samples each of the n uniform steps at its middle
+    seen, path = recording_path((0.0, 1.0))
+    step_product(vir8, path, 4, "midpoint")
+    np.testing.assert_allclose(seen, [0.125, 0.375, 0.625, 0.875])
 
 
 def test_cumulative_simpson_polynomial():
@@ -52,7 +58,8 @@ def test_cumulative_simpson_polynomial():
 def test_constant_path_exact(vir8):
     X = CentralElement(FourierVectorField({1: 0.3 + 0.2j, -1: 0.3 - 0.2j,
                                            2: 0.1, -2: 0.1}))
-    P = product_integral(vir8, GeneratorPath.constant(X), tol=1e-9)
+    P = product_integral(vir8, GeneratorPath.constant(X), tol=1e-9,
+                         rule="left")
     assert np.abs(P.matrix - expm(vir8.pi(X))).max() < 1e-13
 
 
@@ -60,8 +67,7 @@ def test_diagonal_family(vir8):
     # path through multiples of e_0 only: exp of the integral
     path = GeneratorPath(lambda t: CentralElement(
         FourierVectorField({0: np.sin(t)})), (0, 1))
-    P = product_integral(vir8, path, tol=1e-11, rule="midpoint",
-                         record_bound=False)
+    P = product_integral(vir8, path, tol=1e-11)
     integral = 1 - np.cos(1.0)
     want = expm(integral * vir8.pi(FourierVectorField({0: 1.0})))
     assert np.abs(P.matrix - want).max() < 1e-9
@@ -69,19 +75,17 @@ def test_diagonal_family(vir8):
 
 def test_first_order_convergence(vir8):
     path = oscillating_path()
-    ref = product_integral(vir8, path, tol=1e-9, rule="midpoint",
-                           record_bound=False).matrix
+    ref = product_integral(vir8, path, tol=1e-9).matrix
     ns = np.array([8, 16, 32, 64, 128, 256])
-    errs = [np.linalg.norm(step_product(vir8, path,
-                                        StepSubdivision.uniform((0, 1), n)
-                                        ).matrix - ref, 2)
-            for n in ns]
+    errs = [np.linalg.norm(step_product(vir8, path, int(n), "left").matrix
+                           - ref, 2) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
 
 
 def test_refinement_within_bound(vir8):
-    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1)
+    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1,
+                         rule="left")
     assert len(P.refinement_error) >= 2
     for n, emp, bound in P.refinement_error:
         assert emp <= bound
@@ -90,22 +94,20 @@ def test_refinement_within_bound(vir8):
 def test_max_refinement(vir8):
     with pytest.raises(MaxRefinementExceeded):
         product_integral(vir8, oscillating_path(), tol=1e-14, n0=4,
-                         max_steps=64, record_bound=False)
+                         max_steps=64, rule="left")
 
 
 def test_unitarity_and_inversion(vir8):
     path = oscillating_path(scale=0.4)
-    P = product_integral(vir8, path, tol=1e-9, rule="midpoint",
-                         record_bound=False)
+    P = product_integral(vir8, path, tol=1e-9)
     assert P.unitarity_defect() < 1e-10
-    Pinv = product_integral(vir8, path.reversed(), tol=1e-9, rule="midpoint",
-                            record_bound=False)
+    Pinv = product_integral(vir8, path.reversed(), tol=1e-9)
     assert np.abs(Pinv.matrix @ P.matrix - np.eye(vir8.dim)).max() < 1e-9
 
 
 def test_semigroup(vir8):
     f = oscillating_path(scale=0.4).func
-    kw = dict(tol=1e-9, rule="midpoint", record_bound=False)
+    kw = dict(tol=1e-9)
     P = product_integral(vir8, GeneratorPath(f, (0, 1)), **kw)
     Pa = product_integral(vir8, GeneratorPath(f, (0, 0.4)), **kw)
     Pb = product_integral(vir8, GeneratorPath(f, (0.4, 1)), **kw)
@@ -130,12 +132,11 @@ def test_homogeneous_norm_and_reversal(vir8):
     xi0[vir8.safe_dim(4):] = 0
     xi0 /= np.linalg.norm(xi0)
     grid = np.linspace(0, 1, 17)
-    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9, rule="midpoint",
+    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9,
                              overflow_threshold=None)
     assert np.abs(traj.norms() - 1).max() < 1e-9
     back = solve_homogeneous(vir8, path.reversed(), traj[-1],
-                             grid, tol=1e-9, rule="midpoint",
-                             overflow_threshold=None)
+                             grid, tol=1e-9, overflow_threshold=None)
     assert np.linalg.norm(back[-1] - xi0) < 1e-9
 
 
@@ -144,7 +145,7 @@ def test_homogeneous_residual(vir8):
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     grid = np.linspace(0, 1, 129)
-    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9, rule="midpoint",
+    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9,
                              overflow_threshold=None)
     h = grid[1] - grid[0]
     worst = 0.0
@@ -161,8 +162,7 @@ def test_truncation_overflow(vir8):
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     with pytest.raises(TruncationOverflow):
-        solve_homogeneous(vir8, path, xi0, np.linspace(0, 1, 9), tol=1e-6,
-                          rule="midpoint")
+        solve_homogeneous(vir8, path, xi0, np.linspace(0, 1, 9), tol=1e-6)
 
 
 def test_inhomogeneous_zero_source(vir8):
@@ -239,7 +239,7 @@ def test_gateaux_matches_central_difference(vir8):
     grid = np.linspace(0, 1, 65)
     traj = gateaux_derivative(vir8, path, xi0, delta, grid, tol=1e-9)
     eps = 1e-4
-    kw = dict(tol=1e-10, rule="midpoint", overflow_threshold=None)
+    kw = dict(tol=1e-10, overflow_threshold=None)
 
     def shifted(s):
         return GeneratorPath(lambda t: path(t) + s * delta(t), (0, 1))
@@ -302,35 +302,26 @@ def test_change_of_variable(vir8):
 def test_magnus4_gauss_nodes(vir8):
     # the rule samples the path at the two Gauss-Legendre nodes of each
     # interval, in time order, and nowhere else
-    seen = []
-    X = CentralElement(FourierVectorField({1: 0.1, -1: 0.1}))
-    path = GeneratorPath(lambda t: seen.append(t) or X, (0.0, 1.5))
-    step_product(vir8, path, StepSubdivision([0.0, 0.5, 1.5], "magnus4"))
+    seen, path = recording_path((0.0, 1.5))
+    step_product(vir8, path, 2)
     c = np.sqrt(3) / 6
-    np.testing.assert_allclose(seen, [0.5 * (0.5 - c), 0.5 * (0.5 + c),
-                                      0.5 + (0.5 - c), 0.5 + (0.5 + c)])
-
-
-def test_magnus4_subdivision_has_no_step_samples():
-    with pytest.raises(ValueError):
-        StepSubdivision.uniform((0, 1), 4, "magnus4").samples()
+    np.testing.assert_allclose(seen, [0.75 * (0.5 - c), 0.75 * (0.5 + c),
+                                      0.75 + 0.75 * (0.5 - c),
+                                      0.75 + 0.75 * (0.5 + c)])
 
 
 def test_magnus4_fourth_order(vir8):
     path = oscillating_path()
-    ref = step_product(vir8, path,
-                       StepSubdivision.uniform((0, 1), 1024, "magnus4")).matrix
+    ref = step_product(vir8, path, 1024).matrix
     ns = np.array([8, 16, 32, 64])
-    errs = [np.linalg.norm(step_product(
-        vir8, path, StepSubdivision.uniform((0, 1), int(n), "magnus4")
-    ).matrix - ref, 2) for n in ns]
+    errs = [np.linalg.norm(step_product(vir8, path, int(n)).matrix - ref, 2)
+            for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-4.0, abs=0.3)
 
 
 def test_magnus4_unitary(vir8):
-    P = product_integral(vir8, oscillating_path(), tol=1e-10,
-                         rule="magnus4", record_bound=False)
+    P = product_integral(vir8, oscillating_path(), tol=1e-10)
     assert P.steps >= 64
     assert P.unitarity_defect() < 1e-13
 
@@ -338,16 +329,14 @@ def test_magnus4_unitary(vir8):
 def test_magnus4_constant_path_exact(vir8):
     X = CentralElement(FourierVectorField({1: 0.3 + 0.2j, -1: 0.3 - 0.2j,
                                            2: 0.1, -2: 0.1}))
-    P = product_integral(vir8, GeneratorPath.constant(X), tol=1e-9,
-                         rule="magnus4")
+    P = product_integral(vir8, GeneratorPath.constant(X), tol=1e-9)
     assert np.abs(P.matrix - expm(vir8.pi(X))).max() < 1e-13
 
 
 def test_magnus4_matches_ode_reference(vir8):
     from scipy.integrate import solve_ivp
     path = oscillating_path(scale=0.5)
-    P = product_integral(vir8, path, tol=1e-10, rule="magnus4",
-                         record_bound=False)
+    P = product_integral(vir8, path, tol=1e-10)
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[:vir8.safe_dim(3)] = 1.0
     sol = solve_ivp(lambda t, y: vir8.pi(path(t)) @ y, (0, 1), xi0,
@@ -360,16 +349,23 @@ def test_magnus4_matches_step_scheme(vir8):
     # tol, so they agree to the requested tolerance in that norm
     path = oscillating_path(scale=0.5)
     tol = 1e-8
-    kw = dict(tol=tol, record_bound=False)
-    Pm = product_integral(vir8, path, rule="magnus4", **kw)
-    Ps = product_integral(vir8, path, rule="midpoint", **kw)
+    Pm = product_integral(vir8, path, tol=tol)
+    Ps = product_integral(vir8, path, tol=tol, rule="midpoint")
     assert Pm.steps < Ps.steps
     assert _probe_difference(vir8, Pm.matrix, Ps.matrix, 0) < tol
 
 
 def test_magnus4_records_no_step_bound(vir8):
+    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1)
+    assert P.refinement_error
+    assert all(np.isnan(bound) for _, _, bound in P.refinement_error)
+
+
+def test_midpoint_records_no_step_bound(vir8):
+    # the difference estimate samples the left step functions, so it is
+    # no bound for the midpoint scheme
     P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1,
-                         rule="magnus4")
+                         rule="midpoint")
     assert P.refinement_error
     assert all(np.isnan(bound) for _, _, bound in P.refinement_error)
 
@@ -411,16 +407,15 @@ def test_vector_mode_matches_dense_product(vir8, rule):
     path = oscillating_path(scale=0.5)
     rng = np.random.default_rng(5)
     V = rng.normal(size=(vir8.dim, 3)) + 1j * rng.normal(size=(vir8.dim, 3))
-    sub = StepSubdivision.uniform((0, 1), 32, rule)
-    dense = step_product(vir8, path, sub).matrix
-    vec = step_product(vir8, path, sub, V=V)
+    dense = step_product(vir8, path, 32, rule).matrix
+    vec = step_product(vir8, path, 32, rule, V=V)
     assert vec.matrix.shape == V.shape and vec.steps == 32
     assert np.abs(vec.matrix - dense @ V).max() < 1e-12
 
 
 def test_zero_probe_column_converges(vir8):
     path = oscillating_path(scale=0.5)
-    kw = dict(tol=1e-9, rule="magnus4", record_bound=False)
+    kw = dict(tol=1e-9)
     zero = product_integral(vir8, path, V=np.zeros((vir8.dim, 1)), **kw)
     assert zero.steps == 16 and zero.refinement_error[0][1] == 0.0
     assert not zero.matrix.any()
@@ -448,7 +443,6 @@ def test_vector_solvers_match_dense(request, name):
 
     def solve():
         return (solve_homogeneous(rep, path, xi0, grid, tol=1e-9,
-                                  rule="magnus4",
                                   overflow_threshold=None).vectors,
                 gateaux_derivative(rep, path, xi0, delta, grid,
                                    tol=1e-9).vectors)
