@@ -4,13 +4,16 @@ Each check is a pure function of a CheckContext returning a report row
 {check, params, measured, bound, verdict, leakage, wall_time}.  The
 measured value is a residual or violation count; the verdict is "pass"
 iff measured <= bound.  All randomness derives from the descriptor seed
-(one independent, deterministically derived stream per check), so a
-rerun with the same descriptor reproduces the rows bit for bit apart
-from wall times.
+(one independent stream per check, keyed by its id), so a rerun with
+the same descriptor reproduces the rows bit for bit apart from wall
+times.  A row that ran on a default module, because the descriptor names
+none of the kind the check needs, names that module in `params["module"]`
+(descriptor JSON; a list when there are several).
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -31,7 +34,8 @@ DEFAULT_VIRASORO = dict(c=Fraction(1, 2), h=Fraction(1, 16), N=8)
 
 
 class CheckContext:
-    """Shared state for one report: seed, module cache, tolerances."""
+    """Shared state for one report: seed, module cache, tolerances, and
+    the default modules the running check used (`substituted`)."""
 
     def __init__(self, seed=7, module_spec=None, tolerances=None,
                  cache=None):
@@ -40,9 +44,12 @@ class CheckContext:
         self.tolerances = dict(tolerances or {})
         self.cache = cache          # optional ModuleCache
         self._modules = {}
+        self.substituted = []
 
     def rng(self, check_id):
-        return np.random.default_rng([self.seed, check_index(check_id)])
+        """The check's own stream, keyed by a stable hash of its id."""
+        key = hashlib.sha256(check_id.encode()).digest()[:8]
+        return np.random.default_rng([self.seed, int.from_bytes(key, "big")])
 
     def build(self, spec):
         key = spec.key()
@@ -55,24 +62,30 @@ class CheckContext:
             self._modules[key] = mod
         return self._modules[key]
 
+    def _default(self, spec):
+        if spec.descriptor() not in self.substituted:
+            self.substituted.append(spec.descriptor())
+        return spec
+
     def virasoro(self):
         """The descriptor's Virasoro module (or the default one)."""
         spec = self.module_spec
         if getattr(spec, "kind", None) != "virasoro":
-            spec = virasoro_spec(**DEFAULT_VIRASORO)
+            spec = self._default(virasoro_spec(**DEFAULT_VIRASORO))
         return self.build(spec)
 
     def affine(self):
         spec = self.module_spec
         if getattr(spec, "kind", None) != "affine_sl2":
-            spec = affine_spec(1, 0, 4)
+            spec = self._default(affine_spec(1, 0, 4))
         return self.build(spec)
 
     def su2(self):
         """The descriptor's su(2) representation (or spins 1/2 + 3/2)."""
         if isinstance(self.module_spec, nelson.FinDimRep):
             return self.module_spec
-        return nelson.FinDimRep((Fraction(1, 2), Fraction(3, 2)))
+        return self._default(nelson.FinDimRep((Fraction(1, 2),
+                                               Fraction(3, 2))))
 
     def bound(self, check_id, default):
         return float(self.tolerances.get(check_id, default))
@@ -151,7 +164,7 @@ def chk_vir_unitarity_region(ctx):
         except NotUnitarizable:
             bad += 1
     try:
-        build_module(virasoro_spec(Fraction(1, 2), 0.3, 4))
+        build_module(virasoro_spec(Fraction(1, 2), Fraction(3, 10), 4))
         bad += 1
     except NotUnitarizable:
         pass
@@ -622,7 +635,6 @@ CATALOG = {
         chk_local_cocycle_invariance, 1e-12,
         "local multiplier cocycle invariant under unit rescaling of "
         "the lifts"),
-    # appended last: ctx.rng keys each check's stream by catalog position
     "basic-estimates": (
         chk_basic_estimates, 0.0,
         "||pi(X)xi||_n <= |X|_{n+1} ||xi||_{n+1} and ||[A, pi(X)]xi||_n <= "
@@ -630,14 +642,11 @@ CATALOG = {
 }
 
 
-def check_index(check_id):
-    return list(CATALOG).index(check_id)
-
-
 def run_check(check_id, ctx):
     """Execute one catalog check and return its report row."""
     func, default_bound, _ = CATALOG[check_id]
     bound = ctx.bound(check_id, default_bound)
+    ctx.substituted = []
     t0 = time.perf_counter()
     try:
         measured, params, leakage = func(ctx)
@@ -646,6 +655,9 @@ def run_check(check_id, ctx):
         measured, params, leakage = None, {"error": f"{type(exc).__name__}: {exc}"}, 0.0
         verdict = "error"
     wall = time.perf_counter() - t0
+    if ctx.substituted:
+        subs = ctx.substituted
+        params = dict(params, module=subs[0] if len(subs) == 1 else subs)
     return {"check": check_id, "params": params, "measured": measured,
             "bound": bound, "verdict": verdict, "leakage": leakage,
             "wall_time": wall}

@@ -154,6 +154,8 @@ def validate_descriptor(data):
     if not isinstance(out["tolerances"], dict):
         raise DescriptorError("tolerances: expected an object")
     for key, val in out["tolerances"].items():
+        if key not in CATALOG:
+            raise DescriptorError(f"tolerances.{key}: unknown check id")
         if not isinstance(val, (int, float)) or val <= 0:
             raise DescriptorError(f"tolerances.{key}: must be positive")
     if out["module"] is not None:

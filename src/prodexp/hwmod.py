@@ -1,25 +1,20 @@
 """Truncated unitarizable highest-weight modules.
 
-Builds Verma-type modules for the Virasoro algebra and for affine sl2
-(vacuum/parabolic type: lowering letters x(-n) with n >= 1 over a
-finite-dimensional sl2 lowest level), computes Shapovalov Gram matrices by
-commutator reduction, quotients null vectors, and assembles dense generator
-block matrices in per-level orthonormal bases.
+Builds the irreducible quotient of a Virasoro or affine sl2 (vacuum/
+parabolic type: lowering letters x(-n), n >= 1, over a finite-dimensional
+sl2 lowest level) highest-weight module, level by level and exactly, and
+assembles dense generator block matrices in per-level orthonormal bases.
 
-One PBW reduction engine (`_PBWVerma`) holds the bases, the memoized
-action of generators on monomials, the transfer matrices and the Gram
-recursion; `VirasoroVerma` and `AffineVerma` supply only their monomials,
-the straightening rule that moves a generator past the first lowering
-letter, the adjoint, the choice of exact or float scalars and the lowest
-L0 eigenvalue `h0`.
+One exact recursion (`unitarize`) builds every module.  Level k of the
+quotient is spanned by s u, s a lowering generator of mode -a (L_{-1} and
+L_{-2}, or x_j(-1)) and u in the kept basis of level k - a (Kac & Raina,
+*Bombay Lectures on Highest Weight Representations*, 1987).  Its Gram
+matrix needs only the levels below and the brackets [raising, lowering];
+its exact LDL^T picks the basis, the rank and the unitarity test.
 
-Exact reduction works on the sparse action (a generator sends a monomial
-to a few monomials; transfer matrices are about 9% nonzero): Gram rows
-and the rational products T CU of the raising blocks are sums over it,
-and no dense rational transfer matrix is formed.  Each exact Gram level is
-factored by fraction-free (Bareiss) LDL^T on the integer matrix D G, D the
-lcm of its denominators, which yields the same pivots and rational factors
-as Fraction elimination.  Float modules use dense transfers and `eigh`.
+`VirasoroVerma` and `AffineVerma` carry the algebra's rules for it and are
+also the PBW Shapovalov oracle (`_PBWVerma`): exact Gram matrices of the
+full Verma basis, against which the quotient is tested.
 
 Conventions
 -----------
@@ -31,10 +26,8 @@ Conventions
 * Generator blocks are compressions P pi P to levels 0..N; lowering blocks
   are defined as adjoints of the raising blocks, which makes truncated
   propagators of real elements exactly unitary.
-* Gram matrices are exact rationals when (c, h) are rational (Virasoro)
-  or the truncation is small (affine); floating point otherwise.
-  Virasoro truncations above EXACT_N_VIRASORO are rejected, because float
-  null detection over-prunes there.
+* Weights are exact: a Virasoro (c, h) that is not an int or Fraction is
+  rejected.
 """
 
 from __future__ import annotations
@@ -52,15 +45,6 @@ from .liealg import (CentralElement, FourierVectorField, LoopAlgebraElement,
                      sl2_chevalley)
 from .scale import (gw_loop_a_seminorm, gw_loop_seminorm,
                     gw_virasoro_a_seminorm, gw_virasoro_seminorm)
-
-# largest truncations reduced exactly.  A Virasoro spec above the limit is
-# rejected rather than reduced in floating point: float null detection's
-# relative eigenvalue threshold over-prunes once the Gram spread exceeds
-# ~1e8 (at (1/2, 1/16) level 10 keeps 6 of its 10 states), so only float
-# (c, h) take the float path.  Raising the limit costs only exact
-# reduction time.  Affine truncations above EXACT_N_AFFINE are float.
-EXACT_N_VIRASORO = 16
-EXACT_N_AFFINE = 4
 
 H_VEE_SL2 = 2          # dual Coxeter number of sl2
 DIM_SL2 = 3
@@ -91,10 +75,11 @@ class HighestWeightSpec:
         if self.kind == "virasoro":
             if self.c is None or self.h is None:
                 raise ValueError("virasoro spec needs (c, h)")
-            if self.N > EXACT_N_VIRASORO:
-                raise ValueError(
-                    f"virasoro truncation N={self.N} exceeds the exact "
-                    f"limit N <= {EXACT_N_VIRASORO}")
+            for name in ("c", "h"):
+                value = getattr(self, name)
+                if not isinstance(value, (int, Fraction)):
+                    raise ValueError(f"virasoro {name}={value!r} is not "
+                                     f"rational (give an int or Fraction)")
         elif self.kind == "affine_sl2":
             if self.ell is None or self.lam is None:
                 raise ValueError("affine spec needs (ell, lam)")
@@ -103,13 +88,18 @@ class HighestWeightSpec:
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 
+    def descriptor(self):
+        """The descriptor JSON of this spec (`cli.parse_module_spec`)."""
+        if self.kind == "virasoro":
+            return {"kind": "virasoro", "c": str(self.c), "h": str(self.h),
+                    "N": self.N}
+        return {"kind": "affine_sl2", "ell": self.ell, "lam": self.lam,
+                "N": self.N}
+
     def key(self):
         """Stable cache key."""
-        if self.kind == "virasoro":
-            payload = ("virasoro", str(self.c), str(self.h), self.N)
-        else:
-            payload = ("affine_sl2", self.ell, self.lam, self.N)
-        return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+        blob = json.dumps(self.descriptor(), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def virasoro_spec(c, h, N):
@@ -145,7 +135,7 @@ def partitions(k, max_part=None):
 
 
 # ---------------------------------------------------------------------------
-# PBW reduction engine
+# algebras and the PBW Shapovalov oracle
 
 
 def _acc(out, state, scale):
@@ -156,24 +146,23 @@ def _acc(out, state, scale):
 
 
 class _PBWVerma:
-    """PBW bases, generator action and Shapovalov recursion of a truncated
-    Verma-type module.
-
-    `monomials[k]` lists the PBW monomials of level k.  Subclasses set
-    their scalars and `h0`, and supply `_split` (first lowering letter as
-    a generator, and the rest of the monomial), `adjoint` and the
-    straightening rule `_apply`.
+    """PBW bases, generator action and exact Shapovalov recursion of a
+    truncated Verma-type module; `monomials[k]` lists the PBW monomials
+    of level k.  Subclasses set `h0` and supply `_split` (first lowering
+    letter as a generator, and the rest of the monomial), `_head` (the
+    action where no straightening is needed), `adjoint`, `bracket` and
+    `lowest`, plus the quotient rules `lowering`, `zero_modes` and
+    `higher` (see `unitarize`).
     """
 
-    def __init__(self, spec, exact, monomials):
+    zero_modes = ()
+
+    def __init__(self, spec, monomials):
         self.spec = spec
-        self.exact = exact
-        self.one = Fraction(1) if exact else 1.0
         self.monomials = monomials
         self.index = [{m: i for i, m in enumerate(lvl)} for lvl in monomials]
         self._memo = {}              # gen -> {monomial: apply_gen result}
         self._gram = {}
-        self._transfer = {}
 
     @property
     def level_dims(self):
@@ -193,103 +182,72 @@ class _PBWVerma:
             hit = memo[mono] = self._apply(gen, mono)
         return hit
 
-    def transfer(self, gen, k):
-        """Dense float matrix of gen (mode n): level k -> level k-n in the
-        PBW bases, rows indexed by target monomials, columns by source
-        monomials.
-
-        Only the float path forms it; the exact path reads the sparse
-        action directly (`gram`, `act`).
-        """
-        key = (gen, k)
-        hit = self._transfer.get(key)
-        if hit is not None:
-            return hit
-        src = self.monomials[k]
-        idx = self.index[k - gen[-1]]
-        T = np.zeros((len(idx), len(src)))
-        for j, mono in enumerate(src):
-            for mu, cf in self.apply_gen(gen, mono).items():
-                T[idx[mu], j] = cf
-        self._transfer[key] = T
-        return T
-
-    def act(self, gen, k, X):
-        """T(gen, k) X for a nested-list rational matrix X whose rows are
-        indexed by the level-k monomials, summed over the sparse action
-        without forming T."""
-        idx = self.index[k - gen[-1]]
-        zero = self.one * 0
-        out = [[zero] * (len(X[0]) if X else 0) for _ in idx]
-        for mono, xrow in zip(self.monomials[k], X):
-            for mu, cf in self.apply_gen(gen, mono).items():
-                orow = out[idx[mu]]
-                for q, x in enumerate(xrow):
-                    if x:
-                        orow[q] += cf * x
+    def _apply(self, gen, mono):
+        # g a r = a (g r) + [g, a] r for the first lowering letter a
+        head = self._head(gen, mono)
+        if head is not None:
+            return head
+        first, rest = self._split(mono)
+        out = {}
+        for mu, cf in self.apply_gen(gen, rest).items():
+            _acc(out, self.apply_gen(first, mu), cf)
+        gens, scalar = self.bracket(gen, first)
+        for g, cf in gens.items():
+            _acc(out, self.apply_gen(g, rest), cf)
+        if scalar:
+            _acc(out, {rest: 1}, scalar)
         return out
 
     def gram(self, k):
         """Shapovalov matrix at level k: G[i][j] = <m_i Omega, m_j Omega>.
 
-        Level 0 is the identity on the lowest level.  Above it, with
-        m_i = a r for the first lowering letter a, <a r, v> = <r, a^+ v>,
-        i.e. row(m_i) = row(r, level k-n) . T(a^+, k).  Exact rows sum
-        G[r][mu] cf over the sparse action a^+ m_j = sum_mu cf mu (transfer
-        matrices are about 9% nonzero); float rows use the dense transfer.
+        Level 0 is the Gram matrix of the lowest level.  Above it, with
+        m_i = a r for the first lowering letter a, <a r, v> = <r, a^+ v>:
+        row(m_i) sums G[r][mu] cf over the sparse action a^+ m_j =
+        sum_mu cf mu.
         """
         hit = self._gram.get(k)
         if hit is not None:
             return hit
-        d = len(self.monomials[k])
         if k == 0:
-            G = ([[self.one * int(i == j) for j in range(d)] for i in range(d)]
-                 if self.exact else np.eye(d))
+            G = self.lowest()[0]
         else:
-            rows = []
-            zero = self.one * 0
+            G = []
             for mono in self.monomials[k]:
                 first, rest = self._split(mono)
                 prev_k = k + first[-1]
                 idx = self.index[prev_k]
                 prow = self.gram(prev_k)[idx[rest]]
                 adj = self.adjoint(first)
-                if self.exact:
-                    row = []
-                    for src in self.monomials[k]:
-                        s = zero
-                        for mu, cf in self.apply_gen(adj, src).items():
-                            s += prow[idx[mu]] * cf
-                        row.append(s)
-                    rows.append(row)
-                else:
-                    rows.append(prow @ self.transfer(adj, k))
-            G = rows if self.exact else np.array(rows)
+                row = []
+                for src in self.monomials[k]:
+                    s = Fraction(0)
+                    for mu, cf in self.apply_gen(adj, src).items():
+                        s += prow[idx[mu]] * cf
+                    row.append(s)
+                G.append(row)
         self._gram[k] = G
         return G
-
-    def gram_float(self, k):
-        G = self.gram(k)
-        return np.array([[float(x) for x in row] for row in G]) \
-            if self.exact else G
 
 
 class VirasoroVerma(_PBWVerma):
     """Truncated Virasoro Verma module.
 
     Monomials at level k are partitions (n_1 >= ... >= n_j), sum = k,
-    standing for L_{-n_1} ... L_{-n_j} Omega.
+    standing for L_{-n_1} ... L_{-n_j} Omega.  L_{-1} and L_{-2} generate
+    the lowering subalgebra.
     """
+
+    lowering = (("L", -1), ("L", -2))
 
     def __init__(self, spec):
         assert spec.kind == "virasoro"
-        exact = (isinstance(spec.c, (int, Fraction))
-                 and isinstance(spec.h, (int, Fraction)))
-        super().__init__(spec, exact,
-                         [partitions(k) for k in range(spec.N + 1)])
-        num = Fraction if exact else float
-        self.c, self.h = num(spec.c), num(spec.h)
+        super().__init__(spec, [partitions(k) for k in range(spec.N + 1)])
+        self.c, self.h = Fraction(spec.c), Fraction(spec.h)
         self.h0 = spec.h
+
+    def lowest(self):
+        return [[Fraction(1)]], {}
 
     def _split(self, mono):
         return ("L", -mono[0]), mono[1:]
@@ -297,52 +255,56 @@ class VirasoroVerma(_PBWVerma):
     def adjoint(self, gen):
         return ("L", -gen[1])
 
-    def _apply(self, gen, mono):
-        # L_m L_{-n1} = L_{-n1} L_m + (m+n1) L_{m-n1} + d_{m,n1} c (m^3-m)/12
+    def bracket(self, a, b):
+        """[L_m, L_n] = (m - n) L_{m+n} + d_{m+n,0} c (m^3 - m)/12, as
+        ({generator: coefficient}, central scalar)."""
+        m, n = a[1], b[1]
+        gens = {("L", m + n): m - n} if m != n else {}
+        return gens, (self.c * Fraction(m ** 3 - m, 12) if m + n == 0 else 0)
+
+    def higher(self, gen):
+        """L_n = [L_{n-1}, L_1] / (n - 2) for n >= 3."""
+        n = gen[1]
+        return ("L", n - 1), ("L", 1), n - 2
+
+    def _head(self, gen, mono):
+        """gen on a monomial where no straightening is needed, else None."""
         m = gen[1]
-        lvl = sum(mono)
         if m == 0:
-            return {mono: self.h + lvl}
+            return {mono: self.h + sum(mono)}
         if m < 0:
-            if lvl - m > self.spec.N:
+            if sum(mono) - m > self.spec.N:
                 return {}
             if not mono or -m >= mono[0]:
-                return {(-m,) + mono: self.one}
+                return {(-m,) + mono: 1}
         elif not mono:
             return {}                # L_m Omega = 0, m > 0
-        first, rest = self._split(mono)
-        n1 = mono[0]
-        out = {}
-        for mu, cf in self.apply_gen(gen, rest).items():
-            _acc(out, self.apply_gen(first, mu), cf)
-        _acc(out, self.apply_gen(("L", m - n1), rest), m + n1)
-        if m == n1:
-            w = Fraction(m ** 3 - m, 12) if self.exact else (m ** 3 - m) / 12.0
-            _acc(out, {rest: self.one}, self.c * w)
-        return out
+        return None
 
 
 E, H, F = 0, 1, 2
 _ADJ = {E: F, H: H, F: E}      # compact-real-form adjoint on sl2 letters
 
 
-def _sl2_weight_matrices(lam):
-    """e, h, f on the (lam+1)-dim sl2 irrep in a unitary weight basis.
+def _sl2_lowest(lam):
+    """Gram matrix and (e, h, f) on the sl2 irrep V_lam in the integer basis
+    f^w v, w = 0..lam, v the highest-weight vector.
 
-    Basis index w = 0..lam, h-eigenvalue lam - 2w; e lowers w, f raises it,
-    e^dagger = f and h^dagger = h hold exactly.
+    h f^w v = (lam - 2w) f^w v, f f^w v = f^{w+1} v and e f^w v =
+    w (lam - w + 1) f^{w-1} v; <f^w v, f^w v> = w! lam! / (lam - w)!, so
+    e^dagger = f and h^dagger = h hold exactly for every lam.
     """
     d = lam + 1
-    e = np.zeros((d, d))
-    f = np.zeros((d, d))
-    h = np.zeros((d, d))
+    e, h, f = ([[0] * d for _ in range(d)] for _ in range(3))
+    gram = [[Fraction(0)] * d for _ in range(d)]
     for w in range(d):
-        h[w, w] = lam - 2 * w
-        if w >= 1:
-            e[w - 1, w] = math.sqrt(w * (lam - w + 1))
-        if w + 1 < d:
-            f[w + 1, w] = math.sqrt((w + 1) * (lam - w))
-    return e, h, f
+        h[w][w] = lam - 2 * w
+        if w:
+            e[w - 1][w] = w * (lam - w + 1)
+        if w < lam:
+            f[w + 1][w] = 1
+        gram[w][w] = Fraction(math.factorial(w) * math.perm(lam, w))
+    return gram, (e, h, f)
 
 
 def _affine_monomials(k, lam):
@@ -381,14 +343,21 @@ class AffineVerma(_PBWVerma):
     n >= 1, over the (lam+1)-dim lowest level, at level ell.
 
     Monomials are (letters, v): letters as in `_affine_monomials`, v the
-    lowest-level weight index.  The central element acts as the scalar ell.
+    lowest-level basis index (of f^v times the highest-weight vector).
+    The central element acts as the scalar ell.  Since sl2 is perfect,
+    the x_j(-1) generate the lowering subalgebra.
     """
+
+    lowering = tuple(("x", j, -1) for j in (E, H, F))
+    zero_modes = tuple(("x", j, 0) for j in (E, H, F))
+    # x_j(n) = [x_a(n-1), x_b(1)] / c per letter j: [h, e] = 2e,
+    # [e, f] = h, [f, h] = 2f
+    _HIGHER = {E: (H, E, 2), H: (E, F, 1), F: (F, H, 2)}
 
     def __init__(self, spec):
         assert spec.kind == "affine_sl2"
         lam = spec.lam
-        exact = lam <= 1 and spec.N <= EXACT_N_AFFINE
-        super().__init__(spec, exact,
+        super().__init__(spec,
                          [_affine_monomials(k, lam) for k in range(spec.N + 1)])
         alg = sl2_chevalley()
         unit = [[int(i == j) for i in range(3)] for j in range(3)]
@@ -396,15 +365,14 @@ class AffineVerma(_PBWVerma):
         self._letter_table = [[(alg.bracket(unit[j], unit[j1]),
                                 alg.inner(unit[j], unit[j1]))
                                for j1 in range(3)] for j in range(3)]
-        self.ell = Fraction(spec.ell) if exact else float(spec.ell)
-        wmat = _sl2_weight_matrices(lam)
-        if exact:
-            # entries are integers for lam <= 1
-            wmat = [[[Fraction(round(x)) for x in row] for row in M]
-                    for M in wmat]
-        self._wmat = wmat
+        self.ell = Fraction(spec.ell)
+        self._wmat = _sl2_lowest(lam)[1]
         c_lam = Fraction(lam * (lam + 2), 2)            # sl2 Casimir on V_lam
         self.h0 = c_lam / (2 * (spec.ell + H_VEE_SL2))  # Sugawara lowest L0
+
+    def lowest(self):
+        gram, mats = _sl2_lowest(self.spec.lam)
+        return gram, dict(zip(self.zero_modes, mats))
 
     def _split(self, mono):
         letters, v = mono
@@ -415,9 +383,22 @@ class AffineVerma(_PBWVerma):
         # x_j(n)^dagger = x_{j^dagger}(-n) with e <-> f under dagger
         return ("x", _ADJ[gen[1]], -gen[2])
 
-    def _apply(self, gen, mono):
-        # x_j(m) x_j1(-n1) = x_j1(-n1) x_j(m) + [x_j, x_j1](m-n1)
-        #                    + m d_{m,n1} <x_j, x_j1> ell
+    def bracket(self, a, b):
+        """[x_j(m), x_j1(n)] = [x_j, x_j1](m+n) + m d_{m+n,0} <x_j, x_j1> ell,
+        as ({generator: coefficient}, central scalar)."""
+        _, j, m = a
+        _, j1, n = b
+        br, ip = self._letter_table[j][j1]
+        gens = {("x", t, m + n): br[t] for t in range(3) if br[t]}
+        return gens, (self.ell * (m * ip) if m + n == 0 else 0)
+
+    def higher(self, gen):
+        _, j, n = gen
+        a, b, c = self._HIGHER[j]
+        return ("x", a, n - 1), ("x", b, 1), c
+
+    def _head(self, gen, mono):
+        """gen on a monomial where no straightening is needed, else None."""
         _, j, m = gen
         letters, v = mono
         if m < 0:
@@ -425,41 +406,25 @@ class AffineVerma(_PBWVerma):
                 return {}
             if (not letters or -m > letters[0][0]
                     or (-m == letters[0][0] and j <= letters[0][1])):
-                return {(((-m, j),) + letters, v): self.one}
+                return {(((-m, j),) + letters, v): 1}
         elif not letters:
-            if m > 0:
-                return {}
-            # x_j(0) on the lowest level: column v of the weight matrix
+            # x_j(m) on the lowest level: 0 for m > 0, for m = 0 column v
+            # of the weight matrix
             M = self._wmat[j]
             return {((), w): M[w][v] for w in range(self.spec.lam + 1)
-                    if M[w][v]}
-        first, rest = self._split(mono)
-        (n1, j1) = letters[0]
-        out = {}
-        for mu, cf in self.apply_gen(gen, rest).items():
-            _acc(out, self.apply_gen(first, mu), cf)
-        br, ip = self._letter_table[j][j1]
-        for k in range(3):
-            if br[k]:
-                _acc(out, self.apply_gen(("x", k, m - n1), rest), br[k])
-        if m == n1 and ip:
-            _acc(out, {rest: self.one}, self.ell * (m * ip))
-        return out
+                    if M[w][v] and m == 0}
+        return None
 
 
 def build_verma(spec):
-    """Reduction engine + PBW bases for a HighestWeightSpec."""
+    """Algebra rules + PBW oracle for a HighestWeightSpec."""
     if spec.kind == "virasoro":
         return VirasoroVerma(spec)
     return AffineVerma(spec)
 
 
 # ---------------------------------------------------------------------------
-# unitarization and the graded module
-
-
-TOL_PSD = 1e-9
-TOL_NULL = 1e-8
+# exact reduction
 
 
 class _IndefiniteGram(Exception):
@@ -533,90 +498,152 @@ def _exact_ldl(G):
     return perm, L, d, rank
 
 
-def _ldl_basis(perm, L, d, rank):
-    """(W, CU, d_kept) of the exact orthonormalization from an LDL factor.
+def _axpy(y, a, x):
+    """y += a x over the nonzero entries of x (object arrays)."""
+    nz = np.flatnonzero(x)
+    y[nz] += a * x[nz]
 
-    CU = P L^{-T}[:, :rank] is the unscaled basis change (the true basis
-    change is CU diag(d^{-1/2})); W = ((P L)[:, :rank])^T satisfies
-    C^T G = diag(sqrt(d)) W, so raising blocks reduce to the exact
-    rational product W_tgt T CU_src with only the diagonal d^{+-1/2}
-    scalings done in floating point.
+
+def _mm(A, B):
+    """A @ B for object arrays of rationals, skipping zero entries (the
+    affine Gram matrices are block diagonal by sl2 weight)."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=object)
+    for row, acc in zip(A, out):
+        for t in np.flatnonzero(row):
+            _axpy(acc, row[t], B[t])
+    return out
+
+
+def _lsolve(L, Y):
+    """L^{-1} Y for a unit lower-triangular object array L."""
+    Z = np.array(Y, dtype=object)
+    for i in range(1, len(Z)):
+        for t in np.flatnonzero(L[i, :i]):
+            _axpy(Z[i], -L[i, t], Z[t])
+    return Z
+
+
+def _ltsolve(L, W):
+    """L^{-T} W: L^T with rows and columns reversed is unit lower-triangular."""
+    return _lsolve(L.T[::-1, ::-1], W[::-1])[::-1]
+
+
+def unitarize(verma):
+    """Build the irreducible quotient of `verma`, level by level, exactly.
+
+    Level k is spanned by s u, s in `verma.lowering` (mode -a) and u in
+    the kept basis of level k - a.  The spanning Gram is
+
+        <s u, s' u'> = <s'^+ u, s^+ u'> + <u, [s^+, s'] u'>,
+
+    which reads only stored data of the levels below, and `_exact_ldl`
+    of it gives the kept basis b (its pivots), the rank and the unitarity
+    test (NotUnitarizable at the first negative pivot).  For each stored
+    generator g (the adjoints of `lowering`, mode a, and the mode-0
+    `zero_modes`) and source level k, Y[g, k] holds the exact inner
+    products <b'_i, g b_j> with the target basis b' and R[g, k] = G'^{-1} Y
+    the coordinates of g b_j.  For g = s^+ they are rows of the spanning
+    Gram; a mode-0 g acts as g s u = s g u + [g, s] u.
     """
-    n = len(L)
-    zero, one = Fraction(0), Fraction(1)
-    # columns of L^{-T} by back substitution: (L^T x)_i = x_i + sum_{t>i}
-    # L[t][i] x_t = delta_{ij}
-    X = [[zero] * rank for _ in range(n)]
-    for j in range(rank):
-        X[j][j] = one
-        for i in range(j - 1, -1, -1):
-            s = zero
-            for t in range(i + 1, j + 1):
-                if L[t][i] and X[t][j]:
-                    s += L[t][i] * X[t][j]
-            if s:
-                X[i][j] = -s
-    CU = [[zero] * rank for _ in range(n)]
-    for pos in range(n):
-        CU[perm[pos]] = X[pos]
-    W = [[zero] * n for _ in range(rank)]
-    for j in range(rank):
-        for i in range(n):
-            if L[i][j]:
-                W[j][perm[i]] = L[i][j]
-    return W, CU, d[:rank]
+    adj = verma.adjoint
+    gram0, act0 = verma.lowest()
+    G = [np.array(gram0, dtype=object)]
+    n0 = len(gram0)
+    fac = [(np.eye(n0, dtype=int).astype(object), np.diagonal(G[0]).copy())]
+    basis = [[(None, w) for w in range(n0)]]
+    Y, R = {}, {}
+
+    def store(g, k, Yg):
+        Lt, dt = fac[k - g[-1]]
+        R[g, k] = _ltsolve(Lt, _lsolve(Lt, Yg) / dt[:, None])
+        Y[g, k] = Yg
+
+    def pair(g, ku, kv):
+        """<u, g v> for u in the basis of level ku, v in that of kv."""
+        if g == ("L", 0):
+            return (verma.h0 + kv) * G[kv]
+        if g[-1] >= 0:
+            return Y[g, kv]
+        return Y[adj(g), ku].T
+
+    for g in verma.zero_modes:
+        store(g, 0, _mm(G[0], np.array(act0[g], dtype=object)))
+    for k in range(1, verma.spec.N + 1):
+        # the spanning words s u, in one slice of indices per s
+        span, spans = {}, []
+        for s in verma.lowering:
+            if k + s[-1] >= 0:
+                below = len(basis[k + s[-1]])
+                span[s] = slice(len(spans), len(spans) + below)
+                spans += [(s, u) for u in range(below)]
+        ns = len(spans)
+        Gs = np.zeros((ns, ns), dtype=object)
+        active = list(span)
+        for i, s in enumerate(active):
+            for s2 in active[i:]:
+                ku, kv = k + s[-1], k + s2[-1]
+                B = np.zeros((len(basis[ku]), len(basis[kv])), dtype=object)
+                if ku + s2[-1] >= 0:
+                    B = B + _mm(R[adj(s2), ku].T, Y[adj(s), kv])
+                gens, scalar = verma.bracket(adj(s), s2)
+                for g, cf in gens.items():
+                    B = B + cf * pair(g, ku, kv)
+                if scalar:
+                    B = B + scalar * G[ku]
+                Gs[span[s], span[s2]] = B
+                Gs[span[s2], span[s]] = B.T
+        try:
+            perm, L, d, r = _exact_ldl(Gs)
+        except _IndefiniteGram as exc:
+            raise NotUnitarizable(k, float(exc.value))
+        piv = np.asarray(perm[:r], dtype=int)
+        G.append(Gs[np.ix_(piv, piv)])
+        fac.append((np.array(L, dtype=object).reshape(ns, ns)[:r, :r],
+                    np.array(d[:r], dtype=object)))
+        basis.append([spans[p] for p in piv])
+        for s in active:
+            store(adj(s), k, Gs[span[s]][:, piv])
+        for g in verma.zero_modes:
+            C = np.zeros((ns, r), dtype=object)
+            for q, p in enumerate(piv):
+                s, u = spans[p]
+                C[span[s], q] = R[g, k + s[-1]][:, u]
+                for s3, cf in verma.bracket(g, s)[0].items():
+                    C[span[s3].start + u, q] += cf
+            store(g, k, _mm(Gs[piv, :], C))
+    return GradedModule(verma, basis, fac, R)
 
 
-def _rat_mm(A, B):
-    """Product of nested-list rational matrices, skipping zero entries."""
-    if not A or not B:
-        return []
-    cols = len(B[0])
-    zero = Fraction(0)
-    out = []
-    for row in A:
-        acc = [zero] * cols
-        for j, a in enumerate(row):
-            if a:
-                Bj = B[j]
-                for q in range(cols):
-                    if Bj[q]:
-                        acc[q] += a * Bj[q]
-        out.append(acc)
-    return out
-
-
-def _rat_float(E, rows, cols):
-    out = np.zeros((rows, cols))
-    for i, row in enumerate(E):
-        for j, x in enumerate(row):
-            if x:
-                out[i, j] = float(x)
-    return out
+def build_module(spec):
+    return unitarize(build_verma(spec))
 
 
 class GradedModule:
     """Truncated module with per-level orthonormal bases.
 
-    basisChange[k] maps orthonormal coordinates to PBW coordinates
-    (columns = Gram eigenvectors scaled by eigenvalue^{-1/2}); generator
-    blocks are assembled lazily.  Lowering blocks are adjoints of raising
-    blocks by definition.
+    `basis[k]` lists the kept words of level k: (s, u) stands for s
+    applied to word u of the level below (level 0: (None, w), the w-th
+    lowest-level vector).  `factors[k]` = (L, d) is the exact factor
+    L diag(d) L^T of their Gram matrix, so b L^{-T} diag(d)^{-1/2} is the
+    orthonormal basis.  `unitarize` stores the exact coordinates
+    {(gen, k): R} of its generators; higher raising modes follow from them
+    by exact commutators, and lowering blocks are adjoints of raising
+    blocks by definition.  `verma` is the algebra and its PBW Shapovalov
+    oracle.
     """
 
-    def __init__(self, verma, basis_change, level_dims, exact_factors=None):
+    def __init__(self, verma, basis, factors, coords):
         self.verma = verma
         self.spec = verma.spec
-        self.basis_change = basis_change
-        self.level_dims = level_dims
+        self.basis = basis
+        self.factors = factors
+        self._coords = dict(coords)
+        self.level_dims = [len(b) for b in basis]
         self.h0 = verma.h0
-        self.offsets = np.concatenate([[0], np.cumsum(level_dims)]).astype(int)
+        self.offsets = np.concatenate([[0], np.cumsum(self.level_dims)]).astype(int)
         self.dim = int(self.offsets[-1])
         self._blocks = {}
         self._gen_mats = {}
-        # per-level (W, CU, d) LDL factors when rational arithmetic is
-        # active (see _ldl_basis); otherwise blocks go through the float Gram
-        self._exact_factors = exact_factors
 
     @property
     def N(self):
@@ -637,27 +664,6 @@ class GradedModule:
 
     # -- generator blocks ---------------------------------------------------
 
-    def _raising_block(self, gen, k):
-        """Orthonormal-basis block of a raising (or mode-0) generator,
-        level k -> k - n."""
-        n = gen[-1]
-        if self._exact_factors is not None:
-            # B = C_tgt^T G_tgt T C_src with C^T G = diag(sqrt(d)) W and
-            # C_src = CU_src diag(d_src^{-1/2}); the middle product is
-            # exact (T CU_src from the sparse action), only the diagonal
-            # scalings are floating point
-            W_tgt, _, d_tgt = self._exact_factors[k - n]
-            _, CU_src, d_src = self._exact_factors[k]
-            E = _rat_float(_rat_mm(W_tgt, self.verma.act(gen, k, CU_src)),
-                           len(d_tgt), len(d_src))
-            s_tgt = np.sqrt([float(x) for x in d_tgt])
-            s_src = np.sqrt([float(x) for x in d_src])
-            if len(d_tgt) and len(d_src):
-                E = s_tgt[:, None] * E / s_src[None, :]
-            return E
-        return (self.basis_change[k - n].T @ self.verma.gram(k - n)
-                @ self.verma.transfer(gen, k) @ self.basis_change[k])
-
     def block(self, gen, k):
         """Dense block of a generator from level k.
 
@@ -673,12 +679,30 @@ class GradedModule:
             return hit
         if gen == ("L", 0):
             B = (float(self.h0) + k) * np.eye(self.level_dims[k])
-        elif n >= 0:
-            B = self._raising_block(gen, k)
-        else:
+        elif n < 0:
             B = self.block(self.verma.adjoint(gen), k - n).conj().T
+        else:
+            # B = diag(d_t)^{1/2} L_t^T R L_s^{-T} diag(d_s)^{-1/2}: an
+            # exact middle product and float scalings
+            (Lt, dt), (Ls, ds) = self.factors[k - n], self.factors[k]
+            M = _lsolve(Ls, _mm(Lt.T, self._coord(gen, k)).T).T
+            B = (np.sqrt(dt.astype(float))[:, None] * M.astype(float)
+                 / np.sqrt(ds.astype(float))[None, :])
         self._blocks[key] = B
         return B
+
+    def _coord(self, gen, k):
+        """Exact coordinates of gen (mode n >= 0) on the basis of level k,
+        in that of level k - n.  A raising mode beyond the stored ones is
+        [a, b] / c: exact on the truncation, since raising never leaves
+        it."""
+        hit = self._coords.get((gen, k))
+        if hit is None:
+            a, b, c = self.verma.higher(gen)
+            hit = (_mm(self._coord(a, k - b[-1]), self._coord(b, k))
+                   - _mm(self._coord(b, k - a[-1]), self._coord(a, k))) / c
+            self._coords[gen, k] = hit
+        return hit
 
     def generator_matrix(self, gen):
         """Full dim x dim matrix of a generator (compression to levels 0..N)."""
@@ -783,48 +807,6 @@ class GradedModule:
         return v / np.linalg.norm(v)
 
 
-def unitarize(verma):
-    """Orthonormalize the Verma module level by level.
-
-    Diagonalizes each Gram matrix; raises NotUnitarizable when an
-    eigenvalue is negative beyond tolerance; quotients null directions
-    (exact rank detection when rational arithmetic is active).
-    """
-    spec = verma.spec
-    basis_change = []
-    level_dims = []
-    exact_factors = [] if verma.exact else None
-    for k in range(spec.N + 1):
-        if verma.exact:
-            try:
-                perm, L, d, rank = _exact_ldl(verma.gram(k))
-            except _IndefiniteGram as exc:
-                raise NotUnitarizable(k, float(exc.value))
-            W, CU, dk = _ldl_basis(perm, L, d, rank)
-            exact_factors.append((W, CU, dk))
-            n = len(L)
-            C = _rat_float(CU, n, rank)
-            if rank:
-                C = C / np.sqrt([float(x) for x in dk])[None, :]
-            basis_change.append(C)
-            level_dims.append(rank)
-            continue
-        G = verma.gram_float(k)
-        scale = max(np.abs(G).max(), 1.0)
-        w, V = np.linalg.eigh(G)
-        if w.min() < -TOL_PSD * scale:
-            raise NotUnitarizable(k, float(w.min()))
-        keep = np.where(w > TOL_NULL * scale)[0]
-        keep = sorted(keep, key=lambda i: -w[i])
-        C = V[:, keep] / np.sqrt(np.maximum(w[keep], 1e-300))
-        basis_change.append(C)
-        level_dims.append(C.shape[1])
-    return GradedModule(verma, basis_change, level_dims,
-                        exact_factors=exact_factors)
-
-
-def build_module(spec):
-    return unitarize(build_verma(spec))
 
 
 # ---------------------------------------------------------------------------

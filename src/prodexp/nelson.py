@@ -49,6 +49,10 @@ class FinDimRep:
                 raise ValueError(f"spin {s} is not a nonnegative half-integer")
         object.__setattr__(self, "spins", spins)
 
+    def descriptor(self):
+        """The descriptor JSON of this representation."""
+        return {"kind": "su2", "spins": [str(s) for s in self.spins]}
+
     @property
     def dim(self):
         return sum(int(2 * s) + 1 for s in self.spins)

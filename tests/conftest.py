@@ -23,6 +23,12 @@ def vir12():
 
 
 @pytest.fixture(scope="session")
+def vir16():
+    """Virasoro (1/2, 1/16), N = 16 (about 2 s on 2 CPUs)."""
+    return build_module(virasoro_spec(Fraction(1, 2), Fraction(1, 16), 16))
+
+
+@pytest.fixture(scope="session")
 def aff5():
     """Affine sl2, ell = 1, lam = 0, N = 5."""
     return build_module(affine_spec(1, 0, 5))

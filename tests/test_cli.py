@@ -131,6 +131,16 @@ def test_validation_errors_name_the_field(tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
+def test_unknown_tolerance_key_named(tmp_path, capsys):
+    # a misspelled check id would otherwise leave the check at its default
+    desc = write_descriptor(tmp_path, {
+        "name": "x", "checks": ["vir-commutation"],
+        "tolerances": {"vir-comutation": 5}})
+    assert cli.main(["run", desc]) == 2
+    assert ("tolerances.vir-comutation: unknown check id"
+            in capsys.readouterr().err)
+
+
 def test_missing_descriptor_file(capsys):
     assert cli.main(["run", "/nonexistent/desc.json"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -264,15 +274,6 @@ def test_build_module_ignores_pickles_from_other_code(tmp_path, capsys,
     assert build()["cached"] is True
 
 
-def test_build_module_rejects_virasoro_above_exact_limit(tmp_path, capsys):
-    spec = '{"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 17}'
-    assert cli.main(["--cache-dir", str(tmp_path), "build-module",
-                     spec]) == 2
-    err = capsys.readouterr().err
-    assert "N=17" in err and "16" in err
-    assert not list(tmp_path.glob("**/*.pkl"))
-
-
 def test_build_module_rejects_nonunitarizable(tmp_path, capsys):
     spec = '{"kind": "virasoro", "c": "1/2", "h": "0.3", "N": 4}'
     assert cli.main(["--cache-dir", str(tmp_path), "build-module",
@@ -292,8 +293,7 @@ def test_truncation_overflow_is_a_row_not_a_crash(monkeypatch):
     assert "TruncationOverflow" in row["params"]["error"]
 
 
-# the catalog order before basic-estimates: ctx.rng keys each check's stream
-# by its position, so a row inserted among these would reseed later rows
+# the order in which list-checks prints the catalog
 CATALOG_ORDER = [
     "vir-commutation", "projective-defect", "vir-gram-exact",
     "vir-unitarity-region", "rotation-phase", "holonomy-phase",
@@ -345,6 +345,43 @@ def test_rng_streams_independent_per_check():
     assert not np.allclose(a, b)
     a2 = checks.CheckContext(seed=5).rng("gw-virasoro-estimate").normal(size=4)
     np.testing.assert_array_equal(a, a2)
+
+
+def test_rng_streams_keyed_by_check_id(monkeypatch):
+    # a row added to the catalog does not reseed the others
+    before = checks.CheckContext(seed=5).rng("exp-estimate").normal(size=4)
+    monkeypatch.setattr(checks, "CATALOG",
+                        {"new-row": checks.CATALOG["exp-estimate"],
+                         **checks.CATALOG})
+    after = checks.CheckContext(seed=5).rng("exp-estimate").normal(size=4)
+    np.testing.assert_array_equal(before, after)
+
+
+def test_substituted_module_is_named_in_params(cache_dir):
+    # a check that needs another kind of module than the descriptor's runs
+    # on its default and says so; one that runs on the descriptor does not
+    vir8 = {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8}
+    aff4 = {"kind": "affine_sl2", "ell": 1, "lam": 0, "N": 4}
+    su2 = {"kind": "su2", "spins": ["1/2", "3/2"]}
+    cases = [
+        (aff4, "vir-commutation", vir8),
+        (None, "vir-commutation", vir8),
+        (vir8, "vir-commutation", None),
+        (vir8, "sugawara-lowest-weight", aff4),
+        (aff4, "sugawara-lowest-weight", None),
+        (vir8, "nelson-full-turn", su2),
+        (None, "basic-estimates", [vir8, aff4, su2]),
+        (vir8, "basic-estimates", [aff4, su2]),
+    ]
+    for module, cid, want in cases:
+        spec = None if module is None else cli.parse_module_spec(module)
+        ctx = checks.CheckContext(seed=3, module_spec=spec,
+                                  cache=cli.ModuleCache(cache_dir))
+        row = checks.run_check(cid, ctx)
+        assert row["verdict"] == "pass", row
+        assert row["params"].get("module") == want, (module, cid, row)
+        for m in want if isinstance(want, list) else [want] * bool(want):
+            assert cli.parse_module_spec(m).descriptor() == m
 
 
 @pytest.mark.parametrize("seed", [12, 19, 65])
