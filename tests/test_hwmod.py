@@ -586,19 +586,32 @@ class TestAffineAndSugawara:
         assert [G1[i][i] for i in range(3)] == [1, 2, 1]
         assert all(G1[i][j] == 0 for i in range(3) for j in range(3) if i != j)
 
-    @pytest.mark.parametrize("lam", [0, 1])
-    def test_affine_level_dims_lattice_character(self, lam):
+    @staticmethod
+    def _lattice_dims(lam, N):
         # ell = 1 (Frenkel-Kac): the character of the lowest weight lam is
         # sum_m q^{m^2 + lam m} / prod_{n>=1} (1 - q^n) in the level
         # grading, so dim V_n = sum_m p(n - m^2 - lam m)
-        N = 8
         p = [1] + [0] * N                      # partition counts p(n)
         for part in range(1, N + 1):
             for n in range(part, N + 1):
                 p[n] += p[n - part]
-        want = [sum(p[n - m * m - lam * m] for m in range(-n - 1, n + 1)
+        return [sum(p[n - m * m - lam * m] for m in range(-n - 1, n + 1)
                     if 0 <= m * m + lam * m <= n) for n in range(N + 1)]
-        if lam == 0:
-            assert want[:7] == [1, 3, 4, 7, 13, 19, 29]
-        mod = build_module(affine_spec(1, lam, N))
+
+    @pytest.mark.parametrize("N, shapovalov", [(4, True), (6, False)])
+    def test_affine_level_dims_lattice_character(self, N, shapovalov):
+        want = self._lattice_dims(0, N)
+        assert want == [1, 3, 4, 7, 13, 19, 29][:N + 1]
+        mod = build_module(affine_spec(1, 0, N))
         assert list(mod.level_dims) == want
+        if shapovalov:
+            # the irreducible quotient is the Verma module modulo the radical
+            # of its Shapovalov form, so its level dims are the Gram ranks
+            assert [_exact_ldl(mod.verma.gram(k))[3]
+                    for k in range(N + 1)] == want
+
+    @pytest.mark.parametrize("lam", [0, 1])
+    def test_affine_level_dims_lattice_character_by_weight(self, lam):
+        N = 8
+        mod = build_module(affine_spec(1, lam, N))
+        assert list(mod.level_dims) == self._lattice_dims(lam, N)
