@@ -21,6 +21,7 @@ flow loop and is frozen here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -388,6 +389,9 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7):
     if curv >= CURVATURE_TOL:
         raise CurvatureTooLarge(f"curvature residual {curv:.3e}")
 
+    # the nodes of each panel doubling include the previous grid's
+    # bit for bit, so each distinct node is evaluated once
+    @functools.cache
     def integrand(x, y):
         B = rep.projective_cocycle(homotopy.X1(x, y), homotopy.X2(x, y))
         return complex(B).real

@@ -51,11 +51,18 @@ DIM_SL2 = 3
 
 
 class NotUnitarizable(Exception):
+    """The Gram matrix is indefinite at `level`, the first level where it
+    is, which does not depend on the basis.  `eigenvalue` is the first
+    negative pivot of the LDL of that level's spanning Gram, not an
+    eigenvalue: it depends on the spanning basis."""
+
     def __init__(self, level, eigenvalue):
         self.level = level
         self.eigenvalue = eigenvalue
         super().__init__(
-            f"Gram matrix at level {level} has eigenvalue {eigenvalue:.3e} < 0")
+            f"spanning Gram matrix at level {level} is indefinite: first "
+            f"negative LDL pivot {eigenvalue:.3e} (the pivot depends on "
+            f"the basis, the level does not)")
 
 
 @dataclass(frozen=True)

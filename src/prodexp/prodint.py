@@ -26,7 +26,8 @@ of three rules, in two roles:
   scheme's order.  ``"midpoint"`` is the second-order reference that
   tests compare ``"magnus4"`` against.
 
-A product is formed in one of two modes:
+Each step's exponent Omega is formed once, the same matrix in both modes
+of forming a product:
 
 * dense: the dim x dim propagator, each step multiplied on as
   ``expm(Omega) @ U``.  The claims about the propagator itself use it:
@@ -34,12 +35,11 @@ A product is formed in one of two modes:
   checks and the su(2) cross-checks.
 * vector: given a probe block V (dim x k), only U V is propagated.  Each
   step applies exp(Omega) to the block by a truncated Taylor series whose
-  degree and substep count are fixed in advance from a 1-norm bound of
-  Omega (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), and the
-  magnus4 commutator is applied as A_2 (A_1 W) - A_1 (A_2 W), so no
-  dim x dim matrix product is formed.  Refinement compares the propagated
-  columns.  The consumers that read a propagator only through a few
-  vectors use it: the homogeneous solver (hence the Gateaux base
+  degree and substep count are fixed in advance from the exact 1-norm
+  of Omega (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), one
+  Omega-times-block product per term.  Refinement compares the
+  propagated columns.  The consumers that read a propagator only through
+  a few vectors use it: the homogeneous solver (hence the Gateaux base
   solution), flat sections and the holonomy window.
 
 Also: homogeneous and inhomogeneous ODE solvers, Gateaux derivatives of
@@ -206,44 +206,24 @@ def step_product(rep, path, n, rule="magnus4", V=None):
         raise ValueError(f"unknown rule {rule!r}")
     bp = np.linspace(path.interval[0], path.interval[1], n + 1)
     widths = np.diff(bp)
+    mid = bp[:-1] + widths / 2
+    if rule == "magnus4":
+        offset = _GAUSS_OFFSET * widths
+        nodes = zip(mid - offset, mid + offset)
+    else:
+        nodes = zip(bp[:-1] if rule == "left" else mid)
     U = (np.eye(rep.dim, dtype=complex) if V is None
          else np.asarray(V, dtype=complex))
-    if rule == "magnus4":
-        mid = bp[:-1] + widths / 2
-        offset = _GAUSS_OFFSET * widths
-        for t1, t2, dt in zip(mid - offset, mid + offset, widths):
-            A1 = rep.pi(path(t1))
-            A2 = rep.pi(path(t2))
-            if V is None:
-                omega = (dt / 2) * (A1 + A2) + (
-                    _MAGNUS_COMMUTATOR * dt * dt) * (A2 @ A1 - A1 @ A2)
-                U = expm(omega) @ U
-            else:
-                U = _magnus4_action(A1, A2, dt, U)
-    else:
-        pts = bp[:-1] if rule == "left" else bp[:-1] + widths / 2
-        for t, dt in zip(pts, widths):
-            A = dt * rep.pi(path(t))
-            U = (expm(A) @ U if V is None
-                 else _expm_action(A.__matmul__, _norm1(A), U))
+    for dt, ts in zip(widths, nodes):
+        A = [rep.pi(path(t)) for t in ts]
+        if rule == "magnus4":
+            omega = (dt / 2) * (A[0] + A[1]) + (
+                _MAGNUS_COMMUTATOR * dt * dt) * (A[1] @ A[0] - A[0] @ A[1])
+        else:
+            omega = dt * A[0]
+        U = (expm(omega) @ U if V is None
+             else _expm_action(omega.__matmul__, _norm1(omega), U))
     return Propagator(U, n)
-
-
-def _magnus4_action(A1, A2, dt, V):
-    """exp(Omega) V for the magnus4 exponent Omega of one step.
-
-    With h = D/2 and c = (sqrt(3)/12) D^2, Omega W = h (A1 W + A2 W)
-    + c (A2 (A1 W) - A1 (A2 W)) = K (S W) for S = [A1; A2] and
-    K = [h + c A2, h - c A1]: two block products per Taylor term, and
-    the commutator is never formed.
-    """
-    h, c = dt / 2, _MAGNUS_COMMUTATOR * dt * dt
-    hI = h * np.eye(len(A1))
-    S = np.vstack((A1, A2))
-    K = np.hstack((hI + c * A2, hI - c * A1))
-    n1, n2 = _norm1(A1), _norm1(A2)
-    return _expm_action(lambda W: K @ (S @ W),
-                        h * (n1 + n2) + 2 * c * n1 * n2, V)
 
 
 def _probe_difference(rep, U1, U2, r, V=None):

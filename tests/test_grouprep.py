@@ -225,6 +225,18 @@ def test_holonomy_nontrivial_vir8(vir8):
     assert rep.curvature < 1e-12
 
 
+def test_holonomy_quadrature_evaluates_each_node_once(vir8, monkeypatch):
+    # the Simpson grids 8, 16, 32, ... are nested, so the integrand is
+    # evaluated once per node of the finest grid
+    calls = []
+    cocycle = vir8.projective_cocycle
+    monkeypatch.setattr(vir8, "projective_cocycle",
+                        lambda X, Y: calls.append(1) or cocycle(X, Y))
+    rep = holonomy_phase(vir8, shrinking_loop_homotopy(k=2))
+    assert rep.quad_panels > 8
+    assert len(calls) == (rep.quad_panels + 1) ** 2
+
+
 @pytest.mark.parametrize("window", [1, 3])
 def test_holonomy_magnus4_matches_step_scheme(vir8, window):
     # the measured phase is the window trace of U_{p1} U_{p0}^*, built from

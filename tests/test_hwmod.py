@@ -433,6 +433,10 @@ def test_not_unitarizable_matches_pbw_oracle(c, h):
     with pytest.raises(NotUnitarizable) as ei:
         build_module(virasoro_spec(c, h, 8))
     assert ei.value.level == want[0]
+    # the message names the level and calls the value a pivot
+    msg = str(ei.value)
+    assert f"level {want[0]} " in msg and "pivot" in msg
+    assert "eigenvalue" not in msg
     if want[0] <= 2:
         assert ei.value.eigenvalue == want[1]
 

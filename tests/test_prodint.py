@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -324,6 +325,27 @@ def test_magnus4_unitary(vir8):
     P = product_integral(vir8, oscillating_path(), tol=1e-10)
     assert P.steps >= 64
     assert P.unitarity_defect() < 1e-13
+
+
+# real Fourier fields on modes 1-3: a_{-n} = conj(a_n), so pi(X) is
+# skew-Hermitian
+_COEFF = st.complex_numbers(max_magnitude=0.5, allow_nan=False,
+                            allow_infinity=False)
+_REAL_FIELD = st.dictionaries(st.integers(1, 3), _COEFF, min_size=1).map(
+    lambda c: FourierVectorField(
+        {**c, **{-n: a.conjugate() for n, a in c.items()}}))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_REAL_FIELD, _REAL_FIELD)
+def test_magnus4_real_fields_unitary(vir8, F, G):
+    # the path t -> F + t G: every magnus4 exponent is skew-Hermitian, so
+    # the dense product is unitary and vector mode keeps column norms
+    path = GeneratorPath(lambda t: CentralElement(F + t * G))
+    assert step_product(vir8, path, 8).unitarity_defect() < 1e-12
+    V = np.eye(vir8.dim, 4, dtype=complex)
+    W = step_product(vir8, path, 8, V=V).matrix
+    assert np.abs(np.linalg.norm(W, axis=0) - 1.0).max() < 1e-12
 
 
 def test_magnus4_constant_path_exact(vir8):
