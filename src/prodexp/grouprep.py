@@ -198,9 +198,6 @@ def verify_up_properties(rep, path, reparam=None, split=0.5, tol=1e-8):
       U equals the matrix exponential of the generator.
     * ``reparametrization``: U of phi' . (X o phi) equals U of X for an
       orientation-preserving reparametrization phi of the interval.
-    * ``generator-invariance``: right translation p -> p g leaves the
-      logarithmic derivative literally unchanged; stated (and therefore
-      measured) as an identity of generator paths.
     * ``concatenation``: U over [a, b] equals U over [s, b] times U over
       [a, s].
     * ``adjoint``: U_p^* equals the propagator of the reversed path.
@@ -224,12 +221,6 @@ def verify_up_properties(rep, path, reparam=None, split=0.5, tol=1e-8):
     d, _, _ = change_of_variable_check(rep, gen, reparam[0], reparam[1],
                                        src, tol=tol)
     out["reparametrization"] = float(d)
-
-    # identical generator paths by construction: the residual is the
-    # sup over probe nodes of the seminorm of the (zero) difference
-    probes = np.linspace(a, b, 9)
-    out["generator-invariance"] = max(
-        seminorm((gen(t) - gen(t)).base, 1) for t in probes)
 
     s = a + split * (b - a)
     P = product_integral(rep, gen, tol=tol)

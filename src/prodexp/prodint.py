@@ -31,25 +31,26 @@ of forming a product:
 
 * dense: the dim x dim propagator, each step multiplied on as
   ``expm(Omega) @ U``.  The claims about the propagator itself use it:
-  grouprep's U_p and its properties, the Duhamel solver, the step-scheme
-  checks and the su(2) cross-checks.
+  grouprep's U_p and its properties, the step-scheme checks and the
+  su(2) cross-checks.
 * vector: given a probe block V (dim x k), only U V is propagated.  Each
   step applies exp(Omega) to the block by a truncated Taylor series whose
   degree and substep count are fixed in advance from the exact 1-norm
   of Omega (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), one
   Omega-times-block product per term.  Refinement compares the
   propagated columns.  The consumers that read a propagator only through
-  a few vectors use it: the homogeneous solver (hence the Gateaux base
-  solution), flat sections and the holonomy window.
+  a few vectors use it: flat sections, the holonomy window and the one
+  ODE solver, `solve_homogeneous`, of which the Duhamel and Gateaux
+  solvers are single calls on a block-triangular generator.
 
-Also: homogeneous and inhomogeneous ODE solvers, Gateaux derivatives of
-the propagator in the generator, and Dyson expansions.
+Also: Dyson expansions.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
@@ -339,41 +340,46 @@ def cumulative_simpson(values, h):
     return out
 
 
-def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8):
-    """J(t) = int_0^t Prod_{t>=tau>=s} Exp(X dtau) eta(s) ds via Duhamel.
+# tau has no level: weight 1 is that of A = 1 + L0 at L0 = 0
+_TAU_WEIGHT = 1.0
 
-    Requires a uniform grid; J(t) = U(t) int_0^t U(s)^* eta(s) ds with
-    the integral by cumulative Simpson (U(s), a fourth-order Magnus
-    propagator, is unitary for real paths).
-    """
-    grid = np.asarray(grid, dtype=float)
-    h = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), h):
-        raise ValueError("uniform grid required")
-    # propagators U(t_i) relative to grid[0]
-    Us = [np.eye(rep.dim, dtype=complex)]
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        seg = GeneratorPath(path.func, (t0, t1))
-        P = product_integral(rep, seg, tol=tol, n0=4)
-        Us.append(P.matrix @ Us[-1])
-    integrand = np.array([U.conj().T @ np.asarray(eta(t), dtype=complex)
-                          for U, t in zip(Us, grid)])
-    I = cumulative_simpson(integrand, h)
-    vecs = np.array([U @ v for U, v in zip(Us, I)])
-    return Trajectory(grid, vecs)
+
+def _stacked_tail(rep, path, top, coupling, head0, head_weights, grid, tol):
+    """Tail of the solution from (head0, 0) of the path t -> t under
+    [[top(P), 0], [coupling(t), P]], P = pi(X(t)): the Duhamel integral
+    int U(t, s) coupling(s) head(s) ds (Al-Mohy & Higham 2011, section 2)."""
+    k = len(head0)
+    weights = np.concatenate([head_weights, rep.a_diag()])
+
+    def pi(t):
+        P = rep.pi(path(t))
+        M = np.zeros((len(weights),) * 2, dtype=complex)
+        M[:k, :k], M[k:, :k], M[k:, k:] = top(P), coupling(t), P
+        return M
+
+    stacked = SimpleNamespace(dim=len(weights), a_diag=lambda: weights, pi=pi)
+    v0 = np.concatenate([head0, np.zeros(rep.dim)])
+    traj = solve_homogeneous(stacked, GeneratorPath(lambda t: t), v0, grid,
+                             tol=tol, overflow_threshold=None)
+    return Trajectory(grid, traj.vectors[:, k:])
+
+
+def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8):
+    """J(t) = int_{t_0}^t Prod_{t>=tau>=s} Exp(X dtau) eta(s) ds: the tail
+    of (tau, J) from (1, 0) under [[0, 0], [eta(t), pi(X(t))]]."""
+    return _stacked_tail(rep, path, lambda P: 0,
+                         lambda t: np.asarray(eta(t))[:, None],
+                         [1.0], [_TAU_WEIGHT], grid, tol)
 
 
 def gateaux_derivative(rep, path, xi0, direction, grid, tol=1e-8):
-    """Derivative of the solution map in the generator: the solution of
-    the inhomogeneous equation with source pi(direction(t)) xi(t)."""
-    base = solve_homogeneous(rep, path, xi0, grid, tol=tol,
-                             overflow_threshold=None)
-    interp = {float(t): v for t, v in zip(base.times, base.vectors)}
-
-    def eta(t):
-        return rep.pi(direction(t)) @ interp[float(t)]
-
-    return solve_inhomogeneous(rep, path, eta, grid, tol=tol)
+    """Derivative J of the solution map in the generator along
+    `direction`, J' = pi(X) J + pi(direction) xi: the tail of the
+    variational system (xi, J) from (xi0, 0) under
+    [[pi(X), 0], [pi(direction(t)), pi(X(t))]]."""
+    return _stacked_tail(rep, path, lambda P: P,
+                         lambda t: rep.pi(direction(t)), xi0,
+                         rep.a_diag(), grid, tol)
 
 
 def dyson_expansion(rep, path, xi0, order, scaling, nodes=129):

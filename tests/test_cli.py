@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from prodexp import checks, cli
+from prodexp.hwmod import SugawaraAction
 from prodexp.prodint import TruncationOverflow
 
 FAST_DESCRIPTOR = {
@@ -384,13 +385,25 @@ def test_substituted_module_is_named_in_params(cache_dir):
             assert cli.parse_module_spec(m).descriptor() == m
 
 
-@pytest.mark.parametrize("seed", [12, 19, 65])
+@pytest.mark.parametrize("seed", [12, 19, 29, 65, 70, 72, 89])
 def test_inhomogeneous_residual_passes_on_former_failing_seeds(seed,
                                                                cache_dir):
     # seeds on which the second-order residual stencil exceeded the bound
     ctx = checks.CheckContext(seed=seed, cache=cli.ModuleCache(cache_dir))
     row = checks.run_check("inhomogeneous-residual", ctx)
     assert row["verdict"] == "pass", row
+
+
+def test_sugawara_central_charge_fails_on_scaled_matrices(monkeypatch,
+                                                          cache_dir):
+    # the row reads c off the Sugawara matrices, so a wrong normalization
+    # of L_n shows in it
+    matrix = SugawaraAction.matrix
+    monkeypatch.setattr(SugawaraAction, "matrix",
+                        lambda self, n: (1 + 1e-3) * matrix(self, n))
+    ctx = checks.CheckContext(seed=7, cache=cli.ModuleCache(cache_dir))
+    row = checks.run_check("sugawara-central-charge", ctx)
+    assert row["verdict"] == "fail", row
 
 
 # Reports the OPENBLAS_NUM_THREADS value and the thread count of every

