@@ -21,16 +21,21 @@ import numpy as np
 from scipy.linalg import expm
 
 from .liealg import CentralElement, FourierVectorField, bracket_vect
-from .hwmod import (NotUnitarizable, SugawaraAction, affine_spec,
-                    build_module, build_verma, discrete_series_c,
-                    discrete_series_h, virasoro_spec)
+from .hwmod import (NotUnitarizable, affine_spec, build_module, build_verma,
+                    discrete_series_c, discrete_series_h, virasoro_spec)
 from .prodint import (GeneratorPath, dyson_expansion, gateaux_derivative,
                       product_integral, solve_homogeneous, solve_inhomogeneous,
                       step_product, _top_fraction)
 from . import grouprep, nelson, scale
 
 
-DEFAULT_VIRASORO = dict(c=Fraction(1, 2), h=Fraction(1, 16), N=8)
+# the module a check runs on when the descriptor names none of its kind,
+# keyed by descriptor kind
+DEFAULTS = {
+    "virasoro": virasoro_spec(Fraction(1, 2), Fraction(1, 16), 8),
+    "affine_sl2": affine_spec(1, 0, 4),
+    "su2": nelson.FinDimRep((Fraction(1, 2), Fraction(3, 2))),
+}
 
 
 class CheckContext:
@@ -62,30 +67,17 @@ class CheckContext:
             self._modules[key] = mod
         return self._modules[key]
 
-    def _default(self, spec):
-        if spec.descriptor() not in self.substituted:
-            self.substituted.append(spec.descriptor())
-        return spec
-
-    def virasoro(self):
-        """The descriptor's Virasoro module (or the default one)."""
+    def rep(self, kind):
+        """The descriptor's representation of `kind` ("virasoro",
+        "affine_sl2" or "su2"), or the DEFAULTS one, recorded in
+        `substituted`.  Module specs are built, su(2) sums are their own
+        representation."""
         spec = self.module_spec
-        if getattr(spec, "kind", None) != "virasoro":
-            spec = self._default(virasoro_spec(**DEFAULT_VIRASORO))
-        return self.build(spec)
-
-    def affine(self):
-        spec = self.module_spec
-        if getattr(spec, "kind", None) != "affine_sl2":
-            spec = self._default(affine_spec(1, 0, 4))
-        return self.build(spec)
-
-    def su2(self):
-        """The descriptor's su(2) representation (or spins 1/2 + 3/2)."""
-        if isinstance(self.module_spec, nelson.FinDimRep):
-            return self.module_spec
-        return self._default(nelson.FinDimRep((Fraction(1, 2),
-                                               Fraction(3, 2))))
+        if spec is None or spec.descriptor()["kind"] != kind:
+            spec = DEFAULTS[kind]
+            if spec.descriptor() not in self.substituted:
+                self.substituted.append(spec.descriptor())
+        return spec if kind == "su2" else self.build(spec)
 
     def bound(self, check_id, default):
         return float(self.tolerances.get(check_id, default))
@@ -110,7 +102,7 @@ def _omega(mod):
 
 def chk_vir_commutation(ctx):
     """Safe-window residual of the Virasoro commutation relation."""
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     win = 2
     worst = 0.0
     mats = {m: mod.pi(FourierVectorField({m: 1.0})) for m in range(-win, win + 1)}
@@ -129,7 +121,7 @@ def chk_vir_commutation(ctx):
 
 def chk_projective_defect(ctx):
     """[pi(X), pi(Y)] - pi([X, Y]) = i B(X, Y) Id for e_{+-2} flows."""
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     X = FourierVectorField({2: 1.0, -2: 1.0})
     Y = FourierVectorField({2: 1j, -2: -1j})
     M = (mod.pi(X) @ mod.pi(Y) - mod.pi(Y) @ mod.pi(X)
@@ -173,7 +165,7 @@ def chk_vir_unitarity_region(ctx):
 
 def chk_rotation_phase(ctx):
     """Full-turn propagator is e^{2 pi i h} Id on the truncation."""
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     P = grouprep.exponentiate_path(mod, grouprep.CirclePath.rotation(2 * np.pi),
                                    tol=1e-10)
     want = np.exp(2j * np.pi * float(mod.h0))
@@ -183,7 +175,7 @@ def chk_rotation_phase(ctx):
 
 def chk_holonomy_phase(ctx):
     """Measured vs predicted holonomy phase of the e_{+-2} loop."""
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     rep = grouprep.holonomy_phase(mod, grouprep.shrinking_loop_homotopy(k=2))
     return rep.mismatch, {"N": mod.N, "predicted_arg": float(np.angle(rep.predicted)),
                           "deviation": rep.deviation}, 0.0
@@ -191,14 +183,14 @@ def chk_holonomy_phase(ctx):
 
 def chk_holonomy_mobius(ctx):
     """Moebius-span homotopy: holonomy phase 1."""
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     rep = grouprep.holonomy_phase(mod, grouprep.shrinking_loop_homotopy(k=1))
     return abs(rep.measured - 1.0), {"N": mod.N}, 0.0
 
 
 def chk_up_properties(ctx):
     """Propagator properties: constant/reparam/concatenation/adjoint."""
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     res = grouprep.verify_up_properties(mod, _oscillator(0.2), tol=1e-8)
     bounds = {"constant-exponential": 1e-9, "reparametrization": 1e-5,
               "concatenation": 1e-6, "adjoint": 1e-6}
@@ -213,7 +205,7 @@ def chk_up_properties(ctx):
 def chk_prodint_convergence_order(ctx):
     """log-log slope of error vs step count for the left-rule scheme,
     against a fourth-order Magnus reference."""
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     path = _oscillator(0.5)
     ref = product_integral(mod, path, tol=1e-8).matrix
     ns = np.array([8, 16, 32, 64, 128])
@@ -225,7 +217,7 @@ def chk_prodint_convergence_order(ctx):
 
 def chk_refinement_bound(ctx):
     """Empirical refinement differences stay below the difference bound."""
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     P = product_integral(mod, _oscillator(1.0), tol=5e-3, r=1, rule="left")
     ratios = [emp / bnd for _, emp, bnd in P.refinement_error]
     return max(ratios), {"levels": len(ratios)}, 0.0
@@ -234,7 +226,7 @@ def chk_refinement_bound(ctx):
 def chk_dyson_order_scaling(ctx):
     """Dyson partial sums converge at order k + 1 in the scaling."""
     from scipy.integrate import solve_ivp
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     path = _oscillator(1.0)
     xi0 = _omega(mod)
     hs = np.array([0.2, 0.1, 0.05, 0.025])
@@ -254,7 +246,7 @@ def chk_dyson_order_scaling(ctx):
 
 
 def chk_ode_norm_conservation(ctx):
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     xi0 = mod.random_vector(ctx.rng("ode-norm-conservation"),
                             max_level=mod.N - 4)
     traj = solve_homogeneous(mod, _oscillator(0.3), xi0,
@@ -265,7 +257,7 @@ def chk_ode_norm_conservation(ctx):
 
 
 def chk_ode_residual(ctx):
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     path = _oscillator(0.3)
     grid = np.linspace(0, 1, 129)
     traj = solve_homogeneous(mod, path, _omega(mod), grid, tol=1e-9,
@@ -278,7 +270,7 @@ def chk_ode_residual(ctx):
 
 
 def chk_inhomogeneous_residual(ctx):
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     path = _oscillator(0.3)
     w = mod.random_vector(ctx.rng("inhomogeneous-residual"),
                           max_level=mod.N - 3)
@@ -298,7 +290,7 @@ def chk_inhomogeneous_residual(ctx):
 
 
 def chk_gateaux_central_difference(ctx):
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     path = _oscillator(0.3)
     delta = GeneratorPath(lambda t: CentralElement(FourierVectorField(
         {2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)})), (0, 1))
@@ -336,7 +328,7 @@ GW_SAMPLES = 200
 
 def chk_gw_virasoro_estimate(ctx):
     """Randomized safe-window samples of the Virasoro scale inequality."""
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     rng = ctx.rng("gw-virasoro-estimate")
     violations = 0
     for _ in range(GW_SAMPLES):
@@ -351,8 +343,7 @@ def chk_gw_virasoro_estimate(ctx):
 def chk_gw_loop_estimate(ctx):
     """Randomized samples of both loop-algebra scale inequalities."""
     from .liealg import LoopAlgebraElement, sl2_chevalley
-    mod = ctx.affine()
-    sug = SugawaraAction(mod)
+    mod = ctx.rep("affine_sl2")
     alg = sl2_chevalley()
     rng = ctx.rng("gw-loop-estimate")
     violations = 0
@@ -366,14 +357,14 @@ def chk_gw_loop_estimate(ctx):
         f = _real_field(rng, (1,), 0.5)
         xi = mod.random_vector(rng, max_level=mod.N - 2)
         t = float(rng.choice([0, 0.5, 1]))
-        for r in scale.check_gw_loop(mod, sug, X, f, xi, t):
+        for r in scale.check_gw_loop(mod, X, f, xi, t):
             if not r.holds:
                 violations += 1
     return float(violations), {"samples": GW_SAMPLES}, 0.0
 
 
 def chk_exp_estimate(ctx):
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     violations = 0
     X = FourierVectorField({2: 0.1, -2: 0.1})
     for n in (0, 1, 2):
@@ -383,7 +374,7 @@ def chk_exp_estimate(ctx):
 
 
 def chk_exp_difference_estimate(ctx):
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     rng = ctx.rng("exp-difference-estimate")
     X = FourierVectorField({2: 0.3, -2: 0.3})
     xi = mod.random_vector(rng, max_level=mod.N - 2)
@@ -400,7 +391,8 @@ def chk_basic_estimates(ctx):
     """Randomized safe-window samples of ||pi(X)xi||_n <= |X|_{n+1}
     ||xi||_{n+1} and its commutator form on the three instances:
     Virasoro, Sugawara on affine sl2, and su(2)."""
-    vir, aff, su2 = ctx.virasoro(), ctx.affine(), ctx.su2()
+    vir, aff = ctx.rep("virasoro"), ctx.rep("affine_sl2")
+    su2 = ctx.rep("su2")
     rng = ctx.rng("basic-estimates")
     samples = 50
 
@@ -411,7 +403,7 @@ def chk_basic_estimates(ctx):
     instances = (
         (vir, lambda: _real_field(rng, (1, 2, 3)),
          lambda: vir.random_vector(rng, max_level=vir.N - 3)),
-        (SugawaraAction(aff), lambda: _real_field(rng, (1, 2), 0.5),
+        (aff, lambda: _real_field(rng, (1, 2), 0.5),
          lambda: aff.random_vector(rng, max_level=aff.N - 2)),
         (su2, lambda: rng.normal(size=3), su2_vector),
     )
@@ -435,23 +427,21 @@ def chk_basic_estimates(ctx):
 
 def chk_sugawara_central_charge(ctx):
     """c = 2(<v, [L_2, L_{-2}] v> - 4 h0) on each lowest-level vector v."""
-    mod = ctx.affine()
-    sug = SugawaraAction(mod)
+    mod = ctx.rep("affine_sl2")
     ell = mod.spec.ell
     want = 3 * ell / (ell + 2)
-    L2, Lm2 = sug.matrix(2), sug.matrix(-2)
+    L2, Lm2 = mod.generator_matrix(("L", 2)), mod.generator_matrix(("L", -2))
     comm = np.diag(L2 @ Lm2 - Lm2 @ L2)[mod.level_of() == 0]
-    c = 2 * (comm - 4 * sug.h0_shift)
+    c = 2 * (comm - 4 * float(mod.h0))
     return float(np.abs(c - want).max()), {"ell": ell, "expected": want}, 0.0
 
 
 def chk_sugawara_intertwining(ctx):
     """[L_m, x(n)] = -n x(m + n) on the safe window."""
-    mod = ctx.affine()
-    sug = SugawaraAction(mod)
+    mod = ctx.rep("affine_sl2")
     worst = 0.0
     for m in (-2, -1, 0, 1, 2):
-        L = sug.matrix(m)
+        L = mod.generator_matrix(("L", m))
         for j in range(3):
             for n in (-1, 0, 1):
                 Xn = mod.generator_matrix(("x", j, n))
@@ -462,11 +452,10 @@ def chk_sugawara_intertwining(ctx):
 
 
 def chk_sugawara_lowest_weight(ctx):
-    mod = ctx.affine()
-    sug = SugawaraAction(mod)
-    L0 = sug.matrix(0)
+    mod = ctx.rep("affine_sl2")
+    L0 = mod.generator_matrix(("L", 0))
     eigs = np.linalg.eigvalsh((L0 + L0.conj().T) / 2)
-    want = float(sug.h0_shift)
+    want = float(mod.h0)
     return abs(float(eigs.min()) - want), {"h0": want}, 0.0
 
 
@@ -475,7 +464,7 @@ def chk_sugawara_lowest_weight(ctx):
 
 
 def chk_nelson_axis_angle(ctx):
-    rep = ctx.su2()
+    rep = ctx.rep("su2")
     path = GeneratorPath(lambda t: np.array([0.4, -0.2, 0.9]))
     out = nelson.exponentiate_vs_oracle(rep, path, tol=1e-10)
     return out["axis-angle"], {"spins": [str(s) for s in rep.spins],
@@ -484,7 +473,7 @@ def chk_nelson_axis_angle(ctx):
 
 def chk_nelson_full_turn(ctx):
     """The 2 pi rotation is (-1)^{2j} on each spin-j block."""
-    rep = ctx.su2()
+    rep = ctx.rep("su2")
     axis = 2 * np.pi * np.array([0.0, 0.0, 1.0])
     P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10)
     want = np.empty(rep.dim)
@@ -496,7 +485,7 @@ def chk_nelson_full_turn(ctx):
 
 def chk_nelson_assumptions(ctx):
     """Finite constants on the sum; vanishing commutators on each block."""
-    rep = ctx.su2()
+    rep = ctx.rep("su2")
     finite = all(r["finite"] for r in nelson.verify_assumptions(rep))
     comm = max(r["commutator_constant"] for s in rep.spins
                for r in nelson.verify_assumptions(nelson.FinDimRep((s,))))
@@ -509,7 +498,7 @@ def chk_nelson_assumptions(ctx):
 
 
 def chk_extension_cocycle(ctx):
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     chart = grouprep.PhaseChart(_omega(mod))
     X = FourierVectorField({2: 1.0, -2: 1.0})
     Y = FourierVectorField({2: 1j, -2: -1j})
@@ -519,7 +508,7 @@ def chk_extension_cocycle(ctx):
 
 
 def chk_local_cocycle_invariance(ctx):
-    mod = ctx.virasoro()
+    mod = ctx.rep("virasoro")
     chart = grouprep.PhaseChart(_omega(mod))
     Ug = expm(mod.pi(FourierVectorField({2: 0.3, -2: 0.3})))
     Uh = expm(mod.pi(FourierVectorField({2: 0.2j, -2: -0.2j})))

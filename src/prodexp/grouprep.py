@@ -29,7 +29,8 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from .liealg import CentralElement, FourierVectorField, bracket_vect, seminorm
-from .prodint import GeneratorPath, Propagator, product_integral
+from .prodint import (GeneratorPath, Propagator, product_integral,
+                      solve_homogeneous)
 
 
 class NonMonotone(ValueError):
@@ -293,35 +294,26 @@ class FlatSectionResult:
 def flat_section(rep, homotopy, xi0, nx=9, ny=9, tol=1e-8):
     """The section F with dF = pi(X_i) F dx_i and F(0, 0) = xi0.
 
-    Computed as in the integrability construction: a horizontal product
-    integral along the bottom edge followed by vertical product
-    integrals, F(x, y) = Prod Exp(X_2(x, v) dv) Prod Exp(X_1(u, 0) du) xi0,
-    each propagating the section's vector alone (vector mode).  Both
-    partial-derivative residuals are measured by central differences on
-    interior nodes.
+    Computed as in the integrability construction: a horizontal solve
+    along the bottom edge followed by vertical solves from its nodes,
+    F(x, y) = Prod Exp(X_2(x, v) dv) Prod Exp(X_1(u, 0) du) xi0, each a
+    `solve_homogeneous` over the grid.  Both partial-derivative residuals
+    are measured by central differences on interior nodes.
     """
     curv = homotopy.curvature_residual()
     if curv >= CURVATURE_TOL:
         raise CurvatureTooLarge(f"curvature residual {curv:.3e}")
     xs = np.linspace(0.0, 1.0, nx)
     ys = np.linspace(0.0, 1.0, ny)
-    kw = dict(tol=tol, n0=4)
+    kw = dict(tol=tol, overflow_threshold=None)
     F = np.empty((nx, ny, rep.dim), dtype=complex)
-    bottom = np.asarray(xi0, dtype=complex)
-    F[0, 0] = bottom
-    for i in range(1, nx):
-        seg = GeneratorPath(lambda u: homotopy.X1(u, 0.0),
-                            (xs[i - 1], xs[i]))
-        bottom = product_integral(rep, seg, V=bottom[:, None],
-                                  **kw).matrix[:, 0]
-        F[i, 0] = bottom
+    F[:, 0] = solve_homogeneous(
+        rep, GeneratorPath(lambda u: homotopy.X1(u, 0.0)), xi0, xs,
+        **kw).vectors
     for i, x in enumerate(xs):
-        v = F[i, 0]
-        for j in range(1, ny):
-            seg = GeneratorPath(lambda w, x=x: homotopy.X2(x, w),
-                                (ys[j - 1], ys[j]))
-            v = product_integral(rep, seg, V=v[:, None], **kw).matrix[:, 0]
-            F[i, j] = v
+        F[i] = solve_homogeneous(
+            rep, GeneratorPath(lambda w, x=x: homotopy.X2(x, w)), F[i, 0],
+            ys, **kw).vectors
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     r1 = r2 = 0.0
     for i in range(1, nx - 1):

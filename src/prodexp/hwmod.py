@@ -16,10 +16,16 @@ its exact LDL^T picks the basis, the rank and the unitarity test.
 also the PBW Shapovalov oracle (`_PBWVerma`): exact Gram matrices of the
 full Verma basis, against which the quotient is tested.
 
+A `GradedModule` is one positive-energy representation: of Vect(S^1) on
+a Virasoro module, and of the loop algebra extended by Vect(S^1) on an
+affine module, whose L_n are the Sugawara operators built from its
+x(n) (Goodman & Wallach, J. reine angew. Math. 347, 1984).
+
 Conventions
 -----------
 * A generator is ("L", n) for Virasoro modes or ("x", j, n) for affine
-  modes (j indexes e, h, f); the mode is always last.
+  modes (j indexes e, h, f); the mode is always last.  On an affine
+  module ("L", n) is the Sugawara L_n.
 * A PBW monomial is a tuple of lowering letters applied to the lowest level,
   modes nonincreasing left to right; for affine letters with equal mode the
   basis order is (e, h, f).
@@ -291,6 +297,9 @@ class VirasoroVerma(_PBWVerma):
 
 E, H, F = 0, 1, 2
 _ADJ = {E: F, H: H, F: E}      # compact-real-form adjoint on sl2 letters
+# dual pairs (x_i, x^i, weight) of the Sugawara sum for the basic inner
+# product: (e, f), (h, h/2), (f, e)
+_SUGAWARA_DUAL = ((E, F, 1.0), (H, H, 0.5), (F, E, 1.0))
 
 
 def _sl2_lowest(lam):
@@ -712,40 +721,60 @@ class GradedModule:
         return hit
 
     def generator_matrix(self, gen):
-        """Full dim x dim matrix of a generator (compression to levels 0..N)."""
+        """Full dim x dim matrix of a generator (compression to levels 0..N).
+
+        On an affine module ("L", n) is the Sugawara L_n (`_sugawara`)."""
         hit = self._gen_mats.get(gen)
         if hit is not None:
             return hit
         n = gen[-1]
-        M = np.zeros((self.dim, self.dim))
-        for k in range(self.N + 1):
-            if 0 <= k - n <= self.N:
-                B = self.block(gen, k)
-                M[self.offsets[k - n]:self.offsets[k - n + 1],
-                  self.offsets[k]:self.offsets[k + 1]] = B
+        if gen[0] == "L" and self.spec.kind == "affine_sl2":
+            M = self._sugawara(n)
+        else:
+            M = np.zeros((self.dim, self.dim))
+            for k in range(self.N + 1):
+                if 0 <= k - n <= self.N:
+                    B = self.block(gen, k)
+                    M[self.offsets[k - n]:self.offsets[k - n + 1],
+                      self.offsets[k]:self.offsets[k + 1]] = B
         self._gen_mats[gen] = M
+        return M
+
+    def _sugawara(self, n):
+        """Sugawara L_n: 1/(2(ell+h_vee)) sum_i sum_m of normal-ordered
+        x_i(-m) x^i(m+n) over retained modes (annihilating factor on the
+        right, so the truncated sum is exact on every retained level);
+        L_{-n} is defined as the adjoint of L_n."""
+        if n < 0:
+            return self.generator_matrix(("L", -n)).conj().T
+        N = self.N
+        M = np.zeros((self.dim, self.dim))
+        for m in range(-N - n, N + 1):
+            p, q = -m, m + n          # modes of left/right factor
+            if abs(p) > N or abs(q) > N:
+                continue
+            for i, idual, wt in _SUGAWARA_DUAL:
+                x_p = self.generator_matrix(("x", i, p))
+                x_q = self.generator_matrix(("x", idual, q))
+                M += wt * (x_p @ x_q if p <= q else x_q @ x_p)
+        M /= 2.0 * (self.spec.ell + H_VEE_SL2)
         return M
 
     # -- representation map -------------------------------------------------
 
-    def pi(self, X, l_blocks=None):
+    def pi(self, X):
         """Matrix of a CentralElement (or bare algebra element).
 
-        Virasoro: e_n maps to i * (L_n block); affine: x(n) maps to its
-        block; the central coefficient t acts as i*t*Id.  `l_blocks`
-        overrides the L_n matrices (used for the Sugawara action).
+        A vector field maps to sum_n i a_n L_n (on an affine module the
+        Sugawara L_n); a loop element x(n) on an affine module maps to its
+        block; the central coefficient t acts as i*t*Id.
         """
         if not isinstance(X, CentralElement):
             X = CentralElement(X)
         M = np.zeros((self.dim, self.dim), dtype=complex)
         if isinstance(X.base, FourierVectorField):
-            if self.spec.kind != "virasoro" and l_blocks is None:
-                raise TypeError("vector-field element on an affine module "
-                                "requires Sugawara blocks")
             for n, a in X.base.coeffs.items():
-                L = (l_blocks(n) if l_blocks is not None
-                     else self.generator_matrix(("L", n)))
-                M += 1j * complex(a) * L
+                M += 1j * complex(a) * self.generator_matrix(("L", n))
         elif isinstance(X.base, LoopAlgebraElement):
             if self.spec.kind != "affine_sl2":
                 raise TypeError("loop element on a non-affine module")
@@ -763,28 +792,32 @@ class GradedModule:
 
     @property
     def central_charge(self):
-        """c of a Virasoro module; affine modules carry none (their
-        Virasoro action is the SugawaraAction)."""
-        if self.spec.kind != "virasoro":
-            raise TypeError("no central charge available")
-        return self.spec.c
+        """c of the module's L_n: the Virasoro module's own, or the
+        Sugawara dim(g) ell / (ell + h_vee) of an affine module."""
+        if self.spec.kind == "virasoro":
+            return self.spec.c
+        return Fraction(DIM_SL2 * self.spec.ell, self.spec.ell + H_VEE_SL2)
 
     def seminorm(self, X, t):
         """|X|_t with the Goodman-Wallach constants of this module's
-        algebra: Virasoro c, or loop level ell (central coefficients
-        contribute their modulus)."""
+        algebra (central coefficients contribute their modulus)."""
         extra = abs(complex(X.central)) if isinstance(X, CentralElement) else 0.0
-        base = X.base if isinstance(X, CentralElement) else X
-        if self.spec.kind == "virasoro":
-            return gw_virasoro_seminorm(base, t, float(self.spec.c)) + extra
-        return gw_loop_seminorm(base, None, t, self.spec.ell) + extra
+        return self._gw(X, t, gw_virasoro_seminorm, gw_loop_seminorm) + extra
 
     def a_seminorm(self, X, t):
         """|X|_{A,t} (the central part commutes with A and drops out)."""
+        return self._gw(X, t, gw_virasoro_a_seminorm, gw_loop_a_seminorm)
+
+    def _gw(self, X, t, virasoro, loop):
+        """virasoro(X, t, c) on a Virasoro module; on an affine module
+        loop(X, f, t, ell) with a loop element in the (ell+1) slot X and a
+        vector field, which acts by the Sugawara L_n, in the dim(G) slot f."""
         base = X.base if isinstance(X, CentralElement) else X
         if self.spec.kind == "virasoro":
-            return gw_virasoro_a_seminorm(base, t, float(self.spec.c))
-        return gw_loop_a_seminorm(base, None, t, self.spec.ell)
+            return virasoro(base, t, float(self.spec.c))
+        if isinstance(base, FourierVectorField):
+            return loop(None, base, t, self.spec.ell)
+        return loop(base, None, t, self.spec.ell)
 
     def projective_cocycle(self, X, Y):
         """B(X, Y) with [pi(X), pi(Y)] = pi([X, Y]) + i B(X, Y)."""
@@ -794,7 +827,8 @@ class GradedModule:
         if isinstance(Y, CentralElement):
             Y = Y.base
         if isinstance(X, FourierVectorField):
-            return float(self.spec.c) * complex(vect_cocycle_integral(X, Y))
+            return (float(self.central_charge)
+                    * complex(vect_cocycle_integral(X, Y)))
         return float(self.spec.ell) * complex(loop_cocycle(X, Y))
 
     def safe_dim(self, depth):
@@ -813,100 +847,3 @@ class GradedModule:
         v[:d] = rng.normal(size=d) + 1j * rng.normal(size=d)
         return v / np.linalg.norm(v)
 
-
-
-
-# ---------------------------------------------------------------------------
-# Sugawara construction
-
-
-class SugawaraAction:
-    """Virasoro generators on an affine module via the quadratic formula.
-
-    L_n (n >= 0) is assembled as 1/(2(ell+h_vee)) sum_i sum_m of normal-
-    ordered x_i(-m) x^i(m+n) over retained modes (annihilating factor on
-    the right, so the truncated sum is exact on every retained level);
-    L_{-n} is defined as the adjoint of L_n.
-    """
-
-    # dual pairs (x_i, x^i, weight) for the basic inner product:
-    # (e, f), (h, h/2), (f, e)
-    _DUAL = ((E, F, 1.0), (H, H, 0.5), (F, E, 1.0))
-
-    def __init__(self, module):
-        if module.spec.kind != "affine_sl2":
-            raise TypeError("Sugawara action needs an affine module")
-        self.module = module
-        self.ell = module.spec.ell
-        self._mats = {}
-        self._xfull = {}
-
-    @property
-    def central_charge(self):
-        return DIM_SL2 * self.ell / (self.ell + H_VEE_SL2)
-
-    @property
-    def h0_shift(self):
-        """Difference between the naive level grading origin (0) and the
-        Sugawara lowest eigenvalue C_lam/2(ell+h_vee)."""
-        return float(self.module.h0)
-
-    @property
-    def dim(self):
-        return self.module.dim
-
-    def a_diag(self):
-        return self.module.a_diag()
-
-    def level_of(self):
-        return self.module.level_of()
-
-    def safe_dim(self, depth):
-        return self.module.safe_dim(depth)
-
-    @property
-    def N(self):
-        return self.module.N
-
-    def _x(self, j, n):
-        key = (j, n)
-        if key not in self._xfull:
-            self._xfull[key] = self.module.generator_matrix(("x", j, n))
-        return self._xfull[key]
-
-    def matrix(self, n):
-        """Full matrix of the Sugawara L_n on the truncation."""
-        hit = self._mats.get(n)
-        if hit is not None:
-            return hit
-        N = self.module.N
-        if n < 0:
-            M = self.matrix(-n).conj().T
-        else:
-            M = np.zeros((self.module.dim, self.module.dim))
-            for m in range(-N - n, N + 1):
-                p, q = -m, m + n          # modes of left/right factor
-                if abs(p) > N or abs(q) > N:
-                    continue
-                for i, idual, wt in self._DUAL:
-                    if p <= q:
-                        term = self._x(i, p) @ self._x(idual, q)
-                    else:
-                        term = self._x(idual, q) @ self._x(i, p)
-                    M += wt * term
-            M /= 2.0 * (self.ell + H_VEE_SL2)
-        self._mats[n] = M
-        return M
-
-    def pi(self, X):
-        """Vector-field CentralElement via the Sugawara L_n blocks."""
-        return self.module.pi(X, l_blocks=self.matrix)
-
-    def seminorm(self, X, t):
-        extra = abs(complex(X.central)) if isinstance(X, CentralElement) else 0.0
-        base = X.base if isinstance(X, CentralElement) else X
-        return gw_loop_seminorm(None, base, t, self.ell) + extra
-
-    def a_seminorm(self, X, t):
-        base = X.base if isinstance(X, CentralElement) else X
-        return gw_loop_a_seminorm(None, base, t, self.ell)

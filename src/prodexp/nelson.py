@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -65,6 +66,7 @@ class FinDimRep:
             off += d
         return out
 
+    @cached_property
     def generators(self):
         """[pi(X_1), pi(X_2), pi(X_3)], block-diagonal skew-Hermitian."""
         mats = [np.zeros((self.dim, self.dim), dtype=complex)
@@ -76,16 +78,9 @@ class FinDimRep:
 
     def pi(self, x):
         """Matrix of the element with real coordinates x = (x1, x2, x3)."""
-        G = self._gens()
+        G = self.generators
         x = np.asarray(x, dtype=float)
         return x[0] * G[0] + x[1] * G[1] + x[2] * G[2]
-
-    def _gens(self):
-        cached = getattr(self, "_gen_cache", None)
-        if cached is None:
-            cached = self.generators()
-            object.__setattr__(self, "_gen_cache", cached)
-        return cached
 
     def a_diag(self):
         """Diagonal of A = 1 - Delta = (1 + j(j+1)) Id per block."""
@@ -118,7 +113,7 @@ class FinDimRep:
 
 def laplacian(rep):
     """(Delta, A) with Delta = sum pi(X_i)^2 and A = 1 - Delta."""
-    G = rep._gens()
+    G = rep.generators
     Delta = sum(M @ M for M in G)
     A = np.eye(rep.dim) - Delta
     return Delta, A
@@ -140,7 +135,7 @@ def verify_assumptions(rep):
     _, A = laplacian(rep)
     a = rep.a_diag()
     rows = []
-    for i, G in enumerate(rep._gens()):
+    for i, G in enumerate(rep.generators):
         comm = A @ G - G @ A
         for n in range(N_MAX + 1):
             wl, wr = a ** n, a ** (-(n + 1))

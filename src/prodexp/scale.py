@@ -1,8 +1,9 @@
 """Sobolev scale of A = 1 + L0 and numerical verification of the
 operator estimates.
 
-`rep` arguments below are representations: a GradedModule, a
-SugawaraAction or the su(2) testbed's FinDimRep.  Each provides
+`rep` arguments below are representations: a GradedModule (Virasoro, or
+affine with the Sugawara L_n) or the su(2) testbed's FinDimRep.  Each
+provides
 
 * `dim` and `pi(element) -> dim x dim matrix`;
 * `a_diag()`, the diagonal of A in the working basis (A is diagonal
@@ -158,10 +159,11 @@ def check_gw_virasoro(rep, X, xi, t):
                           leakage=_top_fraction(rep, w))
 
 
-def check_gw_loop(module, sug, X, f, xi, t):
-    """The two loop estimates, reported separately:
+def check_gw_loop(module, X, f, xi, t):
+    """The two loop estimates on an affine module, reported separately:
     ||pi(X)v||_t <= (ell+1)||X||_{|t|+1/2} ||v||_{t+1/2} and
-    ||pi(f d/dtheta)xi||_t <= dim(G)||f||_{|t|+3/2} ||xi||_{t+1}."""
+    ||pi(f d/dtheta)xi||_t <= dim(G)||f||_{|t|+3/2} ||xi||_{t+1}, f acting
+    by the Sugawara L_n."""
     ell = module.spec.ell
     scale = SobolevScale(module)
     out = []
@@ -173,7 +175,7 @@ def check_gw_loop(module, sug, X, f, xi, t):
             (ell + 1) * seminorm(_base(X), a + 0.5) * scale.norm(xi, t + 0.5),
             leakage=_top_fraction(module, w)))
     if f is not None:
-        w = sug.pi(f) @ xi
+        w = module.pi(f) @ xi
         out.append(EstimateReport(
             "gw-loop-field", {"t": t}, scale.norm(w, t),
             3 * seminorm(_base(f), a + 1.5) * scale.norm(xi, t + 1),

@@ -6,8 +6,7 @@ import prodexp  # noqa: F401  (before numpy: pins the OpenBLAS pool)
 import numpy as np
 import pytest
 
-from prodexp.hwmod import (SugawaraAction, affine_spec, build_module,
-                           virasoro_spec)
+from prodexp.hwmod import affine_spec, build_module, virasoro_spec
 
 
 @pytest.fixture(scope="session")
@@ -32,11 +31,6 @@ def vir16():
 def aff5():
     """Affine sl2, ell = 1, lam = 0, N = 5."""
     return build_module(affine_spec(1, 0, 5))
-
-
-@pytest.fixture(scope="session")
-def sug5(aff5):
-    return SugawaraAction(aff5)
 
 
 def safe_vector(rng, module, depth, unit=True):

@@ -261,7 +261,7 @@ def test_gw_virasoro_thousand_samples(vir8):
         assert r.holds, (t, r.lhs, r.rhs)
 
 
-def test_gw_loop_thousand_samples(aff5, sug5):
+def test_gw_loop_thousand_samples(aff5):
     alg = sl2_chevalley()
     rng = np.random.default_rng(23)
     for _ in range(1000):
@@ -273,7 +273,7 @@ def test_gw_loop_thousand_samples(aff5, sug5):
         f = real_field(rng, (1,), scale=0.5)
         xi = safe_vector(rng, aff5, 2)
         t = float(rng.choice([0, 0.5, 1]))
-        reports = check_gw_loop(aff5, sug5, X, f, xi, t)
+        reports = check_gw_loop(aff5, X, f, xi, t)
         assert len(reports) == 2              # both loop inequalities
         for r in reports:
             assert r.holds, (t, r.estimate, r.lhs, r.rhs)
@@ -303,18 +303,18 @@ def test_exp_difference_thousand_samples(vir8):
 # 9. Sugawara
 
 
-def test_sugawara_central_charge(aff5, sug5):
-    assert abs(sug5.central_charge - 1.0) < 1e-8       # dim(G) l/(l+h_vee)
+def test_sugawara_central_charge(aff5):
+    assert abs(aff5.central_charge - 1.0) < 1e-8       # dim(G) l/(l+h_vee)
     # extracted from [L_2, L_{-2}] = 4 L_0 + c/2
-    comm = (sug5.matrix(2) @ sug5.matrix(-2) - sug5.matrix(-2) @ sug5.matrix(2)
-            - 4 * sug5.matrix(0))
+    L = {n: aff5.generator_matrix(("L", n)) for n in (-2, 0, 2)}
+    comm = L[2] @ L[-2] - L[-2] @ L[2] - 4 * L[0]
     d = aff5.safe_dim(4)
     np.testing.assert_allclose(np.diag(comm)[:d].real, 0.5, atol=1e-8)
 
 
-def test_sugawara_intertwining(aff5, sug5):
+def test_sugawara_intertwining(aff5):
     for m in (-2, -1, 0, 1, 2):
-        L = sug5.matrix(m)
+        L = aff5.generator_matrix(("L", m))
         for j in range(3):
             for n in (-2, -1, 0, 1, 2):
                 X = aff5.generator_matrix(("x", j, n))
@@ -325,8 +325,8 @@ def test_sugawara_intertwining(aff5, sug5):
                     assert np.abs((comm - want)[:d, :d]).max() <= 1e-8, (m, n)
 
 
-def test_sugawara_lowest_weight_vacuum(aff5, sug5):
-    L0 = sug5.matrix(0)
+def test_sugawara_lowest_weight_vacuum(aff5):
+    L0 = aff5.generator_matrix(("L", 0))
     w = np.linalg.eigvalsh((L0 + L0.conj().T) / 2)
     assert abs(w.min()) < 1e-10               # lam = 0: lowest L0 is 0
 
@@ -367,7 +367,7 @@ def test_nelson_path_independence():
     for x in (alpha * ez, beta * ex, gamma * ez):
         target = axis_angle_oracle(rep_half, x) @ target
     theta = 2 * np.arccos(np.clip(np.real(np.trace(target)) / 2, -1, 1))
-    G = rep_half._gens()
+    G = rep_half.generators
     raw = np.array([np.trace(target @ G[i]).real for i in range(3)])
     x = -theta * raw / np.linalg.norm(raw)
     assert np.abs(P - axis_angle_oracle(rep, x)).max() < 1e-6

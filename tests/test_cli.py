@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from prodexp import checks, cli
-from prodexp.hwmod import SugawaraAction
+from prodexp.hwmod import GradedModule
 from prodexp.prodint import TruncationOverflow
 
 FAST_DESCRIPTOR = {
@@ -398,9 +398,12 @@ def test_sugawara_central_charge_fails_on_scaled_matrices(monkeypatch,
                                                           cache_dir):
     # the row reads c off the Sugawara matrices, so a wrong normalization
     # of L_n shows in it
-    matrix = SugawaraAction.matrix
-    monkeypatch.setattr(SugawaraAction, "matrix",
-                        lambda self, n: (1 + 1e-3) * matrix(self, n))
+    matrix = GradedModule.generator_matrix
+
+    def scaled(self, gen):
+        return (1 + 1e-3 if gen[0] == "L" else 1) * matrix(self, gen)
+
+    monkeypatch.setattr(GradedModule, "generator_matrix", scaled)
     ctx = checks.CheckContext(seed=7, cache=cli.ModuleCache(cache_dir))
     row = checks.run_check("sugawara-central-charge", ctx)
     assert row["verdict"] == "fail", row

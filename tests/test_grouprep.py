@@ -300,7 +300,7 @@ def _real_loop_element():
 @pytest.mark.parametrize("rep_name, element", [
     ("vir8", FourierVectorField({1: 0.3, -1: 0.3, 2: 0.1j, -2: -0.1j})),
     ("aff5", _real_loop_element()),
-    ("sug5", FourierVectorField({1: 0.2 - 0.1j, -1: 0.2 + 0.1j})),
+    ("aff5", FourierVectorField({1: 0.2 - 0.1j, -1: 0.2 + 0.1j})),
     ("su2", np.array([0.4, -0.2, 0.9])),
 ])
 def test_representation_protocol(request, rep_name, element):

@@ -11,7 +11,7 @@ from prodexp.liealg import (CentralElement, FourierVectorField,
 from prodexp.hwmod import (HighestWeightSpec, NotUnitarizable, _exact_ldl,
                            _IndefiniteGram, affine_spec,
                            build_module, build_verma,
-                           SugawaraAction, discrete_series_c,
+                           discrete_series_c,
                            discrete_series_h, partitions, unitarize,
                            virasoro_spec)
 
@@ -476,6 +476,19 @@ class TestCommutation:
         assert np.abs(L0 - np.diag(np.diag(L0))).max() == 0
 
 
+def assert_projective_commutator(mod):
+    """[pi(X), pi(Y)] - pi([X, Y]) = i B(X, Y) on the safe window, for two
+    e_{+-2} fields with a nonzero real cocycle."""
+    X = FourierVectorField({2: 0.3 + 0.1j, -2: 0.3 - 0.1j})
+    Y = FourierVectorField({2: 1j, -2: -1j})
+    PX, PY = mod.pi(X), mod.pi(Y)
+    B = mod.projective_cocycle(X, Y)
+    want = mod.pi(bracket_vect(X, Y)) + 1j * B * np.eye(mod.dim)
+    d = mod.safe_dim(4)
+    assert np.abs((PX @ PY - PY @ PX - want)[:d, :d]).max() < 1e-10
+    assert abs(B.imag) < 1e-14 and abs(B) > 0.01
+
+
 class TestAssemblePi:
 
     @pytest.fixture(scope="class")
@@ -505,14 +518,7 @@ class TestAssemblePi:
             assert np.abs(M + M.conj().T).max() <= 1e-12 * max(1, np.abs(M).max())
 
     def test_projective_commutator(self, mod):
-        X = FourierVectorField({2: 0.3 + 0.1j, -2: 0.3 - 0.1j})
-        Y = FourierVectorField({2: 1j, -2: -1j})
-        PX, PY = mod.pi(X), mod.pi(Y)
-        B = mod.projective_cocycle(X, Y)
-        want = mod.pi(bracket_vect(X, Y)) + 1j * B * np.eye(mod.dim)
-        d = mod.safe_dim(4)
-        assert np.abs((PX @ PY - PY @ PX - want)[:d, :d]).max() < 1e-10
-        assert abs(B.imag) < 1e-14 and abs(B) > 0.01
+        assert_projective_commutator(mod)
 
     def test_kind_mismatch(self, mod):
         alg = sl2_chevalley()
@@ -526,36 +532,33 @@ class TestAffineAndSugawara:
     def amod(self):
         return build_module(affine_spec(1, 0, 5))
 
-    @pytest.fixture(scope="class")
-    def sug(self, amod):
-        return SugawaraAction(amod)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             HighestWeightSpec(kind="affine_sl2", N=2, ell=1, lam=2)
 
-    def test_central_charge(self, sug):
-        assert sug.central_charge == pytest.approx(1.0)
+    def test_central_charge(self, amod):
+        assert amod.central_charge == pytest.approx(1.0)
 
-    def test_central_charge_extracted(self, amod, sug):
-        comm = (sug.matrix(2) @ sug.matrix(-2) - sug.matrix(-2) @ sug.matrix(2)
-                - 4 * sug.matrix(0))
+    def test_central_charge_extracted(self, amod):
+        L = {n: amod.generator_matrix(("L", n)) for n in (-2, 0, 2)}
+        comm = L[2] @ L[-2] - L[-2] @ L[2] - 4 * L[0]
         d = amod.safe_dim(4)
         np.testing.assert_allclose(np.diag(comm)[:d].real,
                                    0.5 * np.ones(d), atol=1e-8)
 
-    def test_sugawara_l0_is_level(self, amod, sug):
-        L0 = sug.matrix(0)
+    def test_sugawara_l0_is_level(self, amod):
+        L0 = amod.generator_matrix(("L", 0))
         np.testing.assert_allclose(L0, np.diag(amod.level_of().astype(float)),
                                    atol=1e-12)
         assert abs(float(amod.h0)) == 0     # lam = 0 => C_lam = 0
 
-    def test_sugawara_hermiticity(self, sug):
+    def test_sugawara_hermiticity(self, amod):
         for n in (1, 2, 3):
-            np.testing.assert_array_equal(sug.matrix(-n),
-                                          sug.matrix(n).conj().T)
+            np.testing.assert_array_equal(
+                amod.generator_matrix(("L", -n)),
+                amod.generator_matrix(("L", n)).conj().T)
 
-    def test_intertwining(self, amod, sug):
+    def test_intertwining(self, amod):
         # [L_m, x(n)] = -n x(m+n) on the safe window
         for m in (-2, -1, 1, 2):
             for n in (-2, -1, 0, 1, 2):
@@ -563,12 +566,18 @@ class TestAffineAndSugawara:
                     continue
                 for j in range(3):
                     X = amod.generator_matrix(("x", j, n))
-                    comm = sug.matrix(m) @ X - X @ sug.matrix(m)
+                    L = amod.generator_matrix(("L", m))
+                    comm = L @ X - X @ L
                     want = -n * amod.generator_matrix(("x", j, m + n))
                     d = amod.safe_dim(abs(m) + abs(n) + abs(m + n))
                     if d == 0:
                         continue
                     assert np.abs((comm - want)[:d, :d]).max() <= 1e-8
+
+    def test_sugawara_projective_commutator(self, amod):
+        # vector fields act by the Sugawara L_n, with the Virasoro cocycle
+        # at c = 3 ell / (ell + 2)
+        assert_projective_commutator(amod)
 
     def test_loop_pi_skew_and_defect(self, amod):
         alg = sl2_chevalley()

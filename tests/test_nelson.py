@@ -45,7 +45,7 @@ class FinDimRepTests(unittest.TestCase):
     @example([2])
     def test_structure_constants(self, twice_spins):
         # skew-Hermitian generators with [X_i, X_j] = eps_ijk X_k
-        G = FinDimRep(tuple(Fraction(t, 2) for t in twice_spins)).generators()
+        G = FinDimRep(tuple(Fraction(t, 2) for t in twice_spins)).generators
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             self.assertLess(np.abs(G[i] + G[i].conj().T).max(), 1e-13)
@@ -174,7 +174,7 @@ def test_path_independence_euler_decomposition():
         target = axis_angle_oracle(rep_half, x) @ target
     cos_half = np.real(np.trace(target)) / 2
     theta = 2 * np.arccos(np.clip(cos_half, -1, 1))
-    G = rep_half._gens()
+    G = rep_half.generators
     # tr(g G_i) = -n_i sin(theta/2) for g = exp(theta n . X)
     raw = np.array([np.trace(target @ G[i]).real for i in range(3)])
     x = -theta * raw / np.linalg.norm(raw)
