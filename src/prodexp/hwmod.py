@@ -49,11 +49,10 @@ import numpy as np
 
 from .liealg import (CentralElement, FourierVectorField, LoopAlgebraElement,
                      sl2_chevalley)
-from .scale import (gw_loop_a_seminorm, gw_loop_seminorm,
+from .scale import (DIM_G, gw_loop_a_seminorm, gw_loop_seminorm,
                     gw_virasoro_a_seminorm, gw_virasoro_seminorm)
 
 H_VEE_SL2 = 2          # dual Coxeter number of sl2
-DIM_SL2 = 3
 
 
 class NotUnitarizable(Exception):
@@ -643,9 +642,9 @@ class GradedModule:
     L diag(d) L^T of their Gram matrix, so b L^{-T} diag(d)^{-1/2} is the
     orthonormal basis.  `unitarize` stores the exact coordinates
     {(gen, k): R} of its generators; higher raising modes follow from them
-    by exact commutators, and lowering blocks are adjoints of raising
-    blocks by definition.  `verma` is the algebra and its PBW Shapovalov
-    oracle.
+    by exact commutators, and a lowering generator is the adjoint of its
+    raising one by definition.  `verma` is the algebra and its PBW
+    Shapovalov oracle.
     """
 
     def __init__(self, verma, basis, factors, coords):
@@ -658,7 +657,6 @@ class GradedModule:
         self.h0 = verma.h0
         self.offsets = np.concatenate([[0], np.cumsum(self.level_dims)]).astype(int)
         self.dim = int(self.offsets[-1])
-        self._blocks = {}
         self._gen_mats = {}
 
     @property
@@ -678,34 +676,7 @@ class GradedModule:
             out[self.offsets[k]:self.offsets[k + 1]] = k
         return out
 
-    # -- generator blocks ---------------------------------------------------
-
-    def block(self, gen, k):
-        """Dense block of a generator from level k.
-
-        gen: ("L", n) for Virasoro modes, ("x", j, n) for affine modes.
-        Returns the (possibly empty) matrix level k -> k - n.
-        """
-        n = gen[-1]
-        if not (0 <= k <= self.N and 0 <= k - n <= self.N):
-            return np.zeros((0, self.level_dims[k] if 0 <= k <= self.N else 0))
-        key = (gen, k)
-        hit = self._blocks.get(key)
-        if hit is not None:
-            return hit
-        if gen == ("L", 0):
-            B = (float(self.h0) + k) * np.eye(self.level_dims[k])
-        elif n < 0:
-            B = self.block(self.verma.adjoint(gen), k - n).conj().T
-        else:
-            # B = diag(d_t)^{1/2} L_t^T R L_s^{-T} diag(d_s)^{-1/2}: an
-            # exact middle product and float scalings
-            (Lt, dt), (Ls, ds) = self.factors[k - n], self.factors[k]
-            M = _lsolve(Ls, _mm(Lt.T, self._coord(gen, k)).T).T
-            B = (np.sqrt(dt.astype(float))[:, None] * M.astype(float)
-                 / np.sqrt(ds.astype(float))[None, :])
-        self._blocks[key] = B
-        return B
+    # -- generator matrices -------------------------------------------------
 
     def _coord(self, gen, k):
         """Exact coordinates of gen (mode n >= 0) on the basis of level k,
@@ -723,30 +694,40 @@ class GradedModule:
     def generator_matrix(self, gen):
         """Full dim x dim matrix of a generator (compression to levels 0..N).
 
-        On an affine module ("L", n) is the Sugawara L_n (`_sugawara`)."""
+        gen: ("L", n) for Virasoro modes, ("x", j, n) for affine modes; on
+        an affine module ("L", n) is the Sugawara L_n (`_sugawara`).  The
+        block of a mode n >= 0 from level k is diag(d_t)^{1/2} L_t^T R
+        L_s^{-T} diag(d_s)^{-1/2}: an exact middle product and float
+        scalings.  A lowering generator is the adjoint of its raising one.
+        """
         hit = self._gen_mats.get(gen)
         if hit is not None:
             return hit
         n = gen[-1]
-        if gen[0] == "L" and self.spec.kind == "affine_sl2":
+        if n < 0:
+            raising = ("L", -n) if gen[0] == "L" else self.verma.adjoint(gen)
+            M = np.ascontiguousarray(self.generator_matrix(raising).conj().T)
+        elif gen[0] == "L" and self.spec.kind == "affine_sl2":
             M = self._sugawara(n)
+        elif gen == ("L", 0):
+            M = np.diag(float(self.h0) + self.level_of())
         else:
             M = np.zeros((self.dim, self.dim))
-            for k in range(self.N + 1):
-                if 0 <= k - n <= self.N:
-                    B = self.block(gen, k)
-                    M[self.offsets[k - n]:self.offsets[k - n + 1],
-                      self.offsets[k]:self.offsets[k + 1]] = B
+            off = self.offsets
+            for k in range(n, self.N + 1):
+                (Lt, dt), (Ls, ds) = self.factors[k - n], self.factors[k]
+                B = _lsolve(Ls, _mm(Lt.T, self._coord(gen, k)).T).T
+                M[off[k - n]:off[k - n + 1], off[k]:off[k + 1]] = (
+                    np.sqrt(dt.astype(float))[:, None] * B.astype(float)
+                    / np.sqrt(ds.astype(float))[None, :])
         self._gen_mats[gen] = M
         return M
 
     def _sugawara(self, n):
         """Sugawara L_n: 1/(2(ell+h_vee)) sum_i sum_m of normal-ordered
         x_i(-m) x^i(m+n) over retained modes (annihilating factor on the
-        right, so the truncated sum is exact on every retained level);
-        L_{-n} is defined as the adjoint of L_n."""
-        if n < 0:
-            return self.generator_matrix(("L", -n)).conj().T
+        right, so the truncated sum is exact on every retained level),
+        n >= 0."""
         N = self.N
         M = np.zeros((self.dim, self.dim))
         for m in range(-N - n, N + 1):
@@ -796,7 +777,7 @@ class GradedModule:
         Sugawara dim(g) ell / (ell + h_vee) of an affine module."""
         if self.spec.kind == "virasoro":
             return self.spec.c
-        return Fraction(DIM_SL2 * self.spec.ell, self.spec.ell + H_VEE_SL2)
+        return Fraction(DIM_G * self.spec.ell, self.spec.ell + H_VEE_SL2)
 
     def seminorm(self, X, t):
         """|X|_t with the Goodman-Wallach constants of this module's

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .prodint import GeneratorPath, product_integral
 
@@ -170,13 +169,13 @@ def axis_angle_oracle(rep, x):
     return U
 
 
-def exponentiate_vs_oracle(rep, path, tol=1e-9, split=0.5):
+def exponentiate_vs_oracle(rep, path, tol=1e-9):
     """Cross-validation report for the product integral of an su(2) path.
 
     Keys: ``unitarity`` (defect of U), ``reference`` (operator distance
     to a high-accuracy ODE reference), ``homomorphism`` (concatenation
-    residual across an interior split) and, when the path is constant,
-    ``axis-angle`` (distance to the closed-form exponential).
+    residual across the interval's midpoint) and, when the path is
+    constant, ``axis-angle`` (distance to the closed-form exponential).
     """
     from scipy.integrate import solve_ivp
     a, b = path.interval
@@ -198,9 +197,9 @@ def exponentiate_vs_oracle(rep, path, tol=1e-9, split=0.5):
     ref = sol.y[:, -1].reshape(rep.dim, rep.dim)
     out["reference"] = float(np.abs(P.matrix - ref).max())
 
-    s = a + split * (b - a)
-    P1 = product_integral(rep, GeneratorPath(path.func, (a, s)), tol=tol)
-    P2 = product_integral(rep, GeneratorPath(path.func, (s, b)), tol=tol)
+    m = a + 0.5 * (b - a)
+    P1 = product_integral(rep, GeneratorPath(path.func, (a, m)), tol=tol)
+    P2 = product_integral(rep, GeneratorPath(path.func, (m, b)), tol=tol)
     out["homomorphism"] = float(np.abs(P2.matrix @ P1.matrix
                                        - P.matrix).max())
     return out

@@ -7,24 +7,20 @@ of matrix exponentials over n uniform steps of its interval,
 
 with dyadic refinement until successive approximants agree on a probe
 basis in a Sobolev-weighted norm.  The per-step exponent comes from one
-of three rules, in two roles:
+of two rules, in two roles:
 
 * ``"magnus4"``, the default, is the fourth-order Magnus rule (Iserles &
   Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): with
   A_1, A_2 the path at the Gauss-Legendre nodes t_0 + (1/2 -+ sqrt(3)/6) D,
   Omega = D/2 (A_1 + A_2) + (sqrt(3)/12) D^2 [A_2, A_1].  Omega is
   skew-Hermitian for real paths, so every factor is exactly unitary.
-  Every propagator consumer uses it: the ODE solvers, Gateaux
-  derivatives, grouprep's U_p, flat sections and holonomy, and the su(2)
-  cross-checks.
-* the step scheme, ``"left"`` and ``"midpoint"``: Omega_k = D_k X(s_k)
-  with s_k the left end or the midpoint of the step.  This is the
-  paper's reference object, of first and second order.  The step-function
-  difference estimate samples the left step functions, so it is recorded
-  along the refinement exactly for ``"left"``: the ``refinement-bound``
-  check reads it and ``prodint-convergence-order`` fits the left
-  scheme's order.  ``"midpoint"`` is the second-order reference that
-  tests compare ``"magnus4"`` against.
+  It is the propagator: the ODE solvers, Gateaux derivatives, grouprep's
+  U_p, flat sections and holonomy, and the su(2) cross-checks use it.
+* ``"left"`` is the paper's step scheme: Omega_k = D_k X(t_k) with t_k
+  the left end of the step, of first order.  The step-function
+  difference estimate samples these step functions, so it is recorded
+  along the refinement: the ``refinement-bound`` check reads it and
+  ``prodint-convergence-order`` fits the scheme's order.
 
 Each step's exponent Omega is formed once, the same matrix in both modes
 of forming a product:
@@ -91,7 +87,7 @@ class GeneratorPath:
                              self.interval)
 
 
-RULES = ("magnus4", "left", "midpoint")
+RULES = ("magnus4", "left")
 
 # Gauss-Legendre nodes 1/2 -+ sqrt(3)/6 and the Magnus commutator weight
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
@@ -207,12 +203,12 @@ def step_product(rep, path, n, rule="magnus4", V=None):
         raise ValueError(f"unknown rule {rule!r}")
     bp = np.linspace(path.interval[0], path.interval[1], n + 1)
     widths = np.diff(bp)
-    mid = bp[:-1] + widths / 2
     if rule == "magnus4":
+        mid = bp[:-1] + widths / 2
         offset = _GAUSS_OFFSET * widths
         nodes = zip(mid - offset, mid + offset)
     else:
-        nodes = zip(bp[:-1] if rule == "left" else mid)
+        nodes = zip(bp[:-1])
     U = (np.eye(rep.dim, dtype=complex) if V is None
          else np.asarray(V, dtype=complex))
     for dt, ts in zip(widths, nodes):
@@ -268,8 +264,8 @@ def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="magnus4",
     probe block V (dim x k) the columns of V, in which case only U V is
     propagated and returned as the Propagator's matrix.  For the "left"
     step scheme the difference-estimate bound, which samples its step
-    functions, is recorded alongside each empirical difference; for the
-    other rules the recorded bound is nan.
+    functions, is recorded alongside each empirical difference; for
+    "magnus4" the recorded bound is nan.
     """
     if V is not None:
         V = np.asarray(V, dtype=complex)
@@ -399,18 +395,3 @@ def dyson_expansion(rep, path, xi0, order, scaling, nodes=129):
         psi = cumulative_simpson(integrand, h)
         total = total + scaling ** j * psi[-1]
     return total
-
-
-def change_of_variable_check(rep, path, phi, phi_prime, source_interval,
-                             tol=1e-8):
-    """Compare the product integral of X over phi(source_interval) with
-    that of phi' . (X o phi) over source_interval; returns the operator-
-    norm difference and the two propagators."""
-    a, b = source_interval
-    c, d = phi(a), phi(b)
-    direct = product_integral(rep, GeneratorPath(path.func, (c, d)), tol=tol)
-    pulled = product_integral(
-        rep, GeneratorPath(lambda s: phi_prime(s) * path.func(phi(s)), (a, b)),
-        tol=tol)
-    diff = float(np.linalg.norm(direct.matrix - pulled.matrix, 2))
-    return diff, direct, pulled

@@ -178,7 +178,7 @@ def check_gw_loop(module, X, f, xi, t):
         w = module.pi(f) @ xi
         out.append(EstimateReport(
             "gw-loop-field", {"t": t}, scale.norm(w, t),
-            3 * seminorm(_base(f), a + 1.5) * scale.norm(xi, t + 1),
+            DIM_G * seminorm(_base(f), a + 1.5) * scale.norm(xi, t + 1),
             leakage=_top_fraction(module, w)))
     return out
 

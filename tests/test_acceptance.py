@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from prodexp import checks, cli
+from prodexp import cli
 from prodexp.grouprep import (CirclePath, PhaseChart, exponentiate_path,
                               extension_cocycle_check, holonomy_phase,
                               local_cocycle, scalar_part,
@@ -338,8 +338,7 @@ def test_sugawara_lowest_weight_vacuum(aff5):
 def test_nelson_axis_angle_residual():
     rep = FinDimRep((0.5, 1.5))
     x = np.array([0.4, -0.2, 0.9])
-    P = product_integral(rep, GeneratorPath(lambda t: x), tol=1e-10,
-                         rule="midpoint")
+    P = product_integral(rep, GeneratorPath(lambda t: x), tol=1e-10)
     assert np.abs(P.matrix - axis_angle_oracle(rep, x)).max() < 1e-12
 
 
@@ -356,7 +355,7 @@ def test_nelson_path_independence():
             return 3 * beta * ex
         return 3 * gamma * ez
 
-    kw = dict(tol=1e-9, rule="midpoint")
+    kw = dict(tol=1e-9)
     P = product_integral(rep, GeneratorPath(euler, (0, 1 / 3)), **kw)
     for seg in ((1 / 3, 2 / 3), (2 / 3, 1.0)):
         P = product_integral(rep, GeneratorPath(euler, seg), **kw) @ P
@@ -376,8 +375,7 @@ def test_nelson_path_independence():
 def test_nelson_spin_half_full_turn():
     rep = FinDimRep((0.5,))
     axis = 2 * np.pi * np.array([0.0, 0.0, 1.0])
-    P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10,
-                         rule="midpoint")
+    P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10)
     assert np.abs(P.matrix + np.eye(2)).max() < 1e-9
 
 

@@ -8,12 +8,10 @@ import pytest
 from prodexp.liealg import (CentralElement, FourierVectorField,
                             LoopAlgebraElement, bracket_vect, loop_bracket,
                             sl2_chevalley)
-from prodexp.hwmod import (HighestWeightSpec, NotUnitarizable, _exact_ldl,
-                           _IndefiniteGram, affine_spec,
-                           build_module, build_verma,
-                           discrete_series_c,
-                           discrete_series_h, partitions, unitarize,
-                           virasoro_spec)
+from prodexp.hwmod import (_ADJ, HighestWeightSpec, NotUnitarizable,
+                           _exact_ldl, _IndefiniteGram, affine_spec,
+                           build_module, build_verma, discrete_series_c,
+                           discrete_series_h, partitions, virasoro_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +188,20 @@ class TestUnitarize:
                 np.testing.assert_allclose(C.T @ G @ C, np.eye(C.shape[1]),
                                            atol=1e-10, err_msg=str((spec, k)))
 
-    def test_adjoint_blocks(self):
-        mod = build_module(virasoro_spec(Fraction(1, 2), Fraction(1, 16), 8))
+    @pytest.mark.parametrize("name", ["vir8", "aff5"])
+    def test_adjoint_blocks(self, request, name):
+        # a lowering generator is the adjoint of its raising one, bit for
+        # bit; on an affine module that holds for the x(n) and for the
+        # Sugawara L_n
+        mod = request.getfixturevalue(name)
         for n in (1, 2, 3):
-            Ln = mod.generator_matrix(("L", n))
-            Lmn = mod.generator_matrix(("L", -n))
-            np.testing.assert_array_equal(Lmn, Ln.conj().T)
+            pairs = [(("L", -n), ("L", n))]
+            if mod.spec.kind == "affine_sl2":
+                pairs += [(("x", j, -n), ("x", _ADJ[j], n)) for j in range(3)]
+            for low, high in pairs:
+                np.testing.assert_array_equal(
+                    mod.generator_matrix(low),
+                    mod.generator_matrix(high).conj().T)
 
 
 def test_virasoro_level_dims_ising_sigma_character(vir16):
@@ -409,7 +415,11 @@ def test_raising_block_singular_values_match_pbw_oracle(spec, modes):
         for k in range(gen[-1], spec.N + 1):
             want = np.linalg.svd(_pbw_block(verma, frames, gen, k),
                                  compute_uv=False)
-            got = np.linalg.svd(mod.block(gen, k), compute_uv=False)
+            off = mod.offsets
+            block = mod.generator_matrix(gen)[off[k - gen[-1]]:
+                                              off[k - gen[-1] + 1],
+                                              off[k]:off[k + 1]]
+            got = np.linalg.svd(block, compute_uv=False)
             scale = want.max(initial=1.0)
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * scale, err_msg=str((gen, k)))

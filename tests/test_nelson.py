@@ -3,7 +3,6 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
-import pytest
 
 from prodexp.nelson import (FinDimRep, axis_angle_oracle,
                             exponentiate_vs_oracle, laplacian, spin_matrices,
@@ -127,8 +126,7 @@ def test_full_turn_spin_half_is_minus_identity():
     axis = 2 * np.pi * np.array([0.0, 0.0, 1.0])
     U = axis_angle_oracle(rep, axis)
     assert np.abs(U + np.eye(2)).max() < 1e-12
-    P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10,
-                         rule="midpoint")
+    P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10)
     assert np.abs(P.matrix + np.eye(2)).max() < 1e-9
     # ...and on the mixed sum the spin-1/2 block flips sign while the
     # spin-3/2 block returns to -Id as well (half-integer spins)
@@ -161,7 +159,7 @@ def test_path_independence_euler_decomposition():
             return 3 * beta * ex
         return 3 * gamma * ez
 
-    kw = dict(tol=1e-9, rule="midpoint")
+    kw = dict(tol=1e-9)
     # product of the three constant segments (rightmost acts first)
     P = product_integral(MIXED, GeneratorPath(euler, (0, 1 / 3)), **kw)
     for seg in ((1 / 3, 2 / 3), (2 / 3, 1.0)):
@@ -212,8 +210,8 @@ def test_magnus4_noncommuting_path_vs_ode():
                     rtol=1e-12, atol=1e-13)
     ref = sol.y[:, -1].reshape(6, 6)
     errs = {rule: np.abs(step_product(MIXED, path, 16, rule).matrix
-                         - ref).max() for rule in ("midpoint", "magnus4")}
+                         - ref).max() for rule in ("left", "magnus4")}
     assert errs["magnus4"] < 1e-5
-    assert errs["magnus4"] < errs["midpoint"] / 50
+    assert errs["magnus4"] < errs["left"] / 50
     P = product_integral(MIXED, path, tol=1e-11)
     assert np.abs(P.matrix - ref).max() < 1e-9

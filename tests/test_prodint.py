@@ -6,12 +6,10 @@ from scipy.linalg import expm
 from conftest import dense_at_vector_steps, safe_vector
 from prodexp.liealg import CentralElement, FourierVectorField
 from prodexp.prodint import (GeneratorPath, MaxRefinementExceeded,
-                             TruncationOverflow,
-                             _probe_difference, change_of_variable_check,
-                             cumulative_simpson, dyson_expansion,
-                             gateaux_derivative, product_integral,
-                             solve_homogeneous, solve_inhomogeneous,
-                             step_product)
+                             TruncationOverflow, cumulative_simpson,
+                             dyson_expansion, gateaux_derivative,
+                             product_integral, solve_homogeneous,
+                             solve_inhomogeneous, step_product)
 
 
 def oscillating_path(scale=1.0, interval=(0.0, 1.0)):
@@ -32,10 +30,10 @@ def recording_path(interval):
 def test_step_product_rules(vir8):
     with pytest.raises(ValueError):
         step_product(vir8, oscillating_path(), 4, rule="right")
-    # the midpoint rule samples each of the n uniform steps at its middle
+    # the left rule samples each of the n uniform steps at its left end
     seen, path = recording_path((0.0, 1.0))
-    step_product(vir8, path, 4, "midpoint")
-    np.testing.assert_allclose(seen, [0.125, 0.375, 0.625, 0.875])
+    step_product(vir8, path, 4, "left")
+    np.testing.assert_allclose(seen, [0.0, 0.25, 0.5, 0.75])
 
 
 def test_cumulative_simpson_polynomial():
@@ -326,17 +324,21 @@ def test_dyson_order_scaling(vir8):
 
 
 def test_change_of_variable(vir8):
+    # the product integral of X over phi([0, 1]) against that of
+    # phi' . (X o phi) over [0, 1], in operator norm
     path = oscillating_path(scale=0.4)
-    d, _, _ = change_of_variable_check(vir8, path, lambda s: s, lambda s: 1.0,
-                                       (0, 1), tol=1e-6)
-    assert d < 1e-12
-    d, _, _ = change_of_variable_check(vir8, path,
-                                       lambda s: 0.2 + 0.6 * s,
-                                       lambda s: 0.6, (0, 1), tol=1e-6)
-    assert d < 1e-9
-    d, _, _ = change_of_variable_check(vir8, path, lambda s: s ** 2,
-                                       lambda s: 2 * s, (0, 1), tol=1e-7)
-    assert d < 1e-6
+
+    def change(phi, dphi, tol):
+        direct = product_integral(
+            vir8, GeneratorPath(path.func, (phi(0), phi(1))), tol=tol)
+        pulled = product_integral(
+            vir8, GeneratorPath(lambda s: dphi(s) * path(phi(s)), (0, 1)),
+            tol=tol)
+        return np.linalg.norm(direct.matrix - pulled.matrix, 2)
+
+    assert change(lambda s: s, lambda s: 1.0, 1e-6) < 1e-12
+    assert change(lambda s: 0.2 + 0.6 * s, lambda s: 0.6, 1e-6) < 1e-9
+    assert change(lambda s: s ** 2, lambda s: 2 * s, 1e-7) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +411,8 @@ def test_magnus4_matches_ode_reference(vir8):
     assert np.linalg.norm(P.matrix @ xi0 - sol.y[:, -1]) < 1e-9
 
 
-def test_magnus4_matches_step_scheme(vir8):
-    # both rules stop when a doubling moves the probe difference below
-    # tol, so they agree to the requested tolerance in that norm
-    path = oscillating_path(scale=0.5)
-    tol = 1e-8
-    Pm = product_integral(vir8, path, tol=tol)
-    Ps = product_integral(vir8, path, tol=tol, rule="midpoint")
-    assert Pm.steps < Ps.steps
-    assert _probe_difference(vir8, Pm.matrix, Ps.matrix, 0) < tol
-
-
 def test_magnus4_records_no_step_bound(vir8):
     P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1)
-    assert P.refinement_error
-    assert all(np.isnan(bound) for _, _, bound in P.refinement_error)
-
-
-def test_midpoint_records_no_step_bound(vir8):
-    # the difference estimate samples the left step functions, so it is
-    # no bound for the midpoint scheme
-    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1,
-                         rule="midpoint")
     assert P.refinement_error
     assert all(np.isnan(bound) for _, _, bound in P.refinement_error)
 
@@ -467,7 +449,7 @@ def test_taylor_plan_remainder_below_roundoff():
         assert norm / s <= _THETAS[m - 1]
 
 
-@pytest.mark.parametrize("rule", ["magnus4", "midpoint"])
+@pytest.mark.parametrize("rule", ["magnus4", "left"])
 def test_vector_mode_matches_dense_product(vir8, rule):
     path = oscillating_path(scale=0.5)
     rng = np.random.default_rng(5)
