@@ -103,6 +103,13 @@ class ModuleCache:
 # descriptor parsing
 
 
+def _integer(value, field):
+    """`value` if it is a JSON integer (not a boolean, float or string)."""
+    if type(value) is not int:
+        raise DescriptorError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 def parse_module_spec(data):
     """HighestWeightSpec (or su(2) spin tuple) from descriptor JSON.
 
@@ -116,15 +123,19 @@ def parse_module_spec(data):
     try:
         if kind == "virasoro":
             return virasoro_spec(Fraction(str(data["c"])),
-                                 Fraction(str(data["h"])), int(data["N"]))
+                                 Fraction(str(data["h"])),
+                                 _integer(data["N"], "module.N"))
         if kind == "affine_sl2":
-            return affine_spec(int(data["ell"]), int(data["lam"]),
-                               int(data["N"]))
+            return affine_spec(_integer(data["ell"], "module.ell"),
+                               _integer(data["lam"], "module.lam"),
+                               _integer(data["N"], "module.N"))
         if kind == "su2":
             from .nelson import FinDimRep
             return FinDimRep(tuple(Fraction(str(s)) for s in data["spins"]))
     except KeyError as exc:
         raise DescriptorError(f"module: missing field {exc.args[0]!r}")
+    except DescriptorError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise DescriptorError(f"module: {exc}")
     raise DescriptorError(f"module.kind: unknown kind {kind!r}")
@@ -144,8 +155,7 @@ def validate_descriptor(data):
     }
     if not isinstance(out["name"], str):
         raise DescriptorError("name: expected a string")
-    if not isinstance(out["seed"], int):
-        raise DescriptorError("seed: expected an integer")
+    _integer(out["seed"], "seed")
     if not isinstance(out["checks"], list):
         raise DescriptorError("checks: expected a list of check ids")
     for cid in out["checks"]:
@@ -156,8 +166,8 @@ def validate_descriptor(data):
     for key, val in out["tolerances"].items():
         if key not in CATALOG:
             raise DescriptorError(f"tolerances.{key}: unknown check id")
-        if not isinstance(val, (int, float)) or val <= 0:
-            raise DescriptorError(f"tolerances.{key}: must be positive")
+        if type(val) not in (int, float) or not 0 < val < np.inf:
+            raise DescriptorError(f"tolerances.{key}: must be finite and > 0")
     if out["module"] is not None:
         parse_module_spec(out["module"])      # validates; reparsed at run
     return out

@@ -28,9 +28,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from .liealg import CentralElement, FourierVectorField, bracket_vect, seminorm
-from .prodint import (GeneratorPath, Propagator, product_integral,
-                      solve_homogeneous)
+from .liealg import FourierVectorField, bracket_vect, seminorm
+from .prodint import GeneratorPath, product_integral, solve_homogeneous
 
 
 class NonMonotone(ValueError):
@@ -80,9 +79,9 @@ class CirclePath:
 
     Invariants: theta -> phi(t, theta) strictly increasing,
     phi(t, theta + 2 pi) = phi(t, theta) + 2 pi (automatic from the
-    Fourier form) and phi(t0, .) = id.  A path given by its generator is
-    a `GeneratorPath`, which `exponentiate_path` and
-    `verify_up_properties` take directly.
+    Fourier form) and phi(t0, .) = id.  `exponentiate_path` takes a
+    circle path; a path given by its generator is a `GeneratorPath`,
+    which `verify_up_properties` and the product integrals take.
     """
 
     # the only form; perfbench's span tracer reads it
@@ -153,7 +152,7 @@ def log_derivative(path):
             a = fft[n % M]
             if abs(a) > 1e-14:
                 coeffs[n] = complex(a)
-        out = CentralElement(FourierVectorField(coeffs))
+        out = FourierVectorField(coeffs)
         cache[t] = out
         return out
 
@@ -161,12 +160,8 @@ def log_derivative(path):
 
 
 def exponentiate_path(rep, path, tol=1e-8):
-    """U_p: the product integral of the path's logarithmic derivative."""
-    if isinstance(path, GeneratorPath):
-        gen = path
-    else:
-        gen = log_derivative(path)
-    return product_integral(rep, gen, tol=tol)
+    """U_p of a CirclePath: the product integral of its log derivative."""
+    return product_integral(rep, log_derivative(path), tol=tol)
 
 
 def scalar_part(rep, matrix, window):
@@ -184,7 +179,7 @@ def scalar_part(rep, matrix, window):
 
 
 def verify_up_properties(rep, path, tol=1e-8):
-    """Residuals of the standard propagator properties, keyed by name.
+    """Residuals of a GeneratorPath's propagator properties, keyed by name.
 
     * ``constant-exponential``: for the path frozen at its initial value,
       U equals the matrix exponential of the generator.
@@ -195,11 +190,10 @@ def verify_up_properties(rep, path, tol=1e-8):
       [a, m], m the midpoint.
     * ``adjoint``: U_p^* equals the propagator of the reversed path.
     """
-    gen = path if isinstance(path, GeneratorPath) else log_derivative(path)
-    a, b = gen.interval
+    a, b = path.interval
     out = {}
 
-    X0 = gen(a)
+    X0 = path(a)
     Pc = product_integral(rep, GeneratorPath.constant(X0, (0.0, 1.0)), tol=tol)
     out["constant-exponential"] = float(
         np.abs(Pc.matrix - expm(rep.pi(X0))).max())
@@ -207,21 +201,21 @@ def verify_up_properties(rep, path, tol=1e-8):
     def pulled_back(s):
         """phi'(s) X(phi(s)) for the smoothstep phi."""
         phi = a + (b - a) * ((3 - 2 * s) * s ** 2)
-        return ((b - a) * (6 * s - 6 * s ** 2)) * gen.func(phi)
+        return ((b - a) * (6 * s - 6 * s ** 2)) * path.func(phi)
 
-    P = product_integral(rep, gen, tol=tol)
+    P = product_integral(rep, path, tol=tol)
     pulled = product_integral(rep, GeneratorPath(pulled_back, (0.0, 1.0)),
                               tol=tol)
     out["reparametrization"] = float(
         np.linalg.norm(P.matrix - pulled.matrix, 2))
 
     m = a + 0.5 * (b - a)
-    P1 = product_integral(rep, GeneratorPath(gen.func, (a, m)), tol=tol)
-    P2 = product_integral(rep, GeneratorPath(gen.func, (m, b)), tol=tol)
+    P1 = product_integral(rep, GeneratorPath(path.func, (a, m)), tol=tol)
+    P2 = product_integral(rep, GeneratorPath(path.func, (m, b)), tol=tol)
     out["concatenation"] = float(np.abs(P2.matrix @ P1.matrix
                                         - P.matrix).max())
 
-    Pinv = product_integral(rep, gen.reversed(), tol=tol)
+    Pinv = product_integral(rep, path.reversed(), tol=tol)
     out["adjoint"] = float(np.abs(P.matrix.conj().T - Pinv.matrix).max())
     return out
 
@@ -234,7 +228,7 @@ def verify_up_properties(rep, path, tol=1e-8):
 class FlatHomotopy:
     """Analytic zero-curvature data X_1, X_2 on the unit square.
 
-    ``X1``/``X2`` map (x, y) to CentralElements; ``d2X1``/``d1X2`` are
+    ``X1``/``X2`` map (x, y) to vector fields; ``d2X1``/``d1X2`` are
     the closed-form partial derivatives (the derivative contract), used
     by the curvature checker d_1 X_2 - d_2 X_1 = [X_1, X_2].
     """
@@ -253,8 +247,8 @@ class FlatHomotopy:
             for y in grid:
                 X1 = self.X1(x, y)
                 X2 = self.X2(x, y)
-                resid = (self.d1X2(x, y).base - self.d2X1(x, y).base
-                         - bracket_vect(X1.base, X2.base))
+                resid = (self.d1X2(x, y) - self.d2X1(x, y)
+                         - bracket_vect(X1, X2))
                 worst = max(worst, seminorm(resid, s))
         return worst
 
@@ -263,9 +257,7 @@ class FlatHomotopy:
         worst = 0.0
         for y in np.linspace(0.0, 1.0, nodes):
             for x in (0.0, 1.0):
-                X2 = self.X2(x, y)
-                worst = max(worst, seminorm(X2.base, 1)
-                            + abs(complex(X2.central)))
+                worst = max(worst, seminorm(self.X2(x, y), 1))
         return worst
 
     def boundary_path(self, y, interval=(0.0, 1.0)):
@@ -424,7 +416,7 @@ def shrinking_loop_homotopy(k=2, alpha=0.16, beta=0.16):
             coeffs[-k] = cu - 1j * cv
         if c0:
             coeffs[0] = complex(c0)
-        return CentralElement(FourierVectorField(coeffs))
+        return FourierVectorField(coeffs)
 
     # d_x[exp(A u) exp(B v)] . (...)^{-1} = A_x u + B_x Ad_{exp(A u)} v
     # with Ad_{exp(A u)} v = cosh(2kA) v + 2 sinh(2kA) e_0, and the same
@@ -474,14 +466,9 @@ class PhaseChart:
         object.__setattr__(self, "xi", xi)
 
 
-def _matrix_of(U):
-    return U.matrix if isinstance(U, Propagator) else np.asarray(U)
-
-
 def phase_function(chart, U, threshold=1e-12):
     """phase(U) = (U xi, xi)/|(U xi, xi)|; equivariant under U -> e^{i t} U."""
-    M = _matrix_of(U)
-    z = complex(np.vdot(chart.xi, M @ chart.xi))
+    z = complex(np.vdot(chart.xi, U @ chart.xi))
     if abs(z) <= threshold:
         raise OutsideChart(f"|(U xi, xi)| = {abs(z):.3e}")
     return z / abs(z)
@@ -494,9 +481,8 @@ def local_cocycle(chart, Ug, Uh):
     U_g by e^{i a} U_g multiplies numerator and denominator by the same
     factor.
     """
-    G, H = _matrix_of(Ug), _matrix_of(Uh)
-    num = phase_function(chart, G @ H)
-    return num / (phase_function(chart, G) * phase_function(chart, H))
+    num = phase_function(chart, Ug @ Uh)
+    return num / (phase_function(chart, Ug) * phase_function(chart, Uh))
 
 
 def extension_cocycle_check(rep, chart, Y, X, step=1e-3):
@@ -508,10 +494,6 @@ def extension_cocycle_check(rep, chart, Y, X, step=1e-3):
     dict with both values and their difference; the accuracy is tied to
     the finite-difference step.
     """
-    if not isinstance(X, CentralElement):
-        X = CentralElement(X)
-    if not isinstance(Y, CentralElement):
-        Y = CentralElement(Y)
     PY, PX = rep.pi(Y), rep.pi(X)
 
     def mixed(P, Q):
@@ -525,7 +507,7 @@ def extension_cocycle_check(rep, chart, Y, X, step=1e-3):
 
     measured = mixed(PY, PX) - mixed(PX, PY)
     B = complex(rep.projective_cocycle(Y, X))
-    br = bracket_vect(Y.base, X.base)
+    br = bracket_vect(Y, X)
     ip = complex(np.vdot(chart.xi, rep.pi(br) @ chart.xi))
     expected = B - 1j * ip
     if abs(expected.imag) > 1e-9 * (1 + abs(expected)):

@@ -47,8 +47,8 @@ import math
 
 import numpy as np
 
-from .liealg import (CentralElement, FourierVectorField, LoopAlgebraElement,
-                     sl2_chevalley)
+from .liealg import (FourierVectorField, LoopAlgebraElement, loop_cocycle,
+                     sl2_chevalley, vect_cocycle_integral)
 from .scale import (DIM_G, gw_loop_a_seminorm, gw_loop_seminorm,
                     gw_virasoro_a_seminorm, gw_virasoro_seminorm)
 
@@ -744,31 +744,24 @@ class GradedModule:
     # -- representation map -------------------------------------------------
 
     def pi(self, X):
-        """Matrix of a CentralElement (or bare algebra element).
-
-        A vector field maps to sum_n i a_n L_n (on an affine module the
-        Sugawara L_n); a loop element x(n) on an affine module maps to its
-        block; the central coefficient t acts as i*t*Id.
+        """Matrix of an algebra element: a vector field maps to
+        sum_n i a_n L_n (on an affine module the Sugawara L_n), a loop
+        element x(n) on an affine module to its generator matrices.
         """
-        if not isinstance(X, CentralElement):
-            X = CentralElement(X)
         M = np.zeros((self.dim, self.dim), dtype=complex)
-        if isinstance(X.base, FourierVectorField):
-            for n, a in X.base.coeffs.items():
+        if isinstance(X, FourierVectorField):
+            for n, a in X.coeffs.items():
                 M += 1j * complex(a) * self.generator_matrix(("L", n))
-        elif isinstance(X.base, LoopAlgebraElement):
+        elif isinstance(X, LoopAlgebraElement):
             if self.spec.kind != "affine_sl2":
                 raise TypeError("loop element on a non-affine module")
-            for n, v in X.base.coeffs.items():
+            for n, v in X.coeffs.items():
                 for j in range(3):
                     a = complex(v[j])
                     if a:
                         M += a * self.generator_matrix(("x", j, n))
         else:
-            raise TypeError(f"cannot represent {type(X.base).__name__}")
-        t = complex(X.central)
-        if t:
-            M += 1j * t * np.eye(self.dim)
+            raise TypeError(f"cannot represent {type(X).__name__}")
         return M
 
     @property
@@ -781,32 +774,25 @@ class GradedModule:
 
     def seminorm(self, X, t):
         """|X|_t with the Goodman-Wallach constants of this module's
-        algebra (central coefficients contribute their modulus)."""
-        extra = abs(complex(X.central)) if isinstance(X, CentralElement) else 0.0
-        return self._gw(X, t, gw_virasoro_seminorm, gw_loop_seminorm) + extra
+        algebra."""
+        return self._gw(X, t, gw_virasoro_seminorm, gw_loop_seminorm)
 
     def a_seminorm(self, X, t):
-        """|X|_{A,t} (the central part commutes with A and drops out)."""
+        """|X|_{A,t}, the constant of the commutator estimate."""
         return self._gw(X, t, gw_virasoro_a_seminorm, gw_loop_a_seminorm)
 
     def _gw(self, X, t, virasoro, loop):
         """virasoro(X, t, c) on a Virasoro module; on an affine module
         loop(X, f, t, ell) with a loop element in the (ell+1) slot X and a
         vector field, which acts by the Sugawara L_n, in the dim(G) slot f."""
-        base = X.base if isinstance(X, CentralElement) else X
         if self.spec.kind == "virasoro":
-            return virasoro(base, t, float(self.spec.c))
-        if isinstance(base, FourierVectorField):
-            return loop(None, base, t, self.spec.ell)
-        return loop(base, None, t, self.spec.ell)
+            return virasoro(X, t, float(self.spec.c))
+        if isinstance(X, FourierVectorField):
+            return loop(None, X, t, self.spec.ell)
+        return loop(X, None, t, self.spec.ell)
 
     def projective_cocycle(self, X, Y):
         """B(X, Y) with [pi(X), pi(Y)] = pi([X, Y]) + i B(X, Y)."""
-        from .liealg import vect_cocycle_integral, loop_cocycle
-        if isinstance(X, CentralElement):
-            X = X.base
-        if isinstance(Y, CentralElement):
-            Y = Y.base
         if isinstance(X, FourierVectorField):
             return (float(self.central_charge)
                     * complex(vect_cocycle_integral(X, Y)))

@@ -1,5 +1,5 @@
-"""Coefficient-level arithmetic for circle vector fields, loop-algebra
-elements and their central extensions.
+"""Coefficient-level arithmetic for circle vector fields and loop-algebra
+elements.
 
 Vector fields on the circle are stored by their Fourier data,
 
@@ -410,36 +410,3 @@ def loop_cocycle(x, y):
         if w is not None:
             total = total + _mul_i(-m * x.algebra.inner(v, w))
     return total
-
-
-# ---------------------------------------------------------------------------
-# central extensions
-
-
-class CentralElement:
-    """Element X oplus t c of a one-dimensional central extension."""
-
-    __slots__ = ("base", "central")
-
-    def __init__(self, base, central=0):
-        self.base = base
-        self.central = central
-
-    def __add__(self, other):
-        if not isinstance(other, CentralElement):
-            return NotImplemented
-        return CentralElement(self.base + other.base, self.central + other.central)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return CentralElement(scalar * self.base, scalar * self.central)
-
-    __mul__ = __rmul__
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __repr__(self):
-        return f"CentralElement({self.base!r}, central={self.central!r})"

@@ -6,8 +6,8 @@ Levi-Civita symbol), pi(X_i) = -i J_i blockwise.  The Laplacian
 Delta = sum pi(X_i)^2 is a negative constant per block, so the scale
 A = 1 - Delta is block-scalar and the Sobolev machinery is exercised
 nontrivially exactly when the sum is reducible.  Product integrals are
-cross-validated against closed-form axis-angle exponentials and a
-high-accuracy ODE reference.
+checked against the closed-form axis-angle exponentials of
+`axis_angle_oracle`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-
-from .prodint import GeneratorPath, product_integral
 
 
 def spin_matrices(j):
@@ -167,39 +165,3 @@ def axis_angle_oracle(rep, x):
         w = np.round(w * 2) / 2            # exact spectrum -j..j
         U[sl, sl] = (V * np.exp(-1j * theta * w)) @ V.conj().T
     return U
-
-
-def exponentiate_vs_oracle(rep, path, tol=1e-9):
-    """Cross-validation report for the product integral of an su(2) path.
-
-    Keys: ``unitarity`` (defect of U), ``reference`` (operator distance
-    to a high-accuracy ODE reference), ``homomorphism`` (concatenation
-    residual across the interval's midpoint) and, when the path is
-    constant, ``axis-angle`` (distance to the closed-form exponential).
-    """
-    from scipy.integrate import solve_ivp
-    a, b = path.interval
-    P = product_integral(rep, path, tol=tol)
-    out = {"unitarity": P.unitarity_defect()}
-
-    probes = np.linspace(a, b, 7)
-    x0 = np.asarray(path(a), dtype=float)
-    if all(np.allclose(np.asarray(path(t), dtype=float), x0, atol=1e-14)
-           for t in probes):
-        oracle = axis_angle_oracle(rep, (b - a) * x0)
-        out["axis-angle"] = float(np.abs(P.matrix - oracle).max())
-
-    def rhs(t, y):
-        return (rep.pi(path(t)) @ y.reshape(rep.dim, rep.dim)).ravel()
-
-    sol = solve_ivp(rhs, (a, b), np.eye(rep.dim, dtype=complex).ravel(),
-                    rtol=1e-12, atol=1e-13)
-    ref = sol.y[:, -1].reshape(rep.dim, rep.dim)
-    out["reference"] = float(np.abs(P.matrix - ref).max())
-
-    m = a + 0.5 * (b - a)
-    P1 = product_integral(rep, GeneratorPath(path.func, (a, m)), tol=tol)
-    P2 = product_integral(rep, GeneratorPath(path.func, (m, b)), tol=tol)
-    out["homomorphism"] = float(np.abs(P2.matrix @ P1.matrix
-                                       - P.matrix).max())
-    return out

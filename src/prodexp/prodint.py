@@ -104,11 +104,6 @@ class Propagator:
         # list of (steps, empirical difference, theoretical bound) triples
         self.refinement_error = refinement_error or []
 
-    def __matmul__(self, other):
-        if isinstance(other, Propagator):
-            return self.matrix @ other.matrix
-        return self.matrix @ other
-
     def unitarity_defect(self):
         U = self.matrix
         return float(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max())

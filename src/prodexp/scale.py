@@ -5,7 +5,7 @@ operator estimates.
 affine with the Sugawara L_n) or the su(2) testbed's FinDimRep.  Each
 provides
 
-* `dim` and `pi(element) -> dim x dim matrix`;
+* `dim` and `pi(element) -> dim x dim matrix` of an algebra element;
 * `a_diag()`, the diagonal of A in the working basis (A is diagonal
   throughout), and `level_of()`, the grading level of each coordinate;
 * `seminorm(X, t)` and `a_seminorm(X, t)`, the representation's own
@@ -26,7 +26,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .liealg import CentralElement, seminorm
+from .liealg import seminorm
 from .prodint import _top_fraction
 
 
@@ -120,26 +120,21 @@ class EstimateReport:
 # the checks
 
 
-def _base(X):
-    return X.base if isinstance(X, CentralElement) else X
-
-
 def check_basic_estimates(rep, X, xi, n):
     """Both sides of ||pi(X)xi||_n <= |X|_{n+1} ||xi||_{n+1} and
     ||[A, pi(X)]xi||_n <= |X|_{A,n+1} ||xi||_{n+1}."""
     scale = SobolevScale(rep)
     P = rep.pi(X)
-    Xb = _base(X)
     w = P @ xi
     comm = scale.diag * w - P @ (scale.diag * xi)
     norm_next = scale.norm(xi, n + 1)
     return [
         EstimateReport("pi-bound", {"n": n},
-                       scale.norm(w, n), rep.seminorm(Xb, n + 1) * norm_next,
+                       scale.norm(w, n), rep.seminorm(X, n + 1) * norm_next,
                        leakage=_top_fraction(rep, w)),
         EstimateReport("commutator-bound", {"n": n},
                        scale.norm(comm, n),
-                       rep.a_seminorm(Xb, n + 1) * norm_next,
+                       rep.a_seminorm(X, n + 1) * norm_next,
                        leakage=_top_fraction(rep, comm)),
     ]
 
@@ -149,12 +144,11 @@ def check_gw_virasoro(rep, X, xi, t):
     + M ||X||_{|t|+1} ||xi||_{t+1/2} + M ||X||_{|t|+3/2} ||xi||_t."""
     M = math.sqrt(float(rep.central_charge) / 12.0)
     scale = SobolevScale(rep)
-    Xb = _base(X)
     w = rep.pi(X) @ xi
     a = abs(t)
-    rhs = (math.sqrt(2) * seminorm(Xb, a) * scale.norm(xi, t + 1)
-           + M * seminorm(Xb, a + 1) * scale.norm(xi, t + 0.5)
-           + M * seminorm(Xb, a + 1.5) * scale.norm(xi, t))
+    rhs = (math.sqrt(2) * seminorm(X, a) * scale.norm(xi, t + 1)
+           + M * seminorm(X, a + 1) * scale.norm(xi, t + 0.5)
+           + M * seminorm(X, a + 1.5) * scale.norm(xi, t))
     return EstimateReport("gw-virasoro", {"t": t}, scale.norm(w, t), rhs,
                           leakage=_top_fraction(rep, w))
 
@@ -172,13 +166,13 @@ def check_gw_loop(module, X, f, xi, t):
         w = module.pi(X) @ xi
         out.append(EstimateReport(
             "gw-loop-element", {"t": t}, scale.norm(w, t),
-            (ell + 1) * seminorm(_base(X), a + 0.5) * scale.norm(xi, t + 0.5),
+            (ell + 1) * seminorm(X, a + 0.5) * scale.norm(xi, t + 0.5),
             leakage=_top_fraction(module, w)))
     if f is not None:
         w = module.pi(f) @ xi
         out.append(EstimateReport(
             "gw-loop-field", {"t": t}, scale.norm(w, t),
-            DIM_G * seminorm(_base(f), a + 1.5) * scale.norm(xi, t + 1),
+            DIM_G * seminorm(f, a + 1.5) * scale.norm(xi, t + 1),
             leakage=_top_fraction(module, w)))
     return out
 
@@ -188,7 +182,7 @@ def check_exp_estimate(rep, X, n):
     scale = SobolevScale(rep)
     U = expm(rep.pi(X))
     lhs = scale.operator_norm(U, n, n)
-    rhs = math.exp(2 * n * rep.a_seminorm(_base(X), n))
+    rhs = math.exp(2 * n * rep.a_seminorm(X, n))
     return EstimateReport("exp-estimate", {"n": n}, lhs, rhs)
 
 
@@ -196,11 +190,10 @@ def check_exp_difference(rep, X, Y, xi, n):
     """||(e^{pi(X)} - e^{pi(Y)}) xi||_n <= |X-Y|_{n+1}
     e^{2(n+1) max(|X|_{A,n+1}, |Y|_{A,n+1})} ||xi||_{n+1}."""
     scale = SobolevScale(rep)
-    Xb, Yb = _base(X), _base(Y)
     w = (expm(rep.pi(X)) - expm(rep.pi(Y))) @ xi
-    rhs = (rep.seminorm(Xb - Yb, n + 1)
-           * math.exp(2 * (n + 1) * max(rep.a_seminorm(Xb, n + 1),
-                                        rep.a_seminorm(Yb, n + 1)))
+    rhs = (rep.seminorm(X - Y, n + 1)
+           * math.exp(2 * (n + 1) * max(rep.a_seminorm(X, n + 1),
+                                        rep.a_seminorm(Y, n + 1)))
            * scale.norm(xi, n + 1))
     return EstimateReport("exp-difference", {"n": n}, scale.norm(w, n), rhs,
                           leakage=_top_fraction(rep, w))

@@ -20,8 +20,8 @@ from prodexp.grouprep import (CirclePath, PhaseChart, exponentiate_path,
                               shrinking_loop_homotopy)
 from prodexp.hwmod import (NotUnitarizable, build_module, build_verma,
                            virasoro_spec)
-from prodexp.liealg import (CentralElement, FourierVectorField,
-                            LoopAlgebraElement, sl2_chevalley)
+from prodexp.liealg import (FourierVectorField, LoopAlgebraElement,
+                            sl2_chevalley)
 from prodexp.nelson import FinDimRep, axis_angle_oracle
 from prodexp.prodint import (GeneratorPath, dyson_expansion,
                              gateaux_derivative, product_integral,
@@ -37,7 +37,7 @@ from test_hwmod import oracle_gram
 def oscillating_path(scale=1.0, interval=(0.0, 1.0)):
     def f(t):
         a = scale * np.exp(1j * t)
-        return CentralElement(FourierVectorField({1: a, -1: a.conjugate()}))
+        return FourierVectorField({1: a, -1: a.conjugate()})
     return GeneratorPath(f, interval)
 
 
@@ -230,8 +230,8 @@ def test_inhomogeneous_residual(vir8):
 
 def test_gateaux_matches_central_difference(vir8):
     path = oscillating_path(scale=0.3)
-    delta = GeneratorPath(lambda t: CentralElement(
-        FourierVectorField({2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)})), (0, 1))
+    delta = GeneratorPath(lambda t: FourierVectorField(
+        {2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)}), (0, 1))
     grid = np.linspace(0, 1, 65)
     xi0 = omega(vir8)
     traj = gateaux_derivative(vir8, path, xi0, delta, grid, tol=1e-9)
@@ -356,9 +356,10 @@ def test_nelson_path_independence():
         return 3 * gamma * ez
 
     kw = dict(tol=1e-9)
-    P = product_integral(rep, GeneratorPath(euler, (0, 1 / 3)), **kw)
-    for seg in ((1 / 3, 2 / 3), (2 / 3, 1.0)):
-        P = product_integral(rep, GeneratorPath(euler, seg), **kw) @ P
+    P = np.eye(rep.dim)
+    for seg in ((0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)):
+        U = product_integral(rep, GeneratorPath(euler, seg), **kw)
+        P = U.matrix @ P
 
     # the same SU(2) element along the direct axis-angle path
     rep_half = FinDimRep((0.5,))
@@ -385,8 +386,8 @@ def test_nelson_spin_half_full_turn():
 
 def test_extension_cocycle_finite_difference(vir8):
     chart = PhaseChart(omega(vir8))
-    X = CentralElement(FourierVectorField({2: 1.0, -2: 1.0}))
-    Y = CentralElement(FourierVectorField({2: 1j, -2: -1j}))
+    X = FourierVectorField({2: 1.0, -2: 1.0})
+    Y = FourierVectorField({2: 1j, -2: -1j})
     out = extension_cocycle_check(vir8, chart, Y, X, step=1e-3)
     assert out["difference"] < 1e-3
     assert abs(out["expected"]) > 0.1          # a genuinely nonzero value

@@ -117,7 +117,7 @@ def test_unknown_check_id_named(tmp_path, capsys):
     assert "no-such-check" in capsys.readouterr().err
 
 
-def test_validation_errors_name_the_field(tmp_path, capsys):
+def test_validation_errors_name_the_field(tmp_path, cache_dir, capsys):
     cases = [
         ({"name": "x", "checks": [], "tolerances": {"a": -1}},
          "tolerances.a"),
@@ -125,11 +125,36 @@ def test_validation_errors_name_the_field(tmp_path, capsys):
           "module": {"kind": "mystery"}}, "module.kind"),
         ({"name": 3, "checks": []}, "name"),
         ({"name": "x", "checks": [], "seed": "seven"}, "seed"),
+        ({"name": "x", "checks": [], "seed": True}, "seed"),
+        ({"name": "x", "checks": [], "tolerances": {"vir-commutation": True}},
+         "tolerances.vir-commutation"),
+        ({"name": "x", "checks": [],
+          "tolerances": {"vir-commutation": float("nan")}},
+         "tolerances.vir-commutation"),
+        ({"name": "x", "checks": [],
+          "tolerances": {"vir-commutation": float("inf")}},
+         "tolerances.vir-commutation"),
     ]
+    # module integers must be JSON integers: no truncated floats, no
+    # booleans, no strings and no overflowing floats
+    vir = {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8}
+    aff = {"kind": "affine_sl2", "ell": 1, "lam": 0, "N": 4}
+    for module, field, bad in ((vir, "N", 8.5), (vir, "N", True),
+                               (vir, "N", "8"), (vir, "N", 1e400),
+                               (aff, "ell", 1.0), (aff, "lam", False),
+                               (aff, "N", 4.7)):
+        cases.append(({"name": "x", "checks": [],
+                       "module": dict(module, **{field: bad})},
+                      f"module.{field}"))
     for data, needle in cases:
         desc = write_descriptor(tmp_path, data)
         assert cli.main(["run", desc]) == 2
         assert needle in capsys.readouterr().err
+    desc = write_descriptor(tmp_path, {"name": "x", "module": vir,
+                                       "checks": ["vir-commutation"]})
+    assert cli.main(["--cache-dir", cache_dir, "sweep", desc,
+                     "--param", "module.N", "--values", "4.5"]) == 2
+    assert "module.N" in capsys.readouterr().err
 
 
 def test_unknown_tolerance_key_named(tmp_path, capsys):

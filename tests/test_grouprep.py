@@ -10,8 +10,8 @@ from prodexp.grouprep import (BoundaryViolation, CirclePath, CurvatureTooLarge,
                               holonomy_phase, local_cocycle, log_derivative,
                               phase_function, scalar_part,
                               shrinking_loop_homotopy, verify_up_properties)
-from prodexp.liealg import (CentralElement, FourierVectorField,
-                            LoopAlgebraElement, sl2_chevalley)
+from prodexp.liealg import (FourierVectorField, LoopAlgebraElement,
+                            sl2_chevalley)
 from prodexp.nelson import FinDimRep
 from prodexp.prodint import GeneratorPath, product_integral
 from prodexp.scale import SobolevScale
@@ -28,7 +28,7 @@ def mobius_diffeo(eps=0.2, grid_size=64):
 def oscillator(scale=0.25):
     def f(t):
         a = scale * np.exp(1j * t)
-        return CentralElement(FourierVectorField({1: a, -1: a.conjugate()}))
+        return FourierVectorField({1: a, -1: a.conjugate()})
     return GeneratorPath(f, (0.0, 1.0))
 
 
@@ -51,8 +51,8 @@ def test_rotation_log_derivative():
     gen = log_derivative(CirclePath.rotation(2 * np.pi))
     for t in (0.0, 0.3, 1.0):
         X = gen(t)
-        assert set(X.base.coeffs) == {0}
-        assert X.base.coeffs[0] == pytest.approx(2 * np.pi, abs=1e-12)
+        assert set(X.coeffs) == {0}
+        assert X.coeffs[0] == pytest.approx(2 * np.pi, abs=1e-12)
 
 
 def test_mobius_log_derivative_at_zero():
@@ -60,9 +60,9 @@ def test_mobius_log_derivative_at_zero():
     gen = log_derivative(mobius_diffeo(eps))
     X = gen(0.0)
     # d_t phi(0, theta) = eps sin(theta) = eps (e^{i th} - e^{-i th})/(2i)
-    assert X.base.coeffs[1] == pytest.approx(-0.5j * eps, abs=1e-12)
-    assert X.base.coeffs[-1] == pytest.approx(0.5j * eps, abs=1e-12)
-    assert all(abs(c) < 1e-12 for n, c in X.base.coeffs.items()
+    assert X.coeffs[1] == pytest.approx(-0.5j * eps, abs=1e-12)
+    assert X.coeffs[-1] == pytest.approx(0.5j * eps, abs=1e-12)
+    assert all(abs(c) < 1e-12 for n, c in X.coeffs.items()
                if n not in (1, -1))
 
 
@@ -74,7 +74,7 @@ def test_mobius_log_derivative_consistency():
     X = gen(t)
     for s in np.linspace(0.0, 2 * np.pi, 11):
         angle = s + t * eps * np.sin(s)
-        val = sum(c * np.exp(1j * n * angle) for n, c in X.base.coeffs.items())
+        val = sum(c * np.exp(1j * n * angle) for n, c in X.coeffs.items())
         assert val.real == pytest.approx(eps * np.sin(s), abs=1e-9)
         assert abs(val.imag) < 1e-9
 
@@ -127,13 +127,13 @@ def test_up_properties(vir8):
 
 
 def constant_homotopy(X1const, X2const):
-    zero = CentralElement(FourierVectorField())
+    zero = FourierVectorField()
     return FlatHomotopy(X1=lambda x, y: X1const, X2=lambda x, y: X2const,
                         d2X1=lambda x, y: zero, d1X2=lambda x, y: zero)
 
 
 def test_flat_section_trivial(vir8):
-    zero = CentralElement(FourierVectorField())
+    zero = FourierVectorField()
     hom = constant_homotopy(zero, zero)
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
@@ -143,8 +143,8 @@ def test_flat_section_trivial(vir8):
 
 
 def test_flat_section_horizontal(vir8):
-    X = CentralElement(FourierVectorField({2: 0.3, -2: 0.3}))
-    zero = CentralElement(FourierVectorField())
+    X = FourierVectorField({2: 0.3, -2: 0.3})
+    zero = FourierVectorField()
     hom = constant_homotopy(X, zero)
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
@@ -157,7 +157,7 @@ def test_flat_section_horizontal(vir8):
 def test_flat_section_commuting(vir8):
     a, b = 0.4, -0.7
     e0 = FourierVectorField({0: 1.0})
-    hom = constant_homotopy(CentralElement(a * e0), CentralElement(b * e0))
+    hom = constant_homotopy(a * e0, b * e0)
     xi0 = vir8.random_vector(np.random.default_rng(21))
     res = flat_section(vir8, hom, xi0, nx=5, ny=5)
     P = vir8.pi(e0)
@@ -168,8 +168,8 @@ def test_flat_section_commuting(vir8):
 
 
 def test_flat_section_curvature_guard(vir8):
-    X = CentralElement(FourierVectorField({1: 0.5, -1: 0.5}))
-    Y = CentralElement(FourierVectorField({2: 0.5, -2: 0.5}))
+    X = FourierVectorField({1: 0.5, -1: 0.5})
+    Y = FourierVectorField({2: 0.5, -2: 0.5})
     hom = constant_homotopy(X, Y)      # [X, Y] != 0 but derivatives are 0
     with pytest.raises(CurvatureTooLarge):
         flat_section(vir8, hom, np.zeros(vir8.dim), nx=3, ny=3)
@@ -183,15 +183,15 @@ def test_shrinking_loop_is_flat():
 
 
 def test_holonomy_boundary_guard(vir8):
-    X = CentralElement(FourierVectorField({0: 1.0}))
+    X = FourierVectorField({0: 1.0})
     hom = constant_homotopy(X, X)
     with pytest.raises(BoundaryViolation):
         holonomy_phase(vir8, hom)
 
 
 def test_holonomy_x2_zero(vir8):
-    X = CentralElement(FourierVectorField({2: 0.2, -2: 0.2}))
-    zero = CentralElement(FourierVectorField())
+    X = FourierVectorField({2: 0.2, -2: 0.2})
+    zero = FourierVectorField()
     hom = constant_homotopy(X, zero)
     rep = holonomy_phase(vir8, hom, tol=1e-9)
     assert rep.predicted == 1.0

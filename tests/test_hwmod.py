@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from prodexp.liealg import (CentralElement, FourierVectorField,
-                            LoopAlgebraElement, bracket_vect, loop_bracket,
-                            sl2_chevalley)
+from prodexp.liealg import (FourierVectorField, LoopAlgebraElement,
+                            bracket_vect, loop_bracket, sl2_chevalley)
 from prodexp.hwmod import (_ADJ, HighestWeightSpec, NotUnitarizable,
                            _exact_ldl, _IndefiniteGram, affine_spec,
                            build_module, build_verma, discrete_series_c,
@@ -506,7 +505,7 @@ class TestAssemblePi:
         return build_module(virasoro_spec(Fraction(1, 2), Fraction(1, 16), 8))
 
     def test_zero(self, mod):
-        X = CentralElement(FourierVectorField())
+        X = FourierVectorField()
         assert np.abs(mod.pi(X)).max() == 0
 
     def test_e0_is_i_l0(self, mod):
@@ -523,17 +522,25 @@ class TestAssemblePi:
                 coeffs[n] = a
                 coeffs[-n] = a.conjugate()
             coeffs[0] = float(rng.normal())
-            X = CentralElement(FourierVectorField(coeffs), float(rng.normal()))
+            X = FourierVectorField(coeffs)
             M = mod.pi(X)
             assert np.abs(M + M.conj().T).max() <= 1e-12 * max(1, np.abs(M).max())
 
     def test_projective_commutator(self, mod):
         assert_projective_commutator(mod)
 
-    def test_kind_mismatch(self, mod):
+    def test_kind_mismatch(self, mod, request):
         alg = sl2_chevalley()
         with pytest.raises(TypeError):
             mod.pi(LoopAlgebraElement.single(alg, 0, 1, 1.0))
+        # pi takes the algebra element itself: anything else is refused
+        # by name on either kind of module
+        for name in ("vir8", "aff5"):
+            module = request.getfixturevalue(name)
+            for foreign in (np.array([0.4, -0.2, 0.9]), {1: 0.5}):
+                with pytest.raises(TypeError,
+                                   match=type(foreign).__name__):
+                    module.pi(foreign)
 
 
 class TestAffineAndSugawara:

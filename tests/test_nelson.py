@@ -4,9 +4,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 
-from prodexp.nelson import (FinDimRep, axis_angle_oracle,
-                            exponentiate_vs_oracle, laplacian, spin_matrices,
-                            verify_assumptions)
+from prodexp.nelson import (FinDimRep, axis_angle_oracle, laplacian,
+                            spin_matrices, verify_assumptions)
 from prodexp.prodint import (GeneratorPath, product_integral,
                              step_product)
 
@@ -112,13 +111,34 @@ def test_axis_angle_against_expm():
         assert np.abs(got - want).max() < 1e-12
 
 
+def ode_reference(path):
+    """The propagator of `path` on MIXED by a tight-tolerance ODE solve."""
+    from scipy.integrate import solve_ivp
+    a, b = path.interval
+    sol = solve_ivp(lambda t, y: (MIXED.pi(path(t))
+                                  @ y.reshape(MIXED.dim, MIXED.dim)).ravel(),
+                    (a, b), np.eye(MIXED.dim, dtype=complex).ravel(),
+                    rtol=1e-12, atol=1e-13)
+    return sol.y[:, -1].reshape(MIXED.dim, MIXED.dim)
+
+
+def halves_residual(path, P, tol):
+    """|U over [m, b] U over [a, m] - P|, m the interval's midpoint."""
+    a, b = path.interval
+    m = a + 0.5 * (b - a)
+    P1 = product_integral(MIXED, GeneratorPath(path.func, (a, m)), tol=tol)
+    P2 = product_integral(MIXED, GeneratorPath(path.func, (m, b)), tol=tol)
+    return np.abs(P2.matrix @ P1.matrix - P.matrix).max()
+
+
 def test_constant_path_matches_oracle():
-    path = GeneratorPath(lambda t: np.array([0.4, -0.2, 0.9]))
-    rep = exponentiate_vs_oracle(MIXED, path, tol=1e-10)
-    assert rep["axis-angle"] < 1e-12
-    assert rep["unitarity"] < 1e-12
-    assert rep["reference"] < 1e-9
-    assert rep["homomorphism"] < 1e-10
+    x = np.array([0.4, -0.2, 0.9])
+    path = GeneratorPath(lambda t: x)
+    P = product_integral(MIXED, path, tol=1e-10)
+    assert np.abs(P.matrix - axis_angle_oracle(MIXED, x)).max() < 1e-12
+    assert P.unitarity_defect() < 1e-12
+    assert np.abs(P.matrix - ode_reference(path)).max() < 1e-9
+    assert halves_residual(path, P, 1e-10) < 1e-10
 
 
 def test_full_turn_spin_half_is_minus_identity():
@@ -137,11 +157,11 @@ def test_full_turn_spin_half_is_minus_identity():
 def test_time_dependent_path_report():
     def f(t):
         return np.array([np.sin(t), 0.3 * np.cos(2 * t), 0.5 * t])
-    rep = exponentiate_vs_oracle(MIXED, GeneratorPath(f), tol=1e-9)
-    assert "axis-angle" not in rep
-    assert rep["unitarity"] < 1e-12
-    assert rep["reference"] < 1e-6
-    assert rep["homomorphism"] < 1e-8
+    path = GeneratorPath(f)
+    P = product_integral(MIXED, path, tol=1e-9)
+    assert P.unitarity_defect() < 1e-12
+    assert np.abs(P.matrix - ode_reference(path)).max() < 1e-6
+    assert halves_residual(path, P, 1e-9) < 1e-8
 
 
 def test_path_independence_euler_decomposition():
@@ -161,9 +181,10 @@ def test_path_independence_euler_decomposition():
 
     kw = dict(tol=1e-9)
     # product of the three constant segments (rightmost acts first)
-    P = product_integral(MIXED, GeneratorPath(euler, (0, 1 / 3)), **kw)
-    for seg in ((1 / 3, 2 / 3), (2 / 3, 1.0)):
-        P = product_integral(MIXED, GeneratorPath(euler, seg), **kw) @ P
+    P = np.eye(MIXED.dim)
+    for seg in ((0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)):
+        U = product_integral(MIXED, GeneratorPath(euler, seg), **kw)
+        P = U.matrix @ P
 
     # extract theta * n from the spin-1/2 block of the endpoint
     rep_half = FinDimRep((0.5,))

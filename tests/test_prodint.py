@@ -4,7 +4,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import dense_at_vector_steps, safe_vector
-from prodexp.liealg import CentralElement, FourierVectorField
+from prodexp.liealg import FourierVectorField
 from prodexp.prodint import (GeneratorPath, MaxRefinementExceeded,
                              TruncationOverflow, cumulative_simpson,
                              dyson_expansion, gateaux_derivative,
@@ -15,7 +15,7 @@ from prodexp.prodint import (GeneratorPath, MaxRefinementExceeded,
 def oscillating_path(scale=1.0, interval=(0.0, 1.0)):
     def f(t):
         a = scale * (np.cos(t) + 1j * np.sin(t))
-        return CentralElement(FourierVectorField({1: a, -1: a.conjugate()}))
+        return FourierVectorField({1: a, -1: a.conjugate()})
     return GeneratorPath(f, interval)
 
 
@@ -23,7 +23,7 @@ def recording_path(interval):
     """(seen, path): a constant path that appends each time it is
     evaluated at to the list `seen`."""
     seen = []
-    X = CentralElement(FourierVectorField({1: 0.1, -1: 0.1}))
+    X = FourierVectorField({1: 0.1, -1: 0.1})
     return seen, GeneratorPath(lambda t: seen.append(t) or X, interval)
 
 
@@ -55,8 +55,8 @@ def test_cumulative_simpson_polynomial():
 
 
 def test_constant_path_exact(vir8):
-    X = CentralElement(FourierVectorField({1: 0.3 + 0.2j, -1: 0.3 - 0.2j,
-                                           2: 0.1, -2: 0.1}))
+    X = FourierVectorField({1: 0.3 + 0.2j, -1: 0.3 - 0.2j,
+                            2: 0.1, -2: 0.1})
     P = product_integral(vir8, GeneratorPath.constant(X), tol=1e-9,
                          rule="left")
     assert np.abs(P.matrix - expm(vir8.pi(X))).max() < 1e-13
@@ -64,8 +64,7 @@ def test_constant_path_exact(vir8):
 
 def test_diagonal_family(vir8):
     # path through multiples of e_0 only: exp of the integral
-    path = GeneratorPath(lambda t: CentralElement(
-        FourierVectorField({0: np.sin(t)})), (0, 1))
+    path = GeneratorPath(lambda t: FourierVectorField({0: np.sin(t)}), (0, 1))
     P = product_integral(vir8, path, tol=1e-11)
     integral = 1 - np.cos(1.0)
     want = expm(integral * vir8.pi(FourierVectorField({0: 1.0})))
@@ -114,8 +113,7 @@ def test_semigroup(vir8):
 
 
 def test_homogeneous_diagonal_phase(vir8):
-    path = GeneratorPath.constant(
-        CentralElement(FourierVectorField({0: 1.0})), (0, 1))
+    path = GeneratorPath.constant(FourierVectorField({0: 1.0}), (0, 1))
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     traj = solve_homogeneous(vir8, path, xi0, np.linspace(0, 1, 5), tol=1e-10)
@@ -156,8 +154,8 @@ def test_homogeneous_residual(vir8):
 
 
 def test_truncation_overflow(vir8):
-    path = GeneratorPath.constant(
-        CentralElement(FourierVectorField({1: 3.0, -1: 3.0})), (0, 1))
+    path = GeneratorPath.constant(FourierVectorField({1: 3.0, -1: 3.0}),
+                                  (0, 1))
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     with pytest.raises(TruncationOverflow):
@@ -174,7 +172,7 @@ def test_inhomogeneous_zero_source(vir8):
 
 def test_inhomogeneous_zero_generator(vir8):
     # X = 0: J(t) = int_0^t eta
-    path = GeneratorPath(lambda t: CentralElement(FourierVectorField()), (0, 1))
+    path = GeneratorPath(lambda t: FourierVectorField(), (0, 1))
     e0 = np.zeros(vir8.dim, dtype=complex)
     e0[0] = 1.0
     traj = solve_inhomogeneous(vir8, path, lambda t: np.sin(t) * e0,
@@ -233,8 +231,8 @@ def test_gateaux_matches_ode_reference(vir8):
     # J is the second half of the variational system
     # (xi, J)' = (pi(X) xi, pi(X) J + pi(delta) xi) from (xi0, 0)
     path = oscillating_path(scale=0.3)
-    delta = GeneratorPath(lambda t: CentralElement(
-        FourierVectorField({2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)})), (0, 1))
+    delta = GeneratorPath(lambda t: FourierVectorField(
+        {2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)}), (0, 1))
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     grid = np.linspace(0, 1, 65)
@@ -254,14 +252,14 @@ def test_gateaux_zero_direction(vir8):
     path = oscillating_path(scale=0.3)
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
-    zero = GeneratorPath(lambda t: CentralElement(FourierVectorField()), (0, 1))
+    zero = GeneratorPath(lambda t: FourierVectorField(), (0, 1))
     traj = gateaux_derivative(vir8, path, xi0, zero, np.linspace(0, 1, 17))
     assert np.abs(traj.vectors).max() < 1e-12
 
 
 def test_gateaux_constant_selfdirection(vir8):
     # d/ds e^{t pi((1+s)X)}|_0 xi = t pi(X) e^{t pi(X)} xi
-    X = CentralElement(FourierVectorField({1: 0.4, -1: 0.4}))
+    X = FourierVectorField({1: 0.4, -1: 0.4})
     path = GeneratorPath.constant(X, (0, 1))
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
@@ -274,8 +272,8 @@ def test_gateaux_constant_selfdirection(vir8):
 
 def test_gateaux_matches_central_difference(vir8):
     path = oscillating_path(scale=0.3)
-    delta = GeneratorPath(lambda t: CentralElement(
-        FourierVectorField({2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)})), (0, 1))
+    delta = GeneratorPath(lambda t: FourierVectorField(
+        {2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)}), (0, 1))
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     grid = np.linspace(0, 1, 65)
@@ -298,7 +296,7 @@ def test_dyson_low_orders(vir8):
     xi0[0] = 1.0
     path = oscillating_path()
     assert np.array_equal(dyson_expansion(vir8, path, xi0, 0, 0.3), xi0)
-    X = CentralElement(FourierVectorField({1: 0.5, -1: 0.5}))
+    X = FourierVectorField({1: 0.5, -1: 0.5})
     cpath = GeneratorPath.constant(X, (0, 1))
     got = dyson_expansion(vir8, cpath, xi0, 1, 0.2)
     want = xi0 + 0.2 * vir8.pi(X) @ xi0
@@ -386,7 +384,7 @@ _REAL_FIELD = st.dictionaries(st.integers(1, 3), _COEFF, min_size=1).map(
 def test_magnus4_real_fields_unitary(vir8, F, G):
     # the path t -> F + t G: every magnus4 exponent is skew-Hermitian, so
     # the dense product is unitary and vector mode keeps column norms
-    path = GeneratorPath(lambda t: CentralElement(F + t * G))
+    path = GeneratorPath(lambda t: F + t * G)
     assert step_product(vir8, path, 8).unitarity_defect() < 1e-12
     V = np.eye(vir8.dim, 4, dtype=complex)
     W = step_product(vir8, path, 8, V=V).matrix
@@ -394,8 +392,8 @@ def test_magnus4_real_fields_unitary(vir8, F, G):
 
 
 def test_magnus4_constant_path_exact(vir8):
-    X = CentralElement(FourierVectorField({1: 0.3 + 0.2j, -1: 0.3 - 0.2j,
-                                           2: 0.1, -2: 0.1}))
+    X = FourierVectorField({1: 0.3 + 0.2j, -1: 0.3 - 0.2j,
+                            2: 0.1, -2: 0.1})
     P = product_integral(vir8, GeneratorPath.constant(X), tol=1e-9)
     assert np.abs(P.matrix - expm(vir8.pi(X))).max() < 1e-13
 
@@ -482,8 +480,8 @@ def test_vector_solvers_match_dense(request, name):
     # vector; at equal step counts they equal the dense magnus4 product
     rep = request.getfixturevalue(name)
     path = oscillating_path(scale=0.3)
-    delta = GeneratorPath(lambda t: CentralElement(FourierVectorField(
-        {2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)})), (0, 1))
+    delta = GeneratorPath(lambda t: FourierVectorField(
+        {2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)}), (0, 1))
     xi0 = np.zeros(rep.dim, dtype=complex)
     xi0[0] = 1.0
     grid = np.linspace(0, 1, 9)
