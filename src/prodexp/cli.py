@@ -131,7 +131,14 @@ def parse_module_spec(data):
                                _integer(data["N"], "module.N"))
         if kind == "su2":
             from .nelson import FinDimRep
-            return FinDimRep(tuple(Fraction(str(s)) for s in data["spins"]))
+            spins = data["spins"]
+            if not isinstance(spins, list):
+                raise DescriptorError(
+                    f"module.spins: expected a list, got {spins!r}")
+            try:
+                return FinDimRep(tuple(Fraction(str(s)) for s in spins))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DescriptorError(f"module.spins: {exc}")
     except KeyError as exc:
         raise DescriptorError(f"module: missing field {exc.args[0]!r}")
     except DescriptorError:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .liealg import FourierVectorField, bracket_vect, seminorm
 from .prodint import GeneratorPath, product_integral, solve_homogeneous
@@ -48,10 +47,12 @@ class OutsideChart(ValueError):
     """(U xi, xi) too close to zero for the phase chart."""
 
 
-# root-finding tolerance of phi_t^{-1} in log_derivative; the flatness
-# and boundary tolerances of the homotopy checkers; the stopping
-# tolerance of holonomy_phase's Simpson panel doubling
+# the largest last update, and the iteration cap, of the bracketed
+# Newton solve for phi_t^{-1} in `circle_inverse`; the flatness and
+# boundary tolerances of the homotopy checkers; the stopping tolerance
+# of holonomy_phase's Simpson panel doubling
 ROOT_TOL = 1e-12
+ROOT_MAXITER = 100
 CURVATURE_TOL = 1e-6
 BOUNDARY_TOL = 1e-10
 QUAD_TOL = 1e-6
@@ -90,8 +91,9 @@ class CirclePath:
     def __init__(self, coeff, dcoeff, interval=(0.0, 1.0), grid_size=128):
         if dcoeff is None:
             raise ValueError("a circle path requires the dcoeff contract")
-        if grid_size & (grid_size - 1):
-            raise ValueError("grid_size must be a power of two")
+        if grid_size < 1 or grid_size & (grid_size - 1):
+            raise ValueError(
+                f"grid_size must be a positive power of two, got {grid_size}")
         self.coeff = coeff
         self.dcoeff = dcoeff
         self.interval = (float(interval[0]), float(interval[1]))
@@ -109,13 +111,42 @@ class CirclePath:
                    interval=interval, grid_size=8)
 
 
+def circle_inverse(coeffs, theta, t):
+    """phi^{-1}(theta) for phi(s) = s + Re sum_n c_n e^{ins}, at every angle.
+
+    One vectorized Newton solve over all nodes: each iteration steps
+    s -= (phi(s) - theta) / phi'(s) inside a per-node bracket, which
+    starts at theta -+ (sum |c_n| + 0.1) and shrinks with the sign of
+    each residual; a step that leaves the bracket bisects it instead.
+    Stops once every node's update is at most ROOT_TOL; past
+    ROOT_MAXITER iterations it raises ValueError naming t.
+    """
+    dcoeffs = {n: 1j * n * v for n, v in coeffs.items()}
+    L = sum(abs(complex(v)) for v in coeffs.values()) + 0.1
+    lo, hi = theta - L, theta + L
+    s = theta
+    for _ in range(ROOT_MAXITER):
+        r = s + _eval_series(coeffs, s).real - theta
+        lo = np.where(r < 0, s, lo)
+        hi = np.where(r > 0, s, hi)
+        new = s - r / (1.0 + _eval_series(dcoeffs, s).real)
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        done = np.abs(new - s).max() <= ROOT_TOL
+        s = new
+        if done:
+            return s
+    worst = np.abs(s + _eval_series(coeffs, s).real - theta).max()
+    raise ValueError(f"phi_t^{{-1}} at t={t} did not converge in "
+                     f"{ROOT_MAXITER} iterations (worst residual {worst:.3e})")
+
+
 def log_derivative(path):
     """Logarithmic derivative of a circle path as a GeneratorPath.
 
     X(t)(theta) = d_t phi(t, phi_t^{-1}(theta)) d/dtheta, fitted
     spectrally on a uniform M-point theta grid (M = grid_size, a power of
-    two) and kept to modes |n| <= M/4; phi_t^{-1} is evaluated by
-    monotone root-finding per node.
+    two) and kept to modes |n| <= M/4; phi_t^{-1} is evaluated at all
+    nodes at once by `circle_inverse`'s bracketed Newton solve.
     """
     M = path.grid_size
     max_modes = max(M // 4, 1)
@@ -135,15 +166,7 @@ def log_derivative(path):
         if dphi.min() <= 0:
             raise NonMonotone(
                 f"phi'(t={t}) = {dphi.min():.3e} <= 0 at some node")
-
-        def phi(s):
-            return s + _eval_series(c, np.asarray(s, dtype=float)).real
-
-        L = sum(abs(complex(v)) for v in c.values()) + 0.1
-        inv = np.array([brentq(lambda s, tj=tj: float(phi(s)) - tj,
-                               tj - L, tj + L, xtol=ROOT_TOL)
-                        for tj in theta])
-        samples = _eval_series(dc, inv)
+        samples = _eval_series(dc, circle_inverse(c, theta, t))
         if np.abs(samples.imag).max() > 1e-9 * (1 + np.abs(samples).max()):
             raise ValueError("time derivative is not real-valued")
         fft = np.fft.fft(samples.real) / M

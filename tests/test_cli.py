@@ -146,6 +146,12 @@ def test_validation_errors_name_the_field(tmp_path, cache_dir, capsys):
         cases.append(({"name": "x", "checks": [],
                        "module": dict(module, **{field: bad})},
                       f"module.{field}"))
+    # su(2) spins must be a JSON list of spins: a string is not read
+    # character by character
+    for spins in ("12", "3", "1/2", ["x"], ["1/3"], ["1/0"], [True], []):
+        cases.append(({"name": "x", "checks": [],
+                       "module": {"kind": "su2", "spins": spins}},
+                      "module.spins"))
     for data, needle in cases:
         desc = write_descriptor(tmp_path, data)
         assert cli.main(["run", desc]) == 2
@@ -467,6 +473,33 @@ def _probe_blas(module, **env_update):
     out = subprocess.run([sys.executable, "-c", _BLAS_PROBE, module], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+_STARTUP_PROBE = r"""
+import sys
+import prodexp.cli
+loaded = ["scipy.optimize" in sys.modules]
+prodexp.cli.main(["--cache-dir", sys.argv[1], "build-module",
+                  '{"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 4}'])
+loaded.append("scipy.optimize" in sys.modules)
+from prodexp.grouprep import CirclePath, log_derivative
+log_derivative(CirclePath(coeff=lambda t: {1: 0.1 * t, -1: 0.1 * t},
+                          dcoeff=lambda t: {1: 0.1, -1: 0.1},
+                          grid_size=64))(0.5)
+loaded.append("scipy.optimize" in sys.modules)
+print(loaded)
+"""
+
+
+def test_startup_leaves_scipy_optimize_unloaded(tmp_path):
+    # importing the CLI, building a module and inverting a circle
+    # diffeomorphism must not load scipy.optimize (about 0.3 s of start-up)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[False, False, False]"
 
 
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(),

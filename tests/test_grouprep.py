@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from conftest import dense_at_vector_steps
+from prodexp import grouprep
 from prodexp.grouprep import (BoundaryViolation, CirclePath, CurvatureTooLarge,
                               FlatHomotopy, NonMonotone, OutsideChart,
-                              PhaseChart, exponentiate_path,
+                              PhaseChart, circle_inverse, exponentiate_path,
                               extension_cocycle_check, flat_section,
                               holonomy_phase, local_cocycle, log_derivative,
                               phase_function, scalar_part,
@@ -25,6 +27,15 @@ def mobius_diffeo(eps=0.2, grid_size=64):
         grid_size=grid_size)
 
 
+def odd_mode_diffeo(grid_size=128):
+    """phi(t, theta) = theta + t (0.2 cos(theta) + 0.06 sin(3 theta))."""
+    return CirclePath(
+        coeff=lambda t: {1: 0.1 * t, -1: 0.1 * t,
+                         3: -0.03j * t, -3: 0.03j * t},
+        dcoeff=lambda t: {1: 0.1, -1: 0.1, 3: -0.03j, -3: 0.03j},
+        grid_size=grid_size)
+
+
 def oscillator(scale=0.25):
     def f(t):
         a = scale * np.exp(1j * t)
@@ -41,8 +52,9 @@ def test_circle_path_validation():
         CirclePath()
     with pytest.raises(ValueError):
         CirclePath(coeff=lambda t: {0: 1.0}, dcoeff=None)
-    with pytest.raises(ValueError):
-        CirclePath(coeff=lambda t: {}, dcoeff=lambda t: {}, grid_size=48)
+    for bad in (48, 0, -4):
+        with pytest.raises(ValueError, match="grid_size"):
+            CirclePath(coeff=lambda t: {}, dcoeff=lambda t: {}, grid_size=bad)
     with pytest.raises(ValueError):        # phi(t0) must be the identity
         CirclePath(coeff=lambda t: {0: 1.0}, dcoeff=lambda t: {0: 1.0})
 
@@ -86,6 +98,44 @@ def test_log_derivative_nonmonotone():
     gen(0.5)                       # phi' = 1 - 1.2 t sin(theta): still fine
     with pytest.raises(NonMonotone):
         gen(1.0)
+
+
+@pytest.mark.parametrize("path", [mobius_diffeo(0.2), odd_mode_diffeo()],
+                         ids=["mobius", "modes-1-3"])
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_circle_inverse_matches_brentq(path, t):
+    # non-rigid paths: the vectorized Newton solve against scalar brentq
+    c = path.coeff(t)
+
+    def phi(s):
+        return s + sum(v * np.exp(1j * n * s) for n, v in c.items()).real
+
+    M = path.grid_size
+    theta = 2 * np.pi * np.arange(M) / M
+    inv = circle_inverse(c, theta, t)
+    ref = np.array([brentq(lambda s, x=x: phi(s) - x, x - 1, x + 1,
+                           xtol=1e-15) for x in theta])
+    assert np.abs(inv - ref).max() <= 1e-12
+    assert np.abs(phi(inv) - theta).max() <= 1e-12
+
+
+def test_odd_mode_log_derivative_consistency():
+    # X(t)(phi(t, s)) = d_t phi(t, s) on a path with modes +-1 and +-3
+    t = 0.8
+    X = log_derivative(odd_mode_diffeo(grid_size=256))(t)
+    for s in np.linspace(0.0, 2 * np.pi, 11):
+        velocity = 0.2 * np.cos(s) + 0.06 * np.sin(3 * s)
+        angle = s + t * velocity
+        val = sum(c * np.exp(1j * n * angle) for n, c in X.coeffs.items())
+        assert val.real == pytest.approx(velocity, abs=1e-9)
+        assert abs(val.imag) < 1e-9
+
+
+def test_circle_inverse_iteration_cap(monkeypatch):
+    # an unconverged inverse raises, naming t and the worst residual
+    monkeypatch.setattr(grouprep, "ROOT_MAXITER", 1)
+    with pytest.raises(ValueError, match=r"t=0\.7.*worst residual"):
+        log_derivative(mobius_diffeo(0.2))(0.7)
 
 
 # ---------------------------------------------------------------------------
