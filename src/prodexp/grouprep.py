@@ -32,7 +32,7 @@ from .prodint import GeneratorPath, product_integral, solve_homogeneous
 
 
 class NonMonotone(ValueError):
-    """theta -> phi(t, theta) fails strict monotonicity at some node."""
+    """theta -> phi(t, theta) is not certified strictly increasing."""
 
 
 class CurvatureTooLarge(ValueError):
@@ -50,12 +50,14 @@ class OutsideChart(ValueError):
 # the largest last update, and the iteration cap, of the bracketed
 # Newton solve for phi_t^{-1} in `circle_inverse`; the flatness and
 # boundary tolerances of the homotopy checkers; the stopping tolerance
-# of holonomy_phase's Simpson panel doubling
+# of holonomy_phase's Simpson panel doubling; the finest grid on which
+# `_certify_monotone` tries to settle phi' > 0
 ROOT_TOL = 1e-12
 ROOT_MAXITER = 100
 CURVATURE_TOL = 1e-6
 BOUNDARY_TOL = 1e-10
 QUAD_TOL = 1e-6
+MONOTONE_MAX_GRID = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +142,44 @@ def circle_inverse(coeffs, theta, t):
                      f"{ROOT_MAXITER} iterations (worst residual {worst:.3e})")
 
 
+def _certify_monotone(coeffs, M, t):
+    """Raise NonMonotone unless phi' > 0 on the whole circle.
+
+    phi' - 1 = Re sum_n i n c_n e^{ins} is a trigonometric polynomial of
+    degree K = max |n| and sup norm at most S = sum_n |n c_n|, so by
+    Bernstein's inequality its derivative is at most K S, and every
+    angle lies within pi/M of a node of the uniform M-point grid:
+    min phi' >= min_grid phi' - (pi/M) K S.  While that bound is not
+    positive, the grid is doubled, until the bound is positive or a node
+    has phi' <= 0; past MONOTONE_MAX_GRID nodes phi' counts as not
+    certified positive.
+    """
+    dcoeffs = {n: 1j * n * v for n, v in coeffs.items()}
+    K = max((abs(n) for n in coeffs), default=0)
+    slack = np.pi * K * sum(abs(complex(v)) for v in dcoeffs.values())
+    while True:
+        theta = 2 * np.pi * np.arange(M) / M
+        low = (1.0 + _eval_series(dcoeffs, theta).real).min()
+        if low <= 0:
+            raise NonMonotone(f"phi'(t={t}) = {low:.3e} <= 0 at some node")
+        if low - slack / M > 0:
+            return
+        if M >= MONOTONE_MAX_GRID:
+            raise NonMonotone(
+                f"phi'(t={t}) not certified positive: node minimum "
+                f"{low:.3e} within the Bernstein slack {slack / M:.3e} "
+                f"on {M} nodes")
+        M *= 2
+
+
 def log_derivative(path):
     """Logarithmic derivative of a circle path as a GeneratorPath.
 
     X(t)(theta) = d_t phi(t, phi_t^{-1}(theta)) d/dtheta, fitted
     spectrally on a uniform M-point theta grid (M = grid_size, a power of
     two) and kept to modes |n| <= M/4; phi_t^{-1} is evaluated at all
-    nodes at once by `circle_inverse`'s bracketed Newton solve.
+    nodes at once by `circle_inverse`'s bracketed Newton solve, after
+    `_certify_monotone` has shown phi_t' > 0 between the nodes too.
     """
     M = path.grid_size
     max_modes = max(M // 4, 1)
@@ -160,12 +193,7 @@ def log_derivative(path):
             return hit
         c = path.coeff(t)
         dc = path.dcoeff(t)
-        # strict monotonicity of phi_t on the grid
-        dphi = 1.0 + _eval_series({n: 1j * n * v for n, v in c.items()},
-                                  theta).real
-        if dphi.min() <= 0:
-            raise NonMonotone(
-                f"phi'(t={t}) = {dphi.min():.3e} <= 0 at some node")
+        _certify_monotone(c, M, t)
         samples = _eval_series(dc, circle_inverse(c, theta, t))
         if np.abs(samples.imag).max() > 1e-9 * (1 + np.abs(samples).max()):
             raise ValueError("time derivative is not real-valued")

@@ -100,6 +100,21 @@ def test_log_derivative_nonmonotone():
         gen(1.0)
 
 
+def test_log_derivative_nonmonotone_between_nodes(monkeypatch):
+    # phi'(t, .) = 1 + 6.4 t cos(64 theta) is 1 + 6.4 t at every node of
+    # the 64-point grid; between them it falls to 1 - 6.4 t
+    path = CirclePath(coeff=lambda t: {64: -0.05j * t, -64: 0.05j * t},
+                      dcoeff=lambda t: {64: -0.05j, -64: 0.05j},
+                      grid_size=64)
+    gen = log_derivative(path)
+    gen(0.1)                       # min 0.36, settled on 512 nodes
+    with pytest.raises(NonMonotone, match="<= 0"):
+        gen(1.0)                   # min -5.4
+    monkeypatch.setattr(grouprep, "MONOTONE_MAX_GRID", 256)
+    with pytest.raises(NonMonotone, match="not certified"):
+        log_derivative(path)(0.1)
+
+
 @pytest.mark.parametrize("path", [mobius_diffeo(0.2), odd_mode_diffeo()],
                          ids=["mobius", "modes-1-3"])
 @pytest.mark.parametrize("t", [0.3, 1.0])

@@ -153,6 +153,55 @@ def test_homogeneous_residual(vir8):
     assert worst < 1e-4
 
 
+def test_homogeneous_one_segment_is_product_integral(vir8):
+    # the first segment starts at 4 steps, as product_integral(n0=4) does
+    path = oscillating_path(scale=0.3)
+    xi0 = np.zeros(vir8.dim, dtype=complex)
+    xi0[0] = 1.0
+    traj = solve_homogeneous(vir8, path, xi0, [0.0, 1.0], tol=1e-9,
+                             overflow_threshold=None)
+    P = product_integral(vir8, path, tol=1e-9, n0=4, V=xi0[:, None])
+    assert np.array_equal(traj[-1], P.matrix[:, 0])
+
+
+def test_homogeneous_carries_the_start_level(vir8, monkeypatch):
+    # the ode-residual row's problem: restarting every segment at 4
+    # steps takes 1,536; starting each segment at the previous one's
+    # converged level takes about a quarter of that
+    from prodexp import prodint
+    steps = []
+    step = prodint.step_product
+
+    def counting(rep, path, n, *args, **kw):
+        steps.append(n)
+        return step(rep, path, n, *args, **kw)
+
+    monkeypatch.setattr(prodint, "step_product", counting)
+    xi0 = np.zeros(vir8.dim, dtype=complex)
+    xi0[0] = 1.0
+    solve_homogeneous(vir8, oscillating_path(scale=0.3), xi0,
+                      np.linspace(0, 1, 129), tol=1e-9,
+                      overflow_threshold=None)
+    assert sum(steps) <= 512
+
+
+def test_homogeneous_burst_matches_ode_reference(vir8):
+    # a burst at t = 0.6 on a quiet path: the segments refine up into it
+    # and back down after it, each still passing its own comparison
+    def burst(t):
+        a = 0.01 + 3.0 * np.exp(-((t - 0.6) / 0.01) ** 2)
+        return FourierVectorField({1: 0.2, -1: 0.2, 2: a, -2: a})
+
+    path = GeneratorPath(burst, (0.0, 1.0))
+    xi0 = np.zeros(vir8.dim, dtype=complex)
+    xi0[0] = 1.0
+    grid = np.linspace(0, 1, 129)
+    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9,
+                             overflow_threshold=None)
+    ref = ode_reference(lambda t, y: vir8.pi(path(t)) @ y, xi0, grid)
+    assert np.abs(traj.vectors - ref).max() < 1e-9
+
+
 def test_truncation_overflow(vir8):
     path = GeneratorPath.constant(FourierVectorField({1: 3.0, -1: 3.0}),
                                   (0, 1))
