@@ -48,16 +48,22 @@ class OutsideChart(ValueError):
 
 
 # the largest last update, and the iteration cap, of the bracketed
-# Newton solve for phi_t^{-1} in `circle_inverse`; the flatness and
-# boundary tolerances of the homotopy checkers; the stopping tolerance
-# of holonomy_phase's Simpson panel doubling; the finest grid on which
-# `_certify_monotone` tries to settle phi' > 0
+# Newton solve for phi_t^{-1} in `circle_inverse`; the homotopy
+# checkers' flatness and boundary tolerances, nodes per axis and the
+# curvature's Sobolev order; the stopping tolerance of holonomy_phase's
+# Simpson panel doubling; the finest grid on which `_certify_monotone`
+# tries to settle phi' > 0; the smallest |(U xi, xi)| of a phase chart;
+# the finite-difference step of `extension_cocycle_check`
 ROOT_TOL = 1e-12
 ROOT_MAXITER = 100
 CURVATURE_TOL = 1e-6
 BOUNDARY_TOL = 1e-10
+CHECKER_NODES = 9
+CURVATURE_ORDER = 1.0
 QUAD_TOL = 1e-6
 MONOTONE_MAX_GRID = 2 ** 16
+CHART_THRESHOLD = 1e-12
+COCYCLE_STEP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +111,10 @@ class CirclePath:
             raise ValueError("phi(t0, .) must be the identity")
 
     @classmethod
-    def rotation(cls, angle, interval=(0.0, 1.0)):
-        """Constant-speed rigid rotation by `angle` over the interval."""
-        a, b = interval
-        return cls(coeff=lambda t: {0: angle * (t - a) / (b - a)},
-                   dcoeff=lambda t: {0: angle / (b - a)},
-                   interval=interval, grid_size=8)
+    def rotation(cls, angle):
+        """Constant-speed rigid rotation by `angle` over [0, 1]."""
+        return cls(coeff=lambda t: {0: angle * t},
+                   dcoeff=lambda t: {0: angle}, grid_size=8)
 
 
 def circle_inverse(coeffs, theta, t):
@@ -290,30 +294,27 @@ class FlatHomotopy:
     d1X2: object
     name: str = ""
 
-    def curvature_residual(self, nodes=9, s=1.0):
-        """Max Goodman-Wallach-weight of the curvature over a grid."""
-        grid = np.linspace(0.0, 1.0, nodes)
-        worst = 0.0
-        for x in grid:
-            for y in grid:
-                X1 = self.X1(x, y)
-                X2 = self.X2(x, y)
-                resid = (self.d1X2(x, y) - self.d2X1(x, y)
-                         - bracket_vect(X1, X2))
-                worst = max(worst, seminorm(resid, s))
-        return worst
+    def curvature_residual(self):
+        """Max Goodman-Wallach-weight of the curvature over the
+        CHECKER_NODES x CHECKER_NODES grid, nan if any node's is."""
+        grid = np.linspace(0.0, 1.0, CHECKER_NODES)
+        return float(np.max([
+            seminorm(self.d1X2(x, y) - self.d2X1(x, y)
+                     - bracket_vect(self.X1(x, y), self.X2(x, y)),
+                     CURVATURE_ORDER)
+            for x in grid for y in grid]))
 
-    def boundary_residual(self, nodes=9):
-        """Max size of X_2 on the vertical boundary {0,1} x I."""
-        worst = 0.0
-        for y in np.linspace(0.0, 1.0, nodes):
-            for x in (0.0, 1.0):
-                worst = max(worst, seminorm(self.X2(x, y), 1))
-        return worst
+    def boundary_residual(self):
+        """Max size of X_2 on the vertical boundary {0,1} x I, nan if
+        any node's is."""
+        return float(np.max([seminorm(self.X2(x, y), 1)
+                             for y in np.linspace(0.0, 1.0, CHECKER_NODES)
+                             for x in (0.0, 1.0)]))
 
-    def boundary_path(self, y, interval=(0.0, 1.0)):
-        """x -> X_1(x, y) as a GeneratorPath (a horizontal boundary)."""
-        return GeneratorPath(lambda x: self.X1(x, y), interval)
+    def boundary_path(self, y):
+        """x -> X_1(x, y) as a GeneratorPath on [0, 1] (a horizontal
+        boundary)."""
+        return GeneratorPath(lambda x: self.X1(x, y))
 
 
 @dataclass
@@ -335,19 +336,17 @@ def flat_section(rep, homotopy, xi0, nx=9, ny=9, tol=1e-8):
     are measured by central differences on interior nodes.
     """
     curv = homotopy.curvature_residual()
-    if curv >= CURVATURE_TOL:
+    if not curv < CURVATURE_TOL:                # nan fails too
         raise CurvatureTooLarge(f"curvature residual {curv:.3e}")
     xs = np.linspace(0.0, 1.0, nx)
     ys = np.linspace(0.0, 1.0, ny)
-    kw = dict(tol=tol, overflow_threshold=None)
     F = np.empty((nx, ny, rep.dim), dtype=complex)
     F[:, 0] = solve_homogeneous(
-        rep, GeneratorPath(lambda u: homotopy.X1(u, 0.0)), xi0, xs,
-        **kw).vectors
+        rep, GeneratorPath(lambda u: homotopy.X1(u, 0.0)), xi0, xs, tol=tol)
     for i, x in enumerate(xs):
         F[i] = solve_homogeneous(
             rep, GeneratorPath(lambda w, x=x: homotopy.X2(x, w)), F[i, 0],
-            ys, **kw).vectors
+            ys, tol=tol)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     r1 = r2 = 0.0
     for i in range(1, nx - 1):
@@ -369,7 +368,11 @@ def _simpson_2d(f, n):
     w[2:-1:2] = 2.0
     w /= 3.0 * n
     vals = np.array([[f(xi, yj) for yj in x] for xi in x])
-    return float(np.einsum("i,j,ij->", w, w, vals))
+    out = float(np.einsum("i,j,ij->", w, w, vals))
+    if not np.isfinite(out):
+        raise ValueError(f"Simpson value {out} over {n} panels per axis "
+                         "is not finite")
+    return out
 
 
 @dataclass
@@ -399,11 +402,11 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7):
     whose propagator is U_{p_0}^{-1}, and then through p_1.
     """
     bnd = homotopy.boundary_residual()
-    if bnd > BOUNDARY_TOL:
+    if not bnd <= BOUNDARY_TOL:                 # nan fails too
         raise BoundaryViolation(
             f"X_2 does not vanish on {{0,1}} x I (residual {bnd:.3e})")
     curv = homotopy.curvature_residual()
-    if curv >= CURVATURE_TOL:
+    if not curv < CURVATURE_TOL:
         raise CurvatureTooLarge(f"curvature residual {curv:.3e}")
 
     # the nodes of each panel doubling include the previous grid's
@@ -517,10 +520,11 @@ class PhaseChart:
         object.__setattr__(self, "xi", xi)
 
 
-def phase_function(chart, U, threshold=1e-12):
-    """phase(U) = (U xi, xi)/|(U xi, xi)|; equivariant under U -> e^{i t} U."""
+def phase_function(chart, U):
+    """phase(U) = (U xi, xi)/|(U xi, xi)|; equivariant under U -> e^{i t} U.
+    OutsideChart unless |(U xi, xi)| exceeds CHART_THRESHOLD."""
     z = complex(np.vdot(chart.xi, U @ chart.xi))
-    if abs(z) <= threshold:
+    if abs(z) <= CHART_THRESHOLD:
         raise OutsideChart(f"|(U xi, xi)| = {abs(z):.3e}")
     return z / abs(z)
 
@@ -536,14 +540,14 @@ def local_cocycle(chart, Ug, Uh):
     return num / (phase_function(chart, Ug) * phase_function(chart, Uh))
 
 
-def extension_cocycle_check(rep, chart, Y, X, step=1e-3):
+def extension_cocycle_check(rep, chart, Y, X):
     """Finite-difference Lie-algebra cocycle of the local multiplication.
 
     The antisymmetrized second mixed central difference of
     arg local_cocycle(e^{s pi(Y)}, e^{t pi(X)}) at (0, 0) is compared
     against the closed form B(Y, X) - i (pi([Y, X]) xi, xi).  Returns a
     dict with both values and their difference; the accuracy is tied to
-    the finite-difference step.
+    the finite-difference step COCYCLE_STEP.
     """
     PY, PX = rep.pi(Y), rep.pi(X)
 
@@ -551,10 +555,10 @@ def extension_cocycle_check(rep, chart, Y, X, step=1e-3):
         total = 0.0
         for sy in (1.0, -1.0):
             for sx in (1.0, -1.0):
-                c = local_cocycle(chart, expm(sy * step * P),
-                                  expm(sx * step * Q))
+                c = local_cocycle(chart, expm(sy * COCYCLE_STEP * P),
+                                  expm(sx * COCYCLE_STEP * Q))
                 total += sy * sx * float(np.angle(c))
-        return total / (4.0 * step * step)
+        return total / (4.0 * COCYCLE_STEP * COCYCLE_STEP)
 
     measured = mixed(PY, PX) - mixed(PX, PY)
     B = complex(rep.projective_cocycle(Y, X))
@@ -564,4 +568,4 @@ def extension_cocycle_check(rep, chart, Y, X, step=1e-3):
     if abs(expected.imag) > 1e-9 * (1 + abs(expected)):
         raise ValueError("expected cocycle value is not real")
     return {"measured": measured, "expected": expected.real,
-            "difference": abs(measured - expected.real), "step": step}
+            "difference": abs(measured - expected.real)}

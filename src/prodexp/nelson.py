@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .scale import SobolevScale
+
 
 def spin_matrices(j):
     """(J_x, J_y, J_z) for spin j (j a nonnegative half-integer)."""
@@ -95,17 +97,11 @@ class FinDimRep:
 
     def seminorm(self, x, s):
         """Smallest C with ||pi(x) xi||_{s-1} <= C ||xi||_s (dense norm)."""
-        a = self.a_diag()
-        M = self.pi(x)
-        return float(np.linalg.norm(
-            (a ** (s - 1))[:, None] * M * (a ** (-s))[None, :], 2))
+        return SobolevScale(self).operator_norm(self.pi(x), s - 1, s)
 
     def a_seminorm(self, x, s):
         """Dense-norm constant ||A^s pi(x) A^{-s}||."""
-        a = self.a_diag()
-        M = self.pi(x)
-        return float(np.linalg.norm(
-            (a ** s)[:, None] * M * (a ** (-s))[None, :], 2))
+        return SobolevScale(self).operator_norm(self.pi(x), s, s)
 
 
 def laplacian(rep):
@@ -130,14 +126,13 @@ def verify_assumptions(rep):
     scalar, so every commutator constant vanishes.
     """
     _, A = laplacian(rep)
-    a = rep.a_diag()
+    scale = SobolevScale(rep)
     rows = []
     for i, G in enumerate(rep.generators):
         comm = A @ G - G @ A
         for n in range(N_MAX + 1):
-            wl, wr = a ** n, a ** (-(n + 1))
-            c_pi = float(np.linalg.norm(wl[:, None] * G * wr[None, :], 2))
-            c_comm = float(np.linalg.norm(wl[:, None] * comm * wr[None, :], 2))
+            c_pi = scale.operator_norm(G, n, n + 1)
+            c_comm = scale.operator_norm(comm, n, n + 1)
             rows.append({"generator": i + 1, "n": n,
                          "pi_constant": c_pi,
                          "commutator_constant": c_comm,

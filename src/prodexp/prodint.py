@@ -59,16 +59,6 @@ class MaxRefinementExceeded(Exception):
     pass
 
 
-class TruncationOverflow(Exception):
-    """Raised when too much trajectory mass reaches the top buffer levels."""
-
-    def __init__(self, fraction, t=None):
-        self.fraction = fraction
-        self.t = t
-        super().__init__(f"top-level mass fraction {fraction:.2e}"
-                         + (f" at t={t:.4f}" if t is not None else ""))
-
-
 class GeneratorPath:
     """Map t -> Lie-algebra element on [a, b]; `func` must be pure."""
 
@@ -92,6 +82,9 @@ class GeneratorPath:
 
 RULES = ("magnus4", "left")
 
+# uniform nodes of dyson_expansion's cumulative Simpson quadrature
+DYSON_NODES = 129
+
 # Gauss-Legendre nodes 1/2 -+ sqrt(3)/6 and the Magnus commutator weight
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_COMMUTATOR = np.sqrt(3.0) / 12.0
@@ -110,30 +103,6 @@ class Propagator:
     def unitarity_defect(self):
         U = self.matrix
         return float(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max())
-
-
-class Trajectory:
-    """Vectors xi(t_i) along a time grid."""
-
-    def __init__(self, times, vectors):
-        self.times = np.asarray(times, dtype=float)
-        self.vectors = np.asarray(vectors)
-
-    def norms(self):
-        return np.linalg.norm(self.vectors, axis=1)
-
-    def __getitem__(self, i):
-        return self.vectors[i]
-
-
-def _top_fraction(rep, v):
-    """Leakage: the fraction of ||v|| in the top two retained levels."""
-    lv = rep.level_of()
-    top = lv.max()
-    total = np.linalg.norm(v)
-    if total == 0:
-        return 0.0
-    return float(np.linalg.norm(v[lv >= top - 1]) / total)
 
 
 # The Taylor action: unit roundoff of double precision, and the largest
@@ -285,11 +254,11 @@ def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="magnus4",
         U_prev, n = U, n2
 
 
-def solve_homogeneous(rep, path, xi0, grid, tol=1e-8,
-                      overflow_threshold=1e-6):
+def solve_homogeneous(rep, path, xi0, grid, tol=1e-8):
     """xi(t) = product integral over [t_0, t] applied to xi0, each grid
     segment in vector mode: the segment's refinement is tested on the
-    vector it propagates.
+    vector it propagates.  Returns the (len(grid), dim) array of the
+    xi(t_i).
 
     The first segment's refinement starts at 4 steps; each later one
     starts at the coarse level n of the previous segment's accepted
@@ -297,8 +266,8 @@ def solve_homogeneous(rep, path, xi0, grid, tol=1e-8,
     with 16 times to spare.  Every segment still passes only on its own
     comparison below `tol`.
 
-    Monitors the trajectory-mass fraction in the top two levels and raises
-    TruncationOverflow beyond `overflow_threshold` (set None to disable).
+    Truncation is not monitored here: a report row measures the leakage
+    of the vectors it reads.
     """
     grid = np.asarray(grid, dtype=float)
     vecs = [np.asarray(xi0, dtype=complex)]
@@ -306,19 +275,14 @@ def solve_homogeneous(rep, path, xi0, grid, tol=1e-8,
     for t0, t1 in zip(grid[:-1], grid[1:]):
         seg = GeneratorPath(path.func, (t0, t1))
         P = product_integral(rep, seg, tol=tol, n0=n0, V=vecs[-1][:, None])
-        v = P.matrix[:, 0]
         # magnus4's n-vs-2n difference scales like n^-4 = 2^-4 per
         # halving, so with 16 diff < tol the halved pair is predicted
         # to pass as well
         n0 = P.steps // 2
         if 16 * P.refinement_error[-1][1] < tol:
             n0 = max(1, n0 // 2)
-        if overflow_threshold is not None:
-            frac = _top_fraction(rep, v)
-            if frac > overflow_threshold:
-                raise TruncationOverflow(frac, t=float(t1))
-        vecs.append(v)
-    return Trajectory(grid, vecs)
+        vecs.append(P.matrix[:, 0])
+    return np.array(vecs)
 
 
 def cumulative_simpson(values, h):
@@ -366,9 +330,8 @@ def _stacked_tail(rep, path, top, coupling, head0, head_weights, grid, tol):
 
     stacked = SimpleNamespace(dim=len(weights), a_diag=lambda: weights, pi=pi)
     v0 = np.concatenate([head0, np.zeros(rep.dim)])
-    traj = solve_homogeneous(stacked, GeneratorPath(lambda t: t), v0, grid,
-                             tol=tol, overflow_threshold=None)
-    return Trajectory(grid, traj.vectors[:, k:])
+    return solve_homogeneous(stacked, GeneratorPath(lambda t: t), v0, grid,
+                             tol=tol)[:, k:]
 
 
 def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8):
@@ -389,17 +352,17 @@ def gateaux_derivative(rep, path, xi0, direction, grid, tol=1e-8):
                          rep.a_diag(), grid, tol)
 
 
-def dyson_expansion(rep, path, xi0, order, scaling, nodes=129):
+def dyson_expansion(rep, path, xi0, order, scaling):
     """Partial sum of the Dyson series for the path scaling*X at t = b.
 
-    psi_0 = xi0; psi_j(t) = int_0^t pi(X(s)) psi_{j-1}(s) ds; returns
-    sum_{j<=order} scaling^j psi_j(b).
+    psi_0 = xi0; psi_j(t) = int_0^t pi(X(s)) psi_{j-1}(s) ds on
+    DYSON_NODES nodes; returns sum_{j<=order} scaling^j psi_j(b).
     """
     a, b = path.interval
-    grid = np.linspace(a, b, nodes)
+    grid = np.linspace(a, b, DYSON_NODES)
     h = grid[1] - grid[0]
     mats = [rep.pi(path(t)) for t in grid]
-    psi = np.tile(np.asarray(xi0, dtype=complex), (nodes, 1))
+    psi = np.tile(np.asarray(xi0, dtype=complex), (DYSON_NODES, 1))
     total = np.asarray(xi0, dtype=complex).copy()
     for j in range(1, order + 1):
         integrand = np.array([M @ v for M, v in zip(mats, psi)])

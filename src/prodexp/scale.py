@@ -13,9 +13,6 @@ provides
 
 Module representations add `N`, `safe_dim(depth)` and `central_charge`
 (`check_gw_virasoro` reads it).
-
-The `leakage` of a report is the fraction of a vector's norm in the top
-two retained levels (`prodint._top_fraction`, as in the report rows).
 """
 
 from __future__ import annotations
@@ -27,14 +24,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from .liealg import seminorm
-from .prodint import _top_fraction
 
 
 class SobolevScale:
     """Powers of the diagonal operator A >= 1 and the norms they induce."""
 
     def __init__(self, rep):
-        self.rep = rep
         self.diag = np.asarray(rep.a_diag(), dtype=float)
         if self.diag.min() < 1 - 1e-12:
             raise ValueError("scale operator must satisfy A >= 1")
@@ -42,13 +37,9 @@ class SobolevScale:
     def power(self, t):
         return self.diag ** t
 
-    def apply(self, v, t):
-        """A^t v."""
-        return self.power(t) * np.asarray(v)
-
     def norm(self, v, t=0.0):
         """The Sobolev norm ||v||_t = ||A^t v||."""
-        return float(np.linalg.norm(self.apply(v, t)))
+        return float(np.linalg.norm(self.power(t) * np.asarray(v)))
 
     def operator_norm(self, M, s, t):
         """||A^s M A^{-t}||, the norm of M as a map H^t -> H^s."""
@@ -106,10 +97,8 @@ def gw_loop_a_seminorm(X, f, t, ell):
 @dataclass
 class EstimateReport:
     estimate: str
-    params: dict
     lhs: float
     rhs: float
-    leakage: float = 0.0
 
     @property
     def holds(self):
@@ -129,13 +118,10 @@ def check_basic_estimates(rep, X, xi, n):
     comm = scale.diag * w - P @ (scale.diag * xi)
     norm_next = scale.norm(xi, n + 1)
     return [
-        EstimateReport("pi-bound", {"n": n},
-                       scale.norm(w, n), rep.seminorm(X, n + 1) * norm_next,
-                       leakage=_top_fraction(rep, w)),
-        EstimateReport("commutator-bound", {"n": n},
-                       scale.norm(comm, n),
-                       rep.a_seminorm(X, n + 1) * norm_next,
-                       leakage=_top_fraction(rep, comm)),
+        EstimateReport("pi-bound", scale.norm(w, n),
+                       rep.seminorm(X, n + 1) * norm_next),
+        EstimateReport("commutator-bound", scale.norm(comm, n),
+                       rep.a_seminorm(X, n + 1) * norm_next),
     ]
 
 
@@ -149,8 +135,7 @@ def check_gw_virasoro(rep, X, xi, t):
     rhs = (math.sqrt(2) * seminorm(X, a) * scale.norm(xi, t + 1)
            + M * seminorm(X, a + 1) * scale.norm(xi, t + 0.5)
            + M * seminorm(X, a + 1.5) * scale.norm(xi, t))
-    return EstimateReport("gw-virasoro", {"t": t}, scale.norm(w, t), rhs,
-                          leakage=_top_fraction(rep, w))
+    return EstimateReport("gw-virasoro", scale.norm(w, t), rhs)
 
 
 def check_gw_loop(module, X, f, xi, t):
@@ -165,15 +150,13 @@ def check_gw_loop(module, X, f, xi, t):
     if X is not None:
         w = module.pi(X) @ xi
         out.append(EstimateReport(
-            "gw-loop-element", {"t": t}, scale.norm(w, t),
-            (ell + 1) * seminorm(X, a + 0.5) * scale.norm(xi, t + 0.5),
-            leakage=_top_fraction(module, w)))
+            "gw-loop-element", scale.norm(w, t),
+            (ell + 1) * seminorm(X, a + 0.5) * scale.norm(xi, t + 0.5)))
     if f is not None:
         w = module.pi(f) @ xi
         out.append(EstimateReport(
-            "gw-loop-field", {"t": t}, scale.norm(w, t),
-            DIM_G * seminorm(f, a + 1.5) * scale.norm(xi, t + 1),
-            leakage=_top_fraction(module, w)))
+            "gw-loop-field", scale.norm(w, t),
+            DIM_G * seminorm(f, a + 1.5) * scale.norm(xi, t + 1)))
     return out
 
 
@@ -183,7 +166,7 @@ def check_exp_estimate(rep, X, n):
     U = expm(rep.pi(X))
     lhs = scale.operator_norm(U, n, n)
     rhs = math.exp(2 * n * rep.a_seminorm(X, n))
-    return EstimateReport("exp-estimate", {"n": n}, lhs, rhs)
+    return EstimateReport("exp-estimate", lhs, rhs)
 
 
 def check_exp_difference(rep, X, Y, xi, n):
@@ -195,5 +178,4 @@ def check_exp_difference(rep, X, Y, xi, n):
            * math.exp(2 * (n + 1) * max(rep.a_seminorm(X, n + 1),
                                         rep.a_seminorm(Y, n + 1)))
            * scale.norm(xi, n + 1))
-    return EstimateReport("exp-difference", {"n": n}, scale.norm(w, n), rhs,
-                          leakage=_top_fraction(rep, w))
+    return EstimateReport("exp-difference", scale.norm(w, n), rhs)

@@ -10,7 +10,6 @@ import pytest
 
 from prodexp import checks, cli
 from prodexp.hwmod import GradedModule
-from prodexp.prodint import TruncationOverflow
 
 FAST_DESCRIPTOR = {
     "name": "fast",
@@ -313,16 +312,16 @@ def test_build_module_rejects_nonunitarizable(tmp_path, capsys):
     assert "not unitarizable" in capsys.readouterr().err
 
 
-def test_truncation_overflow_is_a_row_not_a_crash(monkeypatch):
+def test_check_exception_is_an_error_row(monkeypatch):
     def exploding(ctx):
-        raise TruncationOverflow(0.5, t=0.25)
+        raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(checks.CATALOG, "explode-test",
-                        (exploding, 1e-9, "synthetic overflow for testing"))
+                        (exploding, 1e-9, "synthetic failure for testing"))
     ctx = checks.CheckContext(seed=1)
     row = checks.run_check("explode-test", ctx)
     assert row["verdict"] == "error"
-    assert "TruncationOverflow" in row["params"]["error"]
+    assert "RuntimeError" in row["params"]["error"]
 
 
 # the order in which list-checks prints the catalog

@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -12,6 +15,7 @@ from prodexp.grouprep import (BoundaryViolation, CirclePath, CurvatureTooLarge,
                               holonomy_phase, local_cocycle, log_derivative,
                               phase_function, scalar_part,
                               shrinking_loop_homotopy, verify_up_properties)
+from prodexp.hwmod import build_module, virasoro_spec
 from prodexp.liealg import (FourierVectorField, LoopAlgebraElement,
                             sl2_chevalley)
 from prodexp.nelson import FinDimRep
@@ -291,6 +295,50 @@ def test_holonomy_quadrature_evaluates_each_node_once(vir8, monkeypatch):
     assert len(calls) == (rep.quad_panels + 1) ** 2
 
 
+def nan_homotopy(lo, hi):
+    """The k = 2 shrinking loop with X_1 nan for lo <= x < hi."""
+    hom = shrinking_loop_homotopy(k=2)
+    X1 = hom.X1
+    return dataclasses.replace(
+        hom, X1=lambda x, y: (float("nan") * X1(x, y) if lo <= x < hi
+                              else X1(x, y)))
+
+
+@pytest.fixture(scope="module")
+def vir4():
+    return build_module(virasoro_spec(Fraction(1, 2), Fraction(1, 16), 4))
+
+
+@pytest.fixture
+def capped_panels(monkeypatch):
+    """Stop holonomy_phase's panel doubling past 64 panels per axis."""
+    simpson = grouprep._simpson_2d
+
+    def capped(f, n):
+        if n > 64:
+            raise RuntimeError(f"quadrature still doubling at {n} panels")
+        return simpson(f, n)
+
+    monkeypatch.setattr(grouprep, "_simpson_2d", capped)
+
+
+def test_holonomy_nan_homotopy_fails_the_guard(vir4, capped_panels):
+    # a nan curvature is not below CURVATURE_TOL
+    hom = nan_homotopy(0.9, np.inf)
+    with pytest.raises(CurvatureTooLarge, match="nan"):
+        holonomy_phase(vir4, hom)
+    assert np.isnan(hom.curvature_residual())
+
+
+def test_holonomy_nan_quadrature_names_the_panels(vir4, capped_panels):
+    # nan only between the checker's nodes: the guards pass and the
+    # first doubling (16 panels) is the first grid to meet it
+    hom = nan_homotopy(0.91, 0.95)
+    assert hom.curvature_residual() < 1e-12
+    with pytest.raises(ValueError, match="16 panels"):
+        holonomy_phase(vir4, hom)
+
+
 @pytest.mark.parametrize("window", [1, 3])
 def test_holonomy_magnus4_matches_step_scheme(vir8, window):
     # the measured phase is the window trace of U_{p1} U_{p0}^*, built from
@@ -464,6 +512,6 @@ def test_extension_cocycle_e2(vir8):
     chart = omega_chart(vir8)
     X = FourierVectorField({2: 1.0, -2: 1.0})
     Y = FourierVectorField({2: 1j, -2: -1j})
-    rep = extension_cocycle_check(vir8, chart, Y, X, step=1e-3)
+    rep = extension_cocycle_check(vir8, chart, Y, X)
     assert rep["difference"] < 1e-3
     assert abs(rep["expected"]) > 0.5      # genuinely nontrivial

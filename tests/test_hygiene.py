@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module imports is used in it.
+"""Source hygiene: every name a module imports is used in it, and every
+private module-level name of the package is read somewhere in it.
 
 A stdlib `ast` scan of the package and the test modules; an unused
-import is dead code that also hides what a module really depends on.
+import or an unread private helper is dead code, and the first also
+hides what a module really depends on.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/prodexp/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/prodexp/*.py"))
+FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 # imported for a side effect: the package pins the OpenBLAS pool before
 # numpy loads it
@@ -47,3 +50,59 @@ def test_every_import_is_used(path):
     unused = [(line, name) for line, name in unused_imports(path.read_text())
               if (path.name, name) not in EXEMPT]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def unread_privates(sources):
+    """(module, line, name) of each module-level name with one leading
+    underscore that is never read: not in its own module, nor in another
+    through `from .module import name` or `module.name`.  `sources` maps
+    module names (file stems) to their text."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()                                # (module, name)
+    for mod, tree in trees.items():
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        read |= {(mod, name) for name in loads}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rsplit(".", 1)[-1]
+                read |= {(source, a.name) for a in node.names
+                         if (a.asname or a.name) in loads}
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)):
+                read.add((node.value.id, node.attr))
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            elif (isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)):
+                names = [node.target.id]
+            else:
+                continue
+            out += [(mod, node.lineno, name) for name in names
+                    if name.startswith("_") and not name.startswith("__")
+                    and (mod, name) not in read]
+    return out
+
+
+def test_scan_finds_unread_private():
+    # b reads a's _helper and _imported, and its own _dropped, which
+    # does not count for a's
+    sources = {"a": ("_kept = 1\n_dropped = 2\nPUBLIC = 3\n"
+                     "def _helper():\n    return _kept\n"
+                     "_imported = 4\nclass _Unused:\n    pass\n"),
+               "b": ("import a\nfrom .a import _imported\n"
+                     "_dropped = a._helper() + _imported\nprint(_dropped)\n")}
+    assert unread_privates(sources) == [("a", 2, "_dropped"),
+                                        ("a", 7, "_Unused")]
+
+
+def test_every_private_name_is_read():
+    unread = unread_privates({p.stem: p.read_text() for p in PACKAGE})
+    assert not unread, f"private names never read: {unread}"

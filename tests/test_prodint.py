@@ -6,10 +6,10 @@ from scipy.linalg import expm
 from conftest import dense_at_vector_steps, safe_vector
 from prodexp.liealg import FourierVectorField
 from prodexp.prodint import (GeneratorPath, MaxRefinementExceeded,
-                             TruncationOverflow, cumulative_simpson,
-                             dyson_expansion, gateaux_derivative,
-                             product_integral, solve_homogeneous,
-                             solve_inhomogeneous, step_product)
+                             cumulative_simpson, dyson_expansion,
+                             gateaux_derivative, product_integral,
+                             solve_homogeneous, solve_inhomogeneous,
+                             step_product)
 
 
 def oscillating_path(scale=1.0, interval=(0.0, 1.0)):
@@ -129,11 +129,10 @@ def test_homogeneous_norm_and_reversal(vir8):
     xi0[vir8.safe_dim(4):] = 0
     xi0 /= np.linalg.norm(xi0)
     grid = np.linspace(0, 1, 17)
-    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9,
-                             overflow_threshold=None)
-    assert np.abs(traj.norms() - 1).max() < 1e-9
+    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9)
+    assert np.abs(np.linalg.norm(traj, axis=1) - 1).max() < 1e-9
     back = solve_homogeneous(vir8, path.reversed(), traj[-1],
-                             grid, tol=1e-9, overflow_threshold=None)
+                             grid, tol=1e-9)
     assert np.linalg.norm(back[-1] - xi0) < 1e-9
 
 
@@ -142,8 +141,7 @@ def test_homogeneous_residual(vir8):
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     grid = np.linspace(0, 1, 129)
-    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9,
-                             overflow_threshold=None)
+    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9)
     h = grid[1] - grid[0]
     worst = 0.0
     for i in range(1, len(grid) - 1):
@@ -158,8 +156,7 @@ def test_homogeneous_one_segment_is_product_integral(vir8):
     path = oscillating_path(scale=0.3)
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
-    traj = solve_homogeneous(vir8, path, xi0, [0.0, 1.0], tol=1e-9,
-                             overflow_threshold=None)
+    traj = solve_homogeneous(vir8, path, xi0, [0.0, 1.0], tol=1e-9)
     P = product_integral(vir8, path, tol=1e-9, n0=4, V=xi0[:, None])
     assert np.array_equal(traj[-1], P.matrix[:, 0])
 
@@ -180,8 +177,7 @@ def test_homogeneous_carries_the_start_level(vir8, monkeypatch):
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     solve_homogeneous(vir8, oscillating_path(scale=0.3), xi0,
-                      np.linspace(0, 1, 129), tol=1e-9,
-                      overflow_threshold=None)
+                      np.linspace(0, 1, 129), tol=1e-9)
     assert sum(steps) <= 512
 
 
@@ -196,19 +192,9 @@ def test_homogeneous_burst_matches_ode_reference(vir8):
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     grid = np.linspace(0, 1, 129)
-    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9,
-                             overflow_threshold=None)
+    traj = solve_homogeneous(vir8, path, xi0, grid, tol=1e-9)
     ref = ode_reference(lambda t, y: vir8.pi(path(t)) @ y, xi0, grid)
-    assert np.abs(traj.vectors - ref).max() < 1e-9
-
-
-def test_truncation_overflow(vir8):
-    path = GeneratorPath.constant(FourierVectorField({1: 3.0, -1: 3.0}),
-                                  (0, 1))
-    xi0 = np.zeros(vir8.dim, dtype=complex)
-    xi0[0] = 1.0
-    with pytest.raises(TruncationOverflow):
-        solve_homogeneous(vir8, path, xi0, np.linspace(0, 1, 9), tol=1e-6)
+    assert np.abs(traj - ref).max() < 1e-9
 
 
 def test_inhomogeneous_zero_source(vir8):
@@ -216,7 +202,7 @@ def test_inhomogeneous_zero_source(vir8):
     traj = solve_inhomogeneous(vir8, path,
                                lambda t: np.zeros(vir8.dim, dtype=complex),
                                np.linspace(0, 1, 17), tol=1e-8)
-    assert np.abs(traj.vectors).max() == 0
+    assert np.abs(traj).max() == 0
 
 
 def test_inhomogeneous_zero_generator(vir8):
@@ -224,12 +210,12 @@ def test_inhomogeneous_zero_generator(vir8):
     path = GeneratorPath(lambda t: FourierVectorField(), (0, 1))
     e0 = np.zeros(vir8.dim, dtype=complex)
     e0[0] = 1.0
+    grid = np.linspace(0, 1, 33)
     traj = solve_inhomogeneous(vir8, path, lambda t: np.sin(t) * e0,
-                               np.linspace(0, 1, 33), tol=1e-8)
+                               grid, tol=1e-8)
     # each segment stops when a doubling moves J by less than tol; the
     # fourth-order Gauss nodes leave far less than that
-    np.testing.assert_allclose(traj.vectors[:, 0],
-                               1 - np.cos(traj.times), atol=1e-12)
+    np.testing.assert_allclose(traj[:, 0], 1 - np.cos(grid), atol=1e-12)
 
 
 def test_inhomogeneous_residual(vir8):
@@ -273,7 +259,7 @@ def test_inhomogeneous_matches_ode_reference(vir8):
     ref = ode_reference(
         lambda t, y: vir8.pi(path(t)) @ y + np.cos(2 * t) * w,
         np.zeros(vir8.dim, dtype=complex), grid)
-    assert np.abs(traj.vectors - ref).max() < 1e-10
+    assert np.abs(traj - ref).max() < 1e-10
 
 
 def test_gateaux_matches_ode_reference(vir8):
@@ -294,7 +280,7 @@ def test_gateaux_matches_ode_reference(vir8):
                                P @ y[d:] + vir8.pi(delta(t)) @ y[:d]])
 
     ref = ode_reference(rhs, np.concatenate([xi0, np.zeros(d)]), grid)
-    assert np.abs(traj.vectors - ref[:, d:]).max() < 1e-10
+    assert np.abs(traj - ref[:, d:]).max() < 1e-10
 
 
 def test_gateaux_zero_direction(vir8):
@@ -303,7 +289,7 @@ def test_gateaux_zero_direction(vir8):
     xi0[0] = 1.0
     zero = GeneratorPath(lambda t: FourierVectorField(), (0, 1))
     traj = gateaux_derivative(vir8, path, xi0, zero, np.linspace(0, 1, 17))
-    assert np.abs(traj.vectors).max() < 1e-12
+    assert np.abs(traj).max() < 1e-12
 
 
 def test_gateaux_constant_selfdirection(vir8):
@@ -328,7 +314,7 @@ def test_gateaux_matches_central_difference(vir8):
     grid = np.linspace(0, 1, 65)
     traj = gateaux_derivative(vir8, path, xi0, delta, grid, tol=1e-9)
     eps = 1e-4
-    kw = dict(tol=1e-10, overflow_threshold=None)
+    kw = dict(tol=1e-10)
 
     def shifted(s):
         return GeneratorPath(lambda t: path(t) + s * delta(t), (0, 1))
@@ -536,10 +522,9 @@ def test_vector_solvers_match_dense(request, name):
     grid = np.linspace(0, 1, 9)
 
     def solve():
-        return (solve_homogeneous(rep, path, xi0, grid, tol=1e-9,
-                                  overflow_threshold=None).vectors,
+        return (solve_homogeneous(rep, path, xi0, grid, tol=1e-9),
                 gateaux_derivative(rep, path, xi0, delta, grid,
-                                   tol=1e-9).vectors)
+                                   tol=1e-9))
 
     vector = solve()
     with dense_at_vector_steps():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from prodexp import checks
 from prodexp.liealg import (FourierVectorField, LoopAlgebraElement, seminorm,
                             sl2_chevalley)
-from prodexp.prodint import _top_fraction
 from prodexp.scale import (SobolevScale, check_basic_estimates,
                            check_exp_difference, check_exp_estimate,
                            check_gw_loop, check_gw_virasoro,
@@ -151,13 +151,27 @@ def test_sugawara_estimates_use_its_own_constants(aff5):
         + M * seminorm(f, 2.0) * s.norm(xi, 0.5), rel=1e-14)
 
 
-def test_report_leakage_is_top_fraction(vir8):
-    rng = np.random.default_rng(13)
-    X = FourierVectorField({1: 0.7, -1: 0.7})
-    xi = vir8.random_vector(rng)
-    r = check_basic_estimates(vir8, X, xi, 0)[0]
-    assert 0 < r.leakage <= 1
-    assert r.leakage == _top_fraction(vir8, vir8.pi(X) @ xi)
+def test_row_leakage_is_top_fraction(monkeypatch):
+    # ode-norm-conservation reports the fraction of its solver's final
+    # vector's norm in the top two retained levels
+    finals = []
+    solve = checks.solve_homogeneous
+
+    def recording(*args, **kw):
+        traj = solve(*args, **kw)
+        finals.append(traj[-1])
+        return traj
+
+    monkeypatch.setattr(checks, "solve_homogeneous", recording)
+    ctx = checks.CheckContext(seed=7)
+    row = checks.run_check("ode-norm-conservation", ctx)
+    level = ctx.rep("virasoro").level_of()
+    (v,) = finals
+    want = (np.linalg.norm(v[level >= level.max() - 1])
+            / np.linalg.norm(v))
+    assert row["verdict"] == "pass"
+    assert 0 < row["leakage"] < 1
+    assert row["leakage"] == pytest.approx(want, rel=1e-14)
 
 
 def test_exp_estimate(vir8):
