@@ -15,8 +15,7 @@ from scipy.linalg import expm
 
 from prodexp import cli
 from prodexp.grouprep import (CirclePath, PhaseChart, exponentiate_path,
-                              extension_cocycle_check, holonomy_phase,
-                              local_cocycle, scalar_part,
+                              holonomy_phase, local_cocycle, scalar_part,
                               shrinking_loop_homotopy)
 from prodexp.hwmod import (NotUnitarizable, build_module, build_verma,
                            virasoro_spec)
@@ -381,15 +380,6 @@ def test_nelson_spin_half_full_turn():
 
 # ---------------------------------------------------------------------------
 # 11. extension cocycle
-
-
-def test_extension_cocycle_finite_difference(vir8):
-    chart = PhaseChart(omega(vir8))
-    X = FourierVectorField({2: 1.0, -2: 1.0})
-    Y = FourierVectorField({2: 1j, -2: -1j})
-    out = extension_cocycle_check(vir8, chart, Y, X)
-    assert out["difference"] < 1e-3
-    assert abs(out["expected"]) > 0.1          # a genuinely nonzero value
 
 
 def test_local_cocycle_lift_rescaling_invariance(vir8):

@@ -8,7 +8,8 @@ import pytest
 from prodexp.liealg import (FourierVectorField, LoopAlgebraElement,
                             bracket_vect, loop_bracket, sl2_chevalley)
 from prodexp.hwmod import (_ADJ, HighestWeightSpec, NotUnitarizable,
-                           _exact_ldl, _IndefiniteGram, affine_spec,
+                           _exact_ldl, _IndefiniteGram, _lsolve, _ltsolve,
+                           _mm, affine_spec,
                            build_module, build_verma, discrete_series_c,
                            discrete_series_h, partitions, virasoro_spec)
 
@@ -351,6 +352,119 @@ class TestExactLDL:
                     want *= ((h1 - h_rs) / (h2 - h_rs)) ** len(
                         partitions(n - r * s))
             assert dets[0] / dets[1] == want, n
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against plain Fraction arithmetic
+
+def _fraction_mm(A, B):
+    return [[sum((Fraction(A[i, t]) * B[t, j] for t in range(A.shape[1])),
+                 Fraction(0)) for j in range(B.shape[1])]
+            for i in range(A.shape[0])]
+
+
+def _fraction_lsolve(L, Y):
+    Z = [[Fraction(x) for x in row] for row in Y]
+    for i in range(len(Z)):
+        for t in range(i):
+            Z[i] = [z - L[i, t] * zt for z, zt in zip(Z[i], Z[t])]
+    return Z
+
+
+def _fraction_ltsolve(L, W):
+    n = len(W)
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        X[i] = [Fraction(w) - sum((L[t, i] * X[t][j] for t in range(i + 1, n)),
+                                  Fraction(0)) for j, w in enumerate(W[i])]
+    return X
+
+
+def _assert_exact(out, want, shape):
+    assert out.shape == shape
+    assert all(type(x) is Fraction for x in out.flat)
+    assert out.tolist() == want
+
+
+_BIG = 10 ** 40
+_ENTRY = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.just(Fraction(0)))
+
+
+@st.composite
+def _matrix(draw, n, m, zero_lines=True):
+    """n x m object array of ints and Fractions, with some rows and
+    columns zero if `zero_lines`."""
+    A = np.empty((n, m), dtype=object)
+    for i in range(n):
+        for j in range(m):
+            A[i, j] = draw(_ENTRY)
+    if zero_lines:
+        A[draw(st.lists(st.booleans(), min_size=n, max_size=n)), :] = 0
+        A[:, draw(st.lists(st.booleans(), min_size=m, max_size=m))] = 0
+    return A
+
+
+@st.composite
+def _unit_lower(draw, n):
+    L = draw(_matrix(n, n, zero_lines=False))
+    L[np.triu_indices(n)] = 0
+    L[np.diag_indices(n)] = draw(st.sampled_from((1, Fraction(1))))
+    return L
+
+
+_DIM = st.integers(0, 5)
+
+
+class TestExactKernels:
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.tuples(_DIM, _DIM, _DIM).flatmap(
+        lambda s: st.tuples(_matrix(s[0], s[1]), _matrix(s[1], s[2]))))
+    def test_mm(self, case):
+        A, B = case
+        _assert_exact(_mm(A, B), _fraction_mm(A, B),
+                      (A.shape[0], B.shape[1]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.tuples(_DIM, _DIM).flatmap(
+        lambda s: st.tuples(_unit_lower(s[0]), _matrix(s[0], s[1]))))
+    def test_triangular_solves(self, case):
+        L, Y = case
+        _assert_exact(_lsolve(L, Y), _fraction_lsolve(L, Y), Y.shape)
+        _assert_exact(_ltsolve(L, Y), _fraction_ltsolve(L, Y), Y.shape)
+
+    def test_on_module_factors(self, vir12, aff5):
+        # factors and coordinates of real levels: pivots whose lcm along a
+        # row of L is far larger than any entry
+        for mod in (vir12, aff5):
+            for k in range(1, mod.N + 1):
+                L, _ = mod.factors[k]
+                Lt, _ = mod.factors[k - 1]
+                R = mod._coord(mod.verma.adjoint(mod.verma.lowering[0]), k)
+                X = _mm(Lt.T, R)
+                _assert_exact(X, _fraction_mm(Lt.T, R), X.shape)
+                _assert_exact(_lsolve(L, X.T), _fraction_lsolve(L, X.T),
+                              X.T.shape)
+                _assert_exact(_ltsolve(L, X.T), _fraction_ltsolve(L, X.T),
+                              X.T.shape)
+
+
+@pytest.mark.parametrize("name", ["vir8", "aff5"])
+def test_exact_data_stays_exact(request, name):
+    # every generator filled, including the raising modes that `_coord`
+    # forms as commutators: no entry of the exact data is a float
+    mod = request.getfixturevalue(name)
+    for n in range(-mod.N, mod.N + 1):
+        mod.generator_matrix(("L", n))
+        if mod.spec.kind == "affine_sl2":
+            for j in range(3):
+                mod.generator_matrix(("x", j, n))
+    exact = [x for R in mod._coords.values() for x in R.flat]
+    exact += [x for L, d in mod.factors for x in (*L.flat, *d)]
+    assert {type(x) for x in exact} <= {int, Fraction}
 
 
 # ---------------------------------------------------------------------------
