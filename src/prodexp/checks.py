@@ -62,12 +62,8 @@ class CheckContext:
     def build(self, spec):
         key = spec.key()
         if key not in self._modules:
-            mod = self.cache.load(spec) if self.cache is not None else None
-            if mod is None:
-                mod = build_module(spec)
-                if self.cache is not None:
-                    self.cache.store(spec, mod)
-            self._modules[key] = mod
+            self._modules[key] = (build_module(spec) if self.cache is None
+                                  else self.cache.load_or_build(spec)[0])
         return self._modules[key]
 
     def rep(self, kind):

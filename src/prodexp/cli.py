@@ -98,6 +98,15 @@ class ModuleCache:
             pickle.dump(module, f)
         tmp.replace(self._path(spec))
 
+    def load_or_build(self, spec):
+        """(module, cached): the cached module, or a new build stored."""
+        mod = self.load(spec)
+        if mod is not None:
+            return mod, True
+        mod = build_module(spec)
+        self.store(spec, mod)
+        return mod, False
+
 
 # ---------------------------------------------------------------------------
 # descriptor parsing
@@ -350,16 +359,11 @@ def cmd_build_module(args):
     if not isinstance(spec, HighestWeightSpec):
         raise DescriptorError("build-module: only virasoro/affine_sl2 "
                               "modules are cacheable")
-    cache = ModuleCache(args.cache_dir)
-    mod = cache.load(spec)
-    cached = mod is not None
-    if not cached:
-        try:
-            mod = build_module(spec)
-        except NotUnitarizable as exc:
-            sys.stderr.write(f"not unitarizable: {exc}\n")
-            return 1
-        cache.store(spec, mod)
+    try:
+        mod, cached = ModuleCache(args.cache_dir).load_or_build(spec)
+    except NotUnitarizable as exc:
+        sys.stderr.write(f"not unitarizable: {exc}\n")
+        return 1
     sys.stdout.write(json.dumps({
         "key": spec.key(), "dim": mod.dim,
         "level_dims": list(map(int, mod.level_dims)),

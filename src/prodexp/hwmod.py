@@ -55,8 +55,7 @@ import numpy as np
 
 from .liealg import (FourierVectorField, LoopAlgebraElement, loop_cocycle,
                      sl2_chevalley, vect_cocycle_integral)
-from .scale import (DIM_G, gw_loop_a_seminorm, gw_loop_seminorm,
-                    gw_virasoro_a_seminorm, gw_virasoro_seminorm)
+from .scale import DIM_G, gw_loop_seminorm, gw_virasoro_seminorm
 
 H_VEE_SL2 = 2          # dual Coxeter number of sl2
 
@@ -738,16 +737,11 @@ class GradedModule:
 
     def a_diag(self):
         """Diagonal of A = 1 + L0 in the flat orthonormal basis."""
-        out = np.empty(self.dim)
-        for k in range(self.N + 1):
-            out[self.offsets[k]:self.offsets[k + 1]] = 1.0 + float(self.h0) + k
-        return out
+        return 1.0 + float(self.h0) + self.level_of()
 
     def level_of(self):
-        out = np.empty(self.dim, dtype=int)
-        for k in range(self.N + 1):
-            out[self.offsets[k]:self.offsets[k + 1]] = k
-        return out
+        """The grading level of each coordinate."""
+        return np.repeat(np.arange(len(self.level_dims)), self.level_dims)
 
     # -- generator matrices -------------------------------------------------
 
@@ -847,22 +841,18 @@ class GradedModule:
 
     def seminorm(self, X, t):
         """|X|_t with the Goodman-Wallach constants of this module's
-        algebra."""
-        return self._gw(X, t, gw_virasoro_seminorm, gw_loop_seminorm)
+        algebra; on an affine module a vector field acts by the Sugawara
+        L_n and takes the dim(G) slot f of `gw_loop_seminorm`."""
+        if self.spec.kind == "virasoro":
+            return gw_virasoro_seminorm(X, t, float(self.spec.c))
+        if isinstance(X, FourierVectorField):
+            return gw_loop_seminorm(None, X, t, self.spec.ell)
+        return gw_loop_seminorm(X, None, t, self.spec.ell)
 
     def a_seminorm(self, X, t):
-        """|X|_{A,t}, the constant of the commutator estimate."""
-        return self._gw(X, t, gw_virasoro_a_seminorm, gw_loop_a_seminorm)
-
-    def _gw(self, X, t, virasoro, loop):
-        """virasoro(X, t, c) on a Virasoro module; on an affine module
-        loop(X, f, t, ell) with a loop element in the (ell+1) slot X and a
-        vector field, which acts by the Sugawara L_n, in the dim(G) slot f."""
-        if self.spec.kind == "virasoro":
-            return virasoro(X, t, float(self.spec.c))
-        if isinstance(X, FourierVectorField):
-            return loop(None, X, t, self.spec.ell)
-        return loop(X, None, t, self.spec.ell)
+        """|X|_{A,t} = |[L_0, X]|_t: with A = 1 + L_0, [A, pi(X)] is pi of
+        the mode derivative, up to sign."""
+        return self.seminorm(X.mode_derivative(), t)
 
     def projective_cocycle(self, X, Y):
         """B(X, Y) with [pi(X), pi(Y)] = pi([X, Y]) + i B(X, Y)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+import itertools
 
 import numpy as np
 
@@ -54,16 +55,17 @@ class FinDimRep:
         return {"kind": "su2", "spins": [str(s) for s in self.spins]}
 
     @property
+    def block_dims(self):
+        """int(2 s) + 1, the dimension of each spin-s block."""
+        return [int(2 * s) + 1 for s in self.spins]
+
+    @property
     def dim(self):
-        return sum(int(2 * s) + 1 for s in self.spins)
+        return sum(self.block_dims)
 
     def block_slices(self):
-        out, off = [], 0
-        for s in self.spins:
-            d = int(2 * s) + 1
-            out.append(slice(off, off + d))
-            off += d
-        return out
+        ends = itertools.accumulate(self.block_dims)
+        return [slice(e - d, e) for d, e in zip(self.block_dims, ends)]
 
     @cached_property
     def generators(self):
@@ -83,17 +85,12 @@ class FinDimRep:
 
     def a_diag(self):
         """Diagonal of A = 1 - Delta = (1 + j(j+1)) Id per block."""
-        out = np.empty(self.dim)
-        for sl, s in zip(self.block_slices(), self.spins):
-            out[sl] = 1.0 + float(s * (s + 1))
-        return out
+        return np.repeat([1.0 + float(s * (s + 1)) for s in self.spins],
+                         self.block_dims)
 
     def level_of(self):
         """Block index per coordinate (plays the role of the grading)."""
-        out = np.empty(self.dim, dtype=int)
-        for i, sl in enumerate(self.block_slices()):
-            out[sl] = i
-        return out
+        return np.repeat(np.arange(len(self.spins)), self.block_dims)
 
     def seminorm(self, x, s):
         """Smallest C with ||pi(x) xi||_{s-1} <= C ||xi||_s (dense norm)."""

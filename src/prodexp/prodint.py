@@ -85,6 +85,9 @@ RULES = ("magnus4", "left")
 # uniform nodes of dyson_expansion's cumulative Simpson quadrature
 DYSON_NODES = 129
 
+# product_integral raises MaxRefinementExceeded past this many steps
+MAX_STEPS = 2 ** 20
+
 # Gauss-Legendre nodes 1/2 -+ sqrt(3)/6 and the Magnus commutator weight
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0
 _MAGNUS_COMMUTATOR = np.sqrt(3.0) / 12.0
@@ -191,14 +194,13 @@ def step_product(rep, path, n, rule="magnus4", V=None):
 
 
 def _probe_difference(rep, U1, U2, r, V=None):
-    """max_j ||(U1 - U2) v_j||_r / ||v_j||_{r+1} over the probe columns:
-    the coordinate basis e_j (dense mode) or the columns of V, where U1,
-    U2 are the propagated blocks.  An exactly zero column counts as
-    converged."""
+    """max_j ||(U1 - U2) v_j||_r / ||v_j||_{r+1} over the probe columns
+    v_j of V, where U1, U2 are the propagated blocks U V.  Dense mode
+    probes the coordinate basis, V = I.  An exactly zero column counts
+    as converged."""
     a = np.asarray(rep.a_diag(), dtype=float)
     if V is None:
-        W = (a ** r)[:, None] * (U1 - U2) * (a ** (-(r + 1)))[None, :]
-        return float(np.max(np.linalg.norm(W, axis=0)))
+        V = np.eye(len(a))
     num = np.linalg.norm((a ** r)[:, None] * (U1 - U2), axis=0)
     den = np.linalg.norm((a ** (r + 1))[:, None] * V, axis=0)
     ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -222,8 +224,7 @@ def _difference_bound(rep, path, n_coarse, r):
     return (b - a) * sup_diff * np.exp(2 * (r + 1) * (b - a) * sup_a)
 
 
-def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="magnus4",
-                     max_steps=2 ** 20, V=None):
+def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="magnus4", V=None):
     """Dyadically refined product integral of a generator path.
 
     Successive refinements are compared on the probe columns in the
@@ -234,16 +235,14 @@ def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="magnus4",
     functions, is recorded alongside each empirical difference; for
     "magnus4" the recorded bound is nan.
     """
-    if V is not None:
-        V = np.asarray(V, dtype=complex)
     n = n0
     U_prev = step_product(rep, path, n, rule, V).matrix
     record = []
     while True:
         n2 = 2 * n
-        if n2 > max_steps:
+        if n2 > MAX_STEPS:
             raise MaxRefinementExceeded(
-                f"no convergence to {tol} within {max_steps} steps")
+                f"no convergence to {tol} within {MAX_STEPS} steps")
         U = step_product(rep, path, n2, rule, V).matrix
         diff = _probe_difference(rep, U_prev, U, r, V)
         bound = (_difference_bound(rep, path, n, r) if rule == "left"

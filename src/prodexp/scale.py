@@ -9,7 +9,8 @@ provides
 * `a_diag()`, the diagonal of A in the working basis (A is diagonal
   throughout), and `level_of()`, the grading level of each coordinate;
 * `seminorm(X, t)` and `a_seminorm(X, t)`, the representation's own
-  constants |X|_t and |X|_{A,t} in its commutator estimates.
+  constants |X|_t and |X|_{A,t} in its commutator estimates; on a module
+  |X|_{A,t} is |[L_0, X]|_t, the seminorm of the mode derivative.
 
 Module representations add `N`, `safe_dim(depth)` and `central_charge`
 (`check_gw_virasoro` reads it).
@@ -64,11 +65,6 @@ def gw_virasoro_seminorm(X, t, c):
             + M * (seminorm(X, t) + seminorm(X, t + 0.5)))
 
 
-def gw_virasoro_a_seminorm(X, t, c):
-    """|X|_{A,t}: the same recipe on the mode derivative [L_0, X]."""
-    return gw_virasoro_seminorm(X.mode_derivative(), t, c)
-
-
 # dim G of the loop algebras' finite part, sl2
 DIM_G = 3
 
@@ -82,12 +78,6 @@ def gw_loop_seminorm(X, f, t, ell):
     if f is not None:
         out += DIM_G * seminorm(f, t + 0.5)
     return out
-
-
-def gw_loop_a_seminorm(X, f, t, ell):
-    return gw_loop_seminorm(None if X is None else X.mode_derivative(),
-                            None if f is None else f.mode_derivative(),
-                            t, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +135,15 @@ def check_gw_loop(module, X, f, xi, t):
     by the Sugawara L_n."""
     ell = module.spec.ell
     scale = SobolevScale(module)
-    out = []
     a = abs(t)
-    if X is not None:
-        w = module.pi(X) @ xi
-        out.append(EstimateReport(
-            "gw-loop-element", scale.norm(w, t),
-            (ell + 1) * seminorm(X, a + 0.5) * scale.norm(xi, t + 0.5)))
-    if f is not None:
-        w = module.pi(f) @ xi
-        out.append(EstimateReport(
-            "gw-loop-field", scale.norm(w, t),
-            DIM_G * seminorm(f, a + 1.5) * scale.norm(xi, t + 1)))
-    return out
+    return [
+        EstimateReport(
+            "gw-loop-element", scale.norm(module.pi(X) @ xi, t),
+            (ell + 1) * seminorm(X, a + 0.5) * scale.norm(xi, t + 0.5)),
+        EstimateReport(
+            "gw-loop-field", scale.norm(module.pi(f) @ xi, t),
+            DIM_G * seminorm(f, a + 1.5) * scale.norm(xi, t + 1)),
+    ]
 
 
 def check_exp_estimate(rep, X, n):

@@ -222,6 +222,34 @@ def test_cache_correctness(tmp_path):
     assert cache_files, "module cache was not populated"
 
 
+# artifact_hashes.rows of every check at seed 7 (numpy 2.4.6, scipy
+# 1.17.1, one OpenBLAS thread): a change that keeps every report row bit
+# for bit keeps these
+PINNED_DIGESTS = {
+    "virasoro": (
+        {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8},
+        "7eb383ab801295bee056fce2a2fe3db8cbd73e464db12beb2035c458f4af5e15"),
+    "affine": (
+        {"kind": "affine_sl2", "ell": 1, "lam": 1, "N": 4},
+        "0caeef8424e555731bb17a9beac1871f14b87166269f1405b9e4b217d65e7e11"),
+    "su2": (
+        {"kind": "su2", "spins": ["1", "1/2"]},
+        "3d86d05f7df1175aef3c4e18170ac3a9ca3b7b190ca7b19309a82713b9c15b09"),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_DIGESTS))
+def test_report_digests_are_pinned(kind, cache_dir):
+    module, digest = PINNED_DIGESTS[kind]
+    desc = cli.validate_descriptor(
+        {"module": module, "seed": 7, "checks": list(checks.CATALOG)})
+    report = cli.execute(desc, cache=cli.ModuleCache(cache_dir))
+    assert len(report["rows"]) == 28
+    assert cli.report_passed(report), [
+        row for row in report["rows"] if row["verdict"] != "pass"]
+    assert report["artifact_hashes"]["rows"] == digest
+
+
 def test_sweep_csv(tmp_path, cache_dir, capsys):
     data = dict(FAST_DESCRIPTOR, checks=["vir-commutation"])
     desc = write_descriptor(tmp_path, data)

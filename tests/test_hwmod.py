@@ -467,6 +467,20 @@ def test_exact_data_stays_exact(request, name):
     assert {type(x) for x in exact} <= {int, Fraction}
 
 
+@pytest.mark.parametrize("name", ["vir8", "aff5"])
+def test_grading_matches_the_level_loop(request, name):
+    # level_of and a_diag read the grading off the level sizes; a
+    # per-level fill is the reference, bit for bit
+    mod = request.getfixturevalue(name)
+    level = np.empty(mod.dim, dtype=int)
+    diag = np.empty(mod.dim)
+    for k in range(mod.N + 1):
+        level[mod.offsets[k]:mod.offsets[k + 1]] = k
+        diag[mod.offsets[k]:mod.offsets[k + 1]] = 1.0 + float(mod.h0) + k
+    assert np.array_equal(mod.level_of(), level)
+    assert np.array_equal(mod.a_diag(), diag)
+
+
 # ---------------------------------------------------------------------------
 # the quotient recursion against the PBW Shapovalov oracle
 

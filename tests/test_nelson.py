@@ -76,6 +76,19 @@ class LaplacianTests(unittest.TestCase):
         np.testing.assert_allclose(A, np.diag(np.diag(A)), atol=1e-13)
         np.testing.assert_allclose(MIXED.a_diag(), np.diag(A).real)
 
+    def test_blocks_match_the_spin_loop(self):
+        # one block of int(2 s) + 1 coordinates per spin, in order
+        rep = FinDimRep((1, 0, 0.5, 1.5))
+        off = 0
+        for i, (sl, s) in enumerate(zip(rep.block_slices(), rep.spins)):
+            d = int(2 * s) + 1
+            self.assertEqual(sl, slice(off, off + d))
+            self.assertTrue(np.all(rep.level_of()[sl] == i))
+            self.assertTrue(np.all(rep.a_diag()[sl]
+                                   == 1.0 + float(s * (s + 1))))
+            off += d
+        self.assertEqual(rep.dim, off)
+
 
 class AssumptionTests(unittest.TestCase):
 

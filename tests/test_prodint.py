@@ -89,10 +89,12 @@ def test_refinement_within_bound(vir8):
         assert emp <= bound
 
 
-def test_max_refinement(vir8):
+def test_max_refinement(vir8, monkeypatch):
+    from prodexp import prodint
+    monkeypatch.setattr(prodint, "MAX_STEPS", 64)
     with pytest.raises(MaxRefinementExceeded):
         product_integral(vir8, oscillating_path(), tol=1e-14, n0=4,
-                         max_steps=64, rule="left")
+                         rule="left")
 
 
 def test_unitarity_and_inversion(vir8):

@@ -10,7 +10,7 @@ from prodexp.liealg import (FourierVectorField, LoopAlgebraElement, seminorm,
 from prodexp.scale import (SobolevScale, check_basic_estimates,
                            check_exp_difference, check_exp_estimate,
                            check_gw_loop, check_gw_virasoro,
-                           gw_virasoro_a_seminorm, gw_virasoro_seminorm)
+                           gw_virasoro_seminorm)
 
 from conftest import safe_vector
 
@@ -206,9 +206,14 @@ def test_unitarity_on_h0(vir8):
     assert abs(np.linalg.norm(U @ xi) - 1) < 1e-12
 
 
-def test_a_seminorm_relation():
+def test_a_seminorm_relation(vir8, aff5):
     X = FourierVectorField({3: 0.5, -2: 1.0})
     # |X|_{A,t} is the |.|_t seminorm of the mode-scaled field
     Xp = FourierVectorField({3: 1.5, -2: -2.0})
-    assert gw_virasoro_a_seminorm(X, 2, 0.5) == pytest.approx(
+    assert vir8.a_seminorm(X, 2) == pytest.approx(
         gw_virasoro_seminorm(Xp, 2, 0.5))
+    # and of the mode-scaled loop element, (ell + 1)||Yp||_{t-1/2} at ell = 1
+    alg = sl2_chevalley()
+    Y = LoopAlgebraElement(alg, {1: (1.0, 0.5, 0.0), -2: (0.0, 1.0, 2.0)})
+    Yp = LoopAlgebraElement(alg, {1: (1.0, 0.5, 0.0), -2: (0.0, -2.0, -4.0)})
+    assert aff5.a_seminorm(Y, 2) == pytest.approx(2 * seminorm(Yp, 1.5))
