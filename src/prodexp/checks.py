@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from .liealg import FourierVectorField, bracket_vect
+from .liealg import FourierVectorField, LoopAlgebraElement, bracket_vect
 from .hwmod import (NotUnitarizable, affine_spec, build_module, build_verma,
                     discrete_series_c, discrete_series_h, virasoro_spec)
 from .prodint import (GeneratorPath, dyson_expansion, gateaux_derivative,
@@ -347,18 +347,16 @@ def chk_gw_virasoro_estimate(ctx):
 
 def chk_gw_loop_estimate(ctx):
     """Randomized samples of both loop-algebra scale inequalities."""
-    from .liealg import LoopAlgebraElement, sl2_chevalley
     mod = ctx.rep("affine_sl2")
-    alg = sl2_chevalley()
     rng = ctx.rng("gw-loop-estimate")
     violations = 0
     # each sample checks both inequalities
     for _ in range(GW_SAMPLES // 2):
         a = complex(*rng.normal(size=2))
         b = float(rng.normal())
-        X = LoopAlgebraElement(alg, {1: (a, b, 0.5 * a),
-                                     -1: (-0.5 * a.conjugate(), -b,
-                                          -a.conjugate())})
+        X = LoopAlgebraElement({1: (a, b, 0.5 * a),
+                                -1: (-0.5 * a.conjugate(), -b,
+                                     -a.conjugate())})
         f = _real_field(rng, (1,), 0.5)
         xi = mod.random_vector(rng, max_level=mod.N - 2)
         t = float(rng.choice([0, 0.5, 1]))

@@ -80,7 +80,7 @@ def _eval_series(coeffs, theta):
 
 class CirclePath:
     """A smooth path of orientation-preserving circle diffeomorphisms
-    phi(t, theta), specified by two callables:
+    phi(t, theta), t in [0, 1], specified by two callables:
 
     * ``coeff(t)``  -> Fourier coefficients {n: c_n} of phi(t, .) - theta,
     * ``dcoeff(t)`` -> Fourier coefficients of the time derivative
@@ -88,7 +88,7 @@ class CirclePath:
 
     Invariants: theta -> phi(t, theta) strictly increasing,
     phi(t, theta + 2 pi) = phi(t, theta) + 2 pi (automatic from the
-    Fourier form) and phi(t0, .) = id.  `exponentiate_path` takes a
+    Fourier form) and phi(0, .) = id.  `exponentiate_path` takes a
     circle path; a path given by its generator is a `GeneratorPath`,
     which `verify_up_properties` and the product integrals take.
     """
@@ -96,7 +96,7 @@ class CirclePath:
     # the only form; perfbench's span tracer reads it
     form = "diffeo"
 
-    def __init__(self, coeff, dcoeff, interval=(0.0, 1.0), grid_size=128):
+    def __init__(self, coeff, dcoeff, grid_size=128):
         if dcoeff is None:
             raise ValueError("a circle path requires the dcoeff contract")
         if grid_size < 1 or grid_size & (grid_size - 1):
@@ -104,11 +104,10 @@ class CirclePath:
                 f"grid_size must be a positive power of two, got {grid_size}")
         self.coeff = coeff
         self.dcoeff = dcoeff
-        self.interval = (float(interval[0]), float(interval[1]))
         self.grid_size = int(grid_size)
-        c0 = coeff(self.interval[0])
+        c0 = coeff(0.0)
         if any(abs(complex(v)) > 1e-12 for v in c0.values()):
-            raise ValueError("phi(t0, .) must be the identity")
+            raise ValueError("phi(0, .) must be the identity")
 
     @classmethod
     def rotation(cls, angle):
@@ -177,7 +176,8 @@ def _certify_monotone(coeffs, M, t):
 
 
 def log_derivative(path):
-    """Logarithmic derivative of a circle path as a GeneratorPath.
+    """Logarithmic derivative of a circle path as a GeneratorPath on
+    [0, 1].
 
     X(t)(theta) = d_t phi(t, phi_t^{-1}(theta)) d/dtheta, fitted
     spectrally on a uniform M-point theta grid (M = grid_size, a power of
@@ -211,7 +211,7 @@ def log_derivative(path):
         cache[t] = out
         return out
 
-    return GeneratorPath(func, path.interval)
+    return GeneratorPath(func, (0.0, 1.0))
 
 
 def exponentiate_path(rep, path, tol=1e-8):
@@ -292,7 +292,6 @@ class FlatHomotopy:
     X2: object
     d2X1: object
     d1X2: object
-    name: str = ""
 
     def curvature_residual(self):
         """Max Goodman-Wallach-weight of the curvature over the
@@ -499,8 +498,7 @@ def shrinking_loop_homotopy(k=2, alpha=0.16, beta=0.16):
                      db(x) * ch + 2 * k * y * da(x) * b(x) * sh,
                      2 * db(x) * sh + 4 * k * y * da(x) * b(x) * ch)
 
-    return FlatHomotopy(X1, X2, d2X1, d1X2,
-                        name=f"shrinking-loop-k{k}")
+    return FlatHomotopy(X1, X2, d2X1, d1X2)
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,10 @@ import math
 
 import numpy as np
 
-from .liealg import (FourierVectorField, LoopAlgebraElement, loop_cocycle,
-                     sl2_chevalley, vect_cocycle_integral)
-from .scale import DIM_G, gw_loop_seminorm, gw_virasoro_seminorm
-
-H_VEE_SL2 = 2          # dual Coxeter number of sl2
+from .liealg import (DIM_G, E, F, H, H_VEE, FourierVectorField,
+                     LoopAlgebraElement, loop_cocycle, sl2_bracket, sl2_inner,
+                     vect_cocycle_integral)
+from .scale import gw_field_seminorm, gw_loop_seminorm, gw_virasoro_seminorm
 
 
 class NotUnitarizable(Exception):
@@ -299,11 +298,14 @@ class VirasoroVerma(_PBWVerma):
         return None
 
 
-E, H, F = 0, 1, 2
 _ADJ = {E: F, H: H, F: E}      # compact-real-form adjoint on sl2 letters
 # dual pairs (x_i, x^i, weight) of the Sugawara sum for the basic inner
 # product: (e, f), (h, h/2), (f, e)
 _SUGAWARA_DUAL = ((E, F, 1.0), (H, H, 0.5), (F, E, 1.0))
+_UNIT = [tuple(int(i == j) for i in range(DIM_G)) for j in range(DIM_G)]
+# (bracket, inner product) of each pair of letters x_j, x_j1
+_LETTER_PAIRS = [[(sl2_bracket(u, u1), sl2_inner(u, u1)) for u1 in _UNIT]
+                 for u in _UNIT]
 
 
 def _sl2_lowest(lam):
@@ -379,16 +381,10 @@ class AffineVerma(_PBWVerma):
         lam = spec.lam
         super().__init__(spec,
                          [_affine_monomials(k, lam) for k in range(spec.N + 1)])
-        alg = sl2_chevalley()
-        unit = [[int(i == j) for i in range(3)] for j in range(3)]
-        # (bracket, inner product) of each pair of letters x_j, x_j1
-        self._letter_table = [[(alg.bracket(unit[j], unit[j1]),
-                                alg.inner(unit[j], unit[j1]))
-                               for j1 in range(3)] for j in range(3)]
         self.ell = Fraction(spec.ell)
         self._wmat = _sl2_lowest(lam)[1]
         c_lam = Fraction(lam * (lam + 2), 2)            # sl2 Casimir on V_lam
-        self.h0 = c_lam / (2 * (spec.ell + H_VEE_SL2))  # Sugawara lowest L0
+        self.h0 = c_lam / (2 * (spec.ell + H_VEE))      # Sugawara lowest L0
 
     def lowest(self):
         gram, mats = _sl2_lowest(self.spec.lam)
@@ -408,8 +404,8 @@ class AffineVerma(_PBWVerma):
         as ({generator: coefficient}, central scalar)."""
         _, j, m = a
         _, j1, n = b
-        br, ip = self._letter_table[j][j1]
-        gens = {("x", t, m + n): br[t] for t in range(3) if br[t]}
+        br, ip = _LETTER_PAIRS[j][j1]
+        gens = {("x", t, m + n): br[t] for t in range(DIM_G) if br[t]}
         return gens, (self.ell * (m * ip) if m + n == 0 else 0)
 
     def higher(self, gen):
@@ -805,7 +801,7 @@ class GradedModule:
                 x_p = self.generator_matrix(("x", i, p))
                 x_q = self.generator_matrix(("x", idual, q))
                 M += wt * (x_p @ x_q if p <= q else x_q @ x_p)
-        M /= 2.0 * (self.spec.ell + H_VEE_SL2)
+        M /= 2.0 * (self.spec.ell + H_VEE)
         return M
 
     # -- representation map -------------------------------------------------
@@ -823,7 +819,7 @@ class GradedModule:
             if self.spec.kind != "affine_sl2":
                 raise TypeError("loop element on a non-affine module")
             for n, v in X.coeffs.items():
-                for j in range(3):
+                for j in range(DIM_G):
                     a = complex(v[j])
                     if a:
                         M += a * self.generator_matrix(("x", j, n))
@@ -837,17 +833,17 @@ class GradedModule:
         Sugawara dim(g) ell / (ell + h_vee) of an affine module."""
         if self.spec.kind == "virasoro":
             return self.spec.c
-        return Fraction(DIM_G * self.spec.ell, self.spec.ell + H_VEE_SL2)
+        return Fraction(DIM_G * self.spec.ell, self.spec.ell + H_VEE)
 
     def seminorm(self, X, t):
         """|X|_t with the Goodman-Wallach constants of this module's
         algebra; on an affine module a vector field acts by the Sugawara
-        L_n and takes the dim(G) slot f of `gw_loop_seminorm`."""
+        L_n (`gw_field_seminorm`)."""
         if self.spec.kind == "virasoro":
             return gw_virasoro_seminorm(X, t, float(self.spec.c))
         if isinstance(X, FourierVectorField):
-            return gw_loop_seminorm(None, X, t, self.spec.ell)
-        return gw_loop_seminorm(X, None, t, self.spec.ell)
+            return gw_field_seminorm(X, t)
+        return gw_loop_seminorm(X, t, self.spec.ell)
 
     def a_seminorm(self, X, t):
         """|X|_{A,t} = |[L_0, X]|_t: with A = 1 + L_0, [A, pi(X)] is pi of

@@ -1,5 +1,5 @@
-"""Coefficient-level arithmetic for circle vector fields and loop-algebra
-elements.
+"""Coefficient-level arithmetic for circle vector fields and sl2
+loop-algebra elements.
 
 Vector fields on the circle are stored by their Fourier data,
 
@@ -9,13 +9,17 @@ with finitely many nonzero complex amplitudes a_n.  The basis of the
 (centrally extended) Witt algebra used elsewhere is L_n = -i e_n, so that
 e_n = i L_n.
 
+Loop elements sum_n x_n e^{in theta} are stored the same way, each x_n a
+coefficient vector in the Chevalley basis (e, h, f) of sl2, the one
+finite Lie algebra here; its bracket, invariant form and Hermitian norm
+are closed forms (`sl2_bracket`, `sl2_inner`, `sl2_norm`).
+
 Coefficients may be ordinary complex numbers or exact Gaussian rationals
 (`QC`), which the algebraic identity tests rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import numbers
 
@@ -112,13 +116,6 @@ class QC:
 
 
 QC_I = QC(0, 1)
-
-
-def _conj(x):
-    """Complex conjugate that works for QC, complex and real scalars."""
-    if isinstance(x, QC):
-        return x.conjugate()
-    return x.conjugate() if isinstance(x, complex) else x
 
 
 def _is_zero(x):
@@ -219,160 +216,89 @@ def vect_cocycle_integral(f, g):
 def seminorm(x, s):
     """Goodman-Wallach weight sum_n (1+|n|)^s |a_n| (vect or loop element)."""
     if isinstance(x, LoopAlgebraElement):
-        return sum((1 + abs(n)) ** s * x.algebra.coeff_norm(v)
+        return sum((1 + abs(n)) ** s * sl2_norm(v)
                    for n, v in x.coeffs.items())
     return sum((1 + abs(n)) ** s * abs(a) for n, a in x.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
-# finite-dimensional Lie algebras and loop elements
+# sl2 and its loop elements
 
 
-class LieAlgebraError(ValueError):
-    pass
+# sl2 in the Chevalley basis (e, h, f): the index of each coefficient
+E, H, F = 0, 1, 2
+DIM_G = 3
+H_VEE = 2              # dual Coxeter number
 
 
-@dataclass(frozen=True)
-class FiniteLieAlgebra:
-    """Finite-dimensional Lie algebra given by structure constants.
-
-    `struct[i][j][k]` is the coefficient of basis element k in [x_i, x_j];
-    `ip[i][j]` is the invariant bilinear form (the basic inner product).
-    """
-
-    name: str
-    labels: tuple
-    struct: tuple
-    ip: tuple
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    def bracket(self, x, y):
-        """Bracket of coefficient vectors."""
-        d = self.dim
-        out = [0] * d
-        for i in range(d):
-            if _is_zero(x[i]):
-                continue
-            for j in range(d):
-                if _is_zero(y[j]):
-                    continue
-                for k in range(d):
-                    c = self.struct[i][j][k]
-                    if c:
-                        out[k] = out[k] + c * x[i] * y[j]
-        return tuple(out)
-
-    def inner(self, x, y):
-        """Invariant bilinear form of coefficient vectors."""
-        total = 0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                c = self.ip[i][j]
-                if c:
-                    total = total + c * x[i] * y[j]
-        return total
-
-    def coeff_norm(self, x):
-        """Hermitian norm of a coefficient vector (see `sl2_chevalley`)."""
-        d = self.dim
-        total = 0.0
-        for i in range(d):
-            for j in range(d):
-                c = self._herm[i][j]
-                if c:
-                    total += (complex(_conj(x[i])) * c * complex(x[j])).real
-        return total ** 0.5
+def sl2_bracket(x, y):
+    """Bracket of coefficient vectors: [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
+    e1, h1, f1 = x
+    e2, h2, f2 = y
+    return (2 * (h1 * e2 - e1 * h2), e1 * f2 - f1 * e2, 2 * (f1 * h2 - h1 * f2))
 
 
-def sl2_chevalley():
-    """sl2 in the Chevalley basis (e, h, f).
+def sl2_inner(x, y):
+    """The basic inner product, the trace form of the defining
+    representation: <h,h> = 2, <e,f> = 1, so the highest root has squared
+    length 2."""
+    return x[E] * y[F] + 2 * x[H] * y[H] + x[F] * y[E]
 
-    [h,e] = 2e, [h,f] = -2f, [e,f] = h.  The basic inner product is the
-    trace form of the defining representation (so <h,h> = 2, <e,f> = 1),
-    the normalisation in which the highest root has squared length 2.
-    The Hermitian coefficient norm is tr(x x^dagger) in the defining rep.
-    """
-    z = Fraction(0)
-    o = Fraction(1)
-    t = Fraction(2)
-    E, H, F = 0, 1, 2
-    struct = [[[z] * 3 for _ in range(3)] for _ in range(3)]
-    struct[H][E][E] = t      # [h, e] = 2e
-    struct[E][H][E] = -t
-    struct[H][F][F] = -t     # [h, f] = -2f
-    struct[F][H][F] = t
-    struct[E][F][H] = o      # [e, f] = h
-    struct[F][E][H] = -o
-    ip = [[z] * 3 for _ in range(3)]
-    ip[E][F] = o
-    ip[F][E] = o
-    ip[H][H] = t
-    alg = FiniteLieAlgebra(
-        name="sl2",
-        labels=("e", "h", "f"),
-        struct=tuple(tuple(tuple(r) for r in m) for m in struct),
-        ip=tuple(tuple(r) for r in ip),
-    )
-    # tr(x x^dagger) with e^dagger = f, h^dagger = h in the defining rep
-    herm = [[0] * 3 for _ in range(3)]
-    herm[E][E] = 1.0
-    herm[F][F] = 1.0
-    herm[H][H] = 2.0
-    object.__setattr__(alg, "_herm", tuple(tuple(r) for r in herm))
-    return alg
+
+def sl2_norm(x):
+    """Hermitian norm tr(x x^dagger) ** 1/2 in the defining representation,
+    where e^dagger = f and h^dagger = h."""
+    total = 0.0
+    for a, w in zip(x, (1.0, 2.0, 1.0)):
+        a = complex(a)
+        total += (a.conjugate() * w * a).real
+    return total ** 0.5
 
 
 class LoopAlgebraElement:
-    """Element sum_n x_n otimes e^{in theta} of a polynomial loop algebra."""
+    """Element sum_n x_n otimes e^{in theta} of the polynomial loop algebra
+    of sl2, x_n a coefficient vector (e, h, f)."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, algebra, coeffs=None):
-        self.algebra = algebra
+    def __init__(self, coeffs=None):
         self.coeffs = {}
         if coeffs:
-            d = algebra.dim
             for n, v in coeffs.items():
                 v = tuple(v)
-                if len(v) != d:
-                    raise LieAlgebraError("coefficient dimension mismatch")
+                if len(v) != DIM_G:
+                    raise ValueError(f"mode {n}: coefficient vector of "
+                                     f"length {len(v)}, not {DIM_G}")
                 if any(not _is_zero(a) for a in v):
                     self.coeffs[int(n)] = v
 
     @classmethod
-    def single(cls, algebra, index, n, amplitude=1):
+    def single(cls, index, n, amplitude=1):
         """x_index(n): basis element index at mode n."""
-        v = [0] * algebra.dim
+        v = [0] * DIM_G
         v[index] = amplitude
-        return cls(algebra, {n: tuple(v)})
+        return cls({n: tuple(v)})
 
     def mode_derivative(self):
         return LoopAlgebraElement(
-            self.algebra,
             {n: tuple(n * a for a in v) for n, v in self.coeffs.items()})
 
     def __add__(self, other):
         if not isinstance(other, LoopAlgebraElement):
             return NotImplemented
-        if other.algebra is not self.algebra:
-            raise LieAlgebraError("mismatched underlying algebras")
         out = dict(self.coeffs)
         for n, v in other.coeffs.items():
             if n in out:
                 out[n] = tuple(a + b for a, b in zip(out[n], v))
             else:
                 out[n] = v
-        return LoopAlgebraElement(self.algebra, out)
+        return LoopAlgebraElement(out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
         return LoopAlgebraElement(
-            self.algebra,
             {n: tuple(scalar * a for a in v) for n, v in self.coeffs.items()})
 
     __mul__ = __rmul__
@@ -381,32 +307,28 @@ class LoopAlgebraElement:
         return (-1) * self
 
     def __repr__(self):
-        return f"LoopAlgebraElement({self.algebra.name}, {self.coeffs!r})"
+        return f"LoopAlgebraElement({self.coeffs!r})"
 
 
 def loop_bracket(x, y):
     """[x(m), y(n)] = [x,y](m+n) without the central term."""
-    if x.algebra is not y.algebra:
-        raise LieAlgebraError("mismatched underlying algebras")
     out = {}
     for m, v in x.coeffs.items():
         for n, w in y.coeffs.items():
-            b = x.algebra.bracket(v, w)
+            b = sl2_bracket(v, w)
             k = m + n
             if k in out:
                 out[k] = tuple(a + c for a, c in zip(out[k], b))
             else:
                 out[k] = b
-    return LoopAlgebraElement(x.algebra, out)
+    return LoopAlgebraElement(out)
 
 
 def loop_cocycle(x, y):
     """int_0^{2pi} <X, Y'> dtheta/2pi = -i sum_m m <x_m, y_{-m}>."""
-    if x.algebra is not y.algebra:
-        raise LieAlgebraError("mismatched underlying algebras")
     total = 0
     for m, v in x.coeffs.items():
         w = y.coeffs.get(-m)
         if w is not None:
-            total = total + _mul_i(-m * x.algebra.inner(v, w))
+            total = total + _mul_i(-m * sl2_inner(v, w))
     return total

@@ -12,6 +12,10 @@ provides
   constants |X|_t and |X|_{A,t} in its commutator estimates; on a module
   |X|_{A,t} is |[L_0, X]|_t, the seminorm of the mode derivative.
 
+A module's |X|_t is Goodman and Wallach's: `gw_virasoro_seminorm` on a
+Virasoro module, and on an affine sl2 module `gw_loop_seminorm` of a loop
+element or `gw_field_seminorm` of a vector field.
+
 Module representations add `N`, `safe_dim(depth)` and `central_charge`
 (`check_gw_virasoro` reads it).
 """
@@ -24,7 +28,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .liealg import seminorm
+from .liealg import DIM_G, seminorm
 
 
 class SobolevScale:
@@ -65,19 +69,15 @@ def gw_virasoro_seminorm(X, t, c):
             + M * (seminorm(X, t) + seminorm(X, t + 0.5)))
 
 
-# dim G of the loop algebras' finite part, sl2
-DIM_G = 3
+def gw_loop_seminorm(X, t, ell):
+    """|X|_t = (ell+1)||X||_{t-1/2} of a loop element at level ell."""
+    return (ell + 1) * seminorm(X, _fold_index(t) - 0.5)
 
 
-def gw_loop_seminorm(X, f, t, ell):
-    """|X + f d/theta|_t = (ell+1)||X||_{t-1/2} + dim(G)||f||_{t+1/2}."""
-    t = _fold_index(t)
-    out = 0.0
-    if X is not None:
-        out += (ell + 1) * seminorm(X, t - 0.5)
-    if f is not None:
-        out += DIM_G * seminorm(f, t + 0.5)
-    return out
+def gw_field_seminorm(f, t):
+    """|f d/dtheta|_t = dim(G)||f||_{t+1/2} of a field acting by the
+    Sugawara L_n."""
+    return DIM_G * seminorm(f, _fold_index(t) + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +130,19 @@ def check_gw_virasoro(rep, X, xi, t):
 
 def check_gw_loop(module, X, f, xi, t):
     """The two loop estimates on an affine module, reported separately:
-    ||pi(X)v||_t <= (ell+1)||X||_{|t|+1/2} ||v||_{t+1/2} and
-    ||pi(f d/dtheta)xi||_t <= dim(G)||f||_{|t|+3/2} ||xi||_{t+1}, f acting
-    by the Sugawara L_n."""
-    ell = module.spec.ell
+    ||pi(X)v||_t <= |X|_{|t|+1} ||v||_{t+1/2} and
+    ||pi(f d/dtheta)xi||_t <= |f|_{|t|+1} ||xi||_{t+1}, f acting by the
+    Sugawara L_n, with the module's seminorms (`gw_loop_seminorm`,
+    `gw_field_seminorm`)."""
     scale = SobolevScale(module)
     a = abs(t)
     return [
         EstimateReport(
             "gw-loop-element", scale.norm(module.pi(X) @ xi, t),
-            (ell + 1) * seminorm(X, a + 0.5) * scale.norm(xi, t + 0.5)),
+            module.seminorm(X, a + 1) * scale.norm(xi, t + 0.5)),
         EstimateReport(
             "gw-loop-field", scale.norm(module.pi(f) @ xi, t),
-            DIM_G * seminorm(f, a + 1.5) * scale.norm(xi, t + 1)),
+            module.seminorm(f, a + 1) * scale.norm(xi, t + 1)),
     ]
 
 

@@ -16,8 +16,7 @@ from prodexp.grouprep import (BoundaryViolation, CirclePath, CurvatureTooLarge,
                               phase_function, scalar_part,
                               shrinking_loop_homotopy, verify_up_properties)
 from prodexp.hwmod import build_module, virasoro_spec
-from prodexp.liealg import (FourierVectorField, LoopAlgebraElement,
-                            sl2_chevalley)
+from prodexp.liealg import FourierVectorField, LoopAlgebraElement
 from prodexp.nelson import FinDimRep
 from prodexp.prodint import GeneratorPath, product_integral
 from prodexp.scale import SobolevScale
@@ -59,7 +58,7 @@ def test_circle_path_validation():
     for bad in (48, 0, -4):
         with pytest.raises(ValueError, match="grid_size"):
             CirclePath(coeff=lambda t: {}, dcoeff=lambda t: {}, grid_size=bad)
-    with pytest.raises(ValueError):        # phi(t0) must be the identity
+    with pytest.raises(ValueError):        # phi(0) must be the identity
         CirclePath(coeff=lambda t: {0: 1.0}, dcoeff=lambda t: {0: 1.0})
 
 
@@ -401,7 +400,7 @@ def test_holonomy_matches_dense_window_trace(request, name):
 
 def _real_loop_element():
     a, b = 0.3 + 0.2j, 0.1
-    return LoopAlgebraElement(sl2_chevalley(), {
+    return LoopAlgebraElement({
         1: (a, b, 0.5 * a), -1: (-0.5 * a.conjugate(), -b, -a.conjugate())})
 
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from prodexp.liealg import (FourierVectorField, LoopAlgebraElement,
-                            bracket_vect, loop_bracket, sl2_chevalley)
+from prodexp.liealg import (E, FourierVectorField, LoopAlgebraElement,
+                            bracket_vect, loop_bracket)
 from prodexp.hwmod import (_ADJ, HighestWeightSpec, NotUnitarizable,
                            _exact_ldl, _IndefiniteGram, _lsolve, _ltsolve,
                            _mm, affine_spec,
@@ -658,9 +658,8 @@ class TestAssemblePi:
         assert_projective_commutator(mod)
 
     def test_kind_mismatch(self, mod, request):
-        alg = sl2_chevalley()
         with pytest.raises(TypeError):
-            mod.pi(LoopAlgebraElement.single(alg, 0, 1, 1.0))
+            mod.pi(LoopAlgebraElement.single(E, 1, 1.0))
         # pi takes the algebra element itself: anything else is refused
         # by name on either kind of module
         for name in ("vir8", "aff5"):
@@ -725,11 +724,10 @@ class TestAffineAndSugawara:
         assert_projective_commutator(amod)
 
     def test_loop_pi_skew_and_defect(self, amod):
-        alg = sl2_chevalley()
-        X = LoopAlgebraElement(alg, {1: (1, 0.5, 0.25), -1: (-0.25, -0.5, -1)})
+        X = LoopAlgebraElement({1: (1, 0.5, 0.25), -1: (-0.25, -0.5, -1)})
         M = amod.pi(X)
         assert np.abs(M + M.conj().T).max() < 1e-12
-        Y = LoopAlgebraElement(alg, {2: (0, 1j, 0), -2: (0, 1j, 0)})
+        Y = LoopAlgebraElement({2: (0, 1j, 0), -2: (0, 1j, 0)})
         comm = amod.pi(X) @ amod.pi(Y) - amod.pi(Y) @ amod.pi(X)
         want = (amod.pi(loop_bracket(X, Y))
                 + 1j * amod.projective_cocycle(X, Y) * np.eye(amod.dim))

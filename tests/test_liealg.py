@@ -5,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from prodexp.liealg import (
-    QC, QC_I, FourierVectorField, LoopAlgebraElement, bracket_vect,
-    vect_cocycle_integral, loop_bracket, loop_cocycle, seminorm,
-    sl2_chevalley,
+    E, F, H, QC, QC_I, FourierVectorField, LoopAlgebraElement, bracket_vect,
+    vect_cocycle_integral, loop_bracket, loop_cocycle, seminorm, sl2_bracket,
+    sl2_inner,
 )
-
-SL2 = sl2_chevalley()
 
 # exact Gaussian-rational coefficients, fields and sl2 loops with few modes
 _RAT = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -19,7 +17,7 @@ _FIELD = st.dictionaries(st.integers(-4, 4), _QC, max_size=3).map(
     FourierVectorField)
 _SL2_VECTOR = st.tuples(_QC, _QC, _QC)
 _LOOP = st.dictionaries(st.integers(-3, 3), _SL2_VECTOR, max_size=3).map(
-    lambda c: LoopAlgebraElement(SL2, c))
+    LoopAlgebraElement)
 
 
 def random_field(rng, max_mode=4, nterms=4):
@@ -131,24 +129,22 @@ class TestCocycles(unittest.TestCase):
             self.assertEqual(total, QC(0))
 
     def test_loop_cocycle_central_term(self):
-        alg = sl2_chevalley()
         # i * B_raw(x(m), y(-m)) = m <x,y> for all |m| <= 8 and basis pairs
         for m in range(-8, 9):
             for i in range(3):
                 for j in range(3):
-                    x = LoopAlgebraElement.single(alg, i, m, QC(1))
-                    y = LoopAlgebraElement.single(alg, j, -m, QC(1))
+                    x = LoopAlgebraElement.single(i, m, QC(1))
+                    y = LoopAlgebraElement.single(j, -m, QC(1))
                     ei = [0, 0, 0]; ei[i] = 1
                     ej = [0, 0, 0]; ej[j] = 1
-                    want = m * alg.inner(ei, ej)
+                    want = m * sl2_inner(ei, ej)
                     self.assertEqual(QC_I * loop_cocycle(x, y), QC(want))
 
     def test_loop_cocycle_zero_cases(self):
-        alg = sl2_chevalley()
-        x0 = LoopAlgebraElement.single(alg, 1, 0, QC(1))  # h(0), real constant loop
+        x0 = LoopAlgebraElement.single(H, 0, QC(1))  # h(0), real constant loop
         self.assertEqual(loop_cocycle(x0, x0), QC(0))
-        x = LoopAlgebraElement.single(alg, 0, 1, QC(1))
-        y = LoopAlgebraElement.single(alg, 2, 2, QC(1))
+        x = LoopAlgebraElement.single(E, 1, QC(1))
+        y = LoopAlgebraElement.single(F, 2, QC(1))
         self.assertEqual(loop_cocycle(x, y), QC(0))
 
 
@@ -236,43 +232,50 @@ class TestSeminorms(unittest.TestCase):
                                seminorm(FourierVectorField({3: 1.5, -2: -2.0}), 1))
 
     def test_loop_seminorm(self):
-        alg = sl2_chevalley()
         # h(1): coefficient norm sqrt(tr(h h^dagger)) = sqrt(2)
-        x = LoopAlgebraElement.single(alg, 1, 1, 1.0)
+        x = LoopAlgebraElement.single(H, 1, 1.0)
         self.assertAlmostEqual(seminorm(x, 1), 2 * np.sqrt(2))
 
 
-class TestFiniteAlgebra(unittest.TestCase):
+class TestSl2(unittest.TestCase):
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_SL2_VECTOR, _SL2_VECTOR, _SL2_VECTOR)
     def test_sl2_validates(self, x, y, z):
         # antisymmetry, Jacobi and invariance of the inner product
-        alg = SL2
-        br, ip = alg.bracket, alg.inner
+        br, ip = sl2_bracket, sl2_inner
         self.assertTrue(all(a + b == 0 for a, b in zip(br(x, y), br(y, x))))
         jac = [a + b + c for a, b, c in zip(br(br(x, y), z), br(br(y, z), x),
                                             br(br(z, x), y))]
         self.assertTrue(all(a == 0 for a in jac))
         self.assertEqual(ip(br(z, x), y) + ip(x, br(z, y)), 0)
-        self.assertEqual(alg.dim, 3)
         # <h,h> = 2, <e,f> = 1
-        self.assertEqual(alg.inner((0, 1, 0), (0, 1, 0)), 2)
-        self.assertEqual(alg.inner((1, 0, 0), (0, 0, 1)), 1)
+        self.assertEqual(sl2_inner((0, 1, 0), (0, 1, 0)), 2)
+        self.assertEqual(sl2_inner((1, 0, 0), (0, 0, 1)), 1)
 
     def test_brackets(self):
-        alg = sl2_chevalley()
         e, h, f = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-        self.assertEqual(alg.bracket(h, e), (2, 0, 0))
-        self.assertEqual(alg.bracket(h, f), (0, 0, -2))
-        self.assertEqual(alg.bracket(e, f), (0, 1, 0))
+        self.assertEqual(sl2_bracket(h, e), (2, 0, 0))
+        self.assertEqual(sl2_bracket(h, f), (0, 0, -2))
+        self.assertEqual(sl2_bracket(e, f), (0, 1, 0))
 
     def test_loop_bracket_mode_addition(self):
-        alg = sl2_chevalley()
-        x = LoopAlgebraElement.single(alg, 0, 2, QC(1))   # e(2)
-        y = LoopAlgebraElement.single(alg, 2, -1, QC(1))  # f(-1)
+        x = LoopAlgebraElement.single(E, 2, QC(1))   # e(2)
+        y = LoopAlgebraElement.single(F, -1, QC(1))  # f(-1)
         out = loop_bracket(x, y)
         self.assertEqual(out.coeffs, {1: (QC(0), QC(1), QC(0))})  # h(1)
+
+    def test_elements_are_plain_values(self):
+        # elements built apart combine: no shared algebra object is needed
+        x = LoopAlgebraElement.single(E, 1, QC(1))          # e(1)
+        y = LoopAlgebraElement({-1: (0, 0, QC(1))})        # f(-1)
+        self.assertEqual((x + y).coeffs, {1: (QC(1), 0, 0),
+                                          -1: (0, 0, QC(1))})
+        self.assertEqual(loop_bracket(x, y).coeffs,
+                         {0: (0, QC(1), 0)})                # h(0)
+        self.assertEqual(loop_cocycle(x, y), QC(0, -1))     # -i <e, f>
+        with self.assertRaisesRegex(ValueError, "mode 2"):
+            LoopAlgebraElement({2: (1, 0)})
 
 
 if __name__ == "__main__":
