@@ -287,7 +287,8 @@ def sweep(descriptor, param, values, cache=None):
         ok = ok and report_passed(report)
         for row in report["rows"]:
             w.writerow([param, val, row["check"],
-                        "" if row["measured"] is None else repr(row["measured"]),
+                        "" if row["measured"] is None
+                        else repr(float(row["measured"])),
                         repr(row["bound"]), row["verdict"],
                         repr(row["leakage"])])
             per_check.setdefault(row["check"], []).append(

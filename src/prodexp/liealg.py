@@ -202,13 +202,16 @@ def vect_cocycle_integral(f, g):
 
     Mode sum: (i/12) sum_m a_m b_{-m} (m^3 - m).  Real-valued on pairs of
     real fields; this raw normalisation is the projective defect cocycle
-    (up to the module's central charge).
+    (up to the module's central charge).  Exact coefficients give an
+    exact value; for a float or complex a_m the weight is the float
+    (m^3 - m)/12, which multiplies a_m exactly as the Fraction would.
     """
     total = 0
     for m, a in f.coeffs.items():
         b = g.coeffs.get(-m)
         if b is not None:
-            w = Fraction(m ** 3 - m, 12)
+            w = ((m ** 3 - m) / 12 if isinstance(a, (float, complex))
+                 else Fraction(m ** 3 - m, 12))
             total = total + _mul_i(w * a * b)
     return total
 
@@ -305,6 +308,11 @@ class LoopAlgebraElement:
 
     def __neg__(self):
         return (-1) * self
+
+    def __eq__(self, other):
+        if not isinstance(other, LoopAlgebraElement):
+            return NotImplemented
+        return (self - other).coeffs == {}
 
     def __repr__(self):
         return f"LoopAlgebraElement({self.coeffs!r})"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prodexp import checks, cli
+from prodexp import checks, cli, hwmod, prodint
 from prodexp.hwmod import GradedModule
 
 FAST_DESCRIPTOR = {
@@ -228,13 +228,13 @@ def test_cache_correctness(tmp_path):
 PINNED_DIGESTS = {
     "virasoro": (
         {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8},
-        "7eb383ab801295bee056fce2a2fe3db8cbd73e464db12beb2035c458f4af5e15"),
+        "b80c8adbb021c6c9e03c008b371c4b15ca5e5c0dfbc5070233bb29d30cc7f8d1"),
     "affine": (
         {"kind": "affine_sl2", "ell": 1, "lam": 1, "N": 4},
-        "0caeef8424e555731bb17a9beac1871f14b87166269f1405b9e4b217d65e7e11"),
+        "690e03cc318966780b20fa957fc85e5e3e050d6d0da29f977dffaafbb1a57c3c"),
     "su2": (
         {"kind": "su2", "spins": ["1", "1/2"]},
-        "3d86d05f7df1175aef3c4e18170ac3a9ca3b7b190ca7b19309a82713b9c15b09"),
+        "2a6560082a66b9bbd7407bbe5dcd3007807ae5ea02018803304cb7f67bee29da"),
 }
 
 
@@ -244,7 +244,7 @@ def test_report_digests_are_pinned(kind, cache_dir):
     desc = cli.validate_descriptor(
         {"module": module, "seed": 7, "checks": list(checks.CATALOG)})
     report = cli.execute(desc, cache=cli.ModuleCache(cache_dir))
-    assert len(report["rows"]) == 28
+    assert len(report["rows"]) == 29
     assert cli.report_passed(report), [
         row for row in report["rows"] if row["verdict"] != "pass"]
     assert report["artifact_hashes"]["rows"] == digest
@@ -264,6 +264,21 @@ def test_sweep_csv(tmp_path, cache_dir, capsys):
     assert len(body) == 2              # one row per value
     assert all(l.split(",")[0] == "module.N" for l in body)
     assert any("loglog_slope" in l and "vir-commutation" in l for l in meta)
+
+
+def test_sweep_csv_measured_values_are_plain_floats(tmp_path, cache_dir,
+                                                   capsys):
+    # refinement-bound measures a numpy float; the CSV carries its
+    # plain repr, not "np.float64(...)"
+    data = dict(FAST_DESCRIPTOR, checks=["refinement-bound"])
+    desc = write_descriptor(tmp_path, data)
+    assert cli.main(["--cache-dir", cache_dir, "sweep", desc, "--param",
+                     "module.N", "--values", "6,8"]) == 0
+    body = [l for l in capsys.readouterr().out.splitlines()[1:]
+            if not l.startswith("#")]
+    assert len(body) == 2
+    for line in body:
+        assert 0 < float(line.split(",")[3]) < 1, line
 
 
 def test_sweep_holonomy_loglin_rate(tmp_path, cache_dir, capsys):
@@ -465,6 +480,33 @@ def test_sugawara_central_charge_fails_on_scaled_matrices(monkeypatch,
     ctx = checks.CheckContext(seed=7, cache=cli.ModuleCache(cache_dir))
     row = checks.run_check("sugawara-central-charge", ctx)
     assert row["verdict"] == "fail", row
+
+
+def test_refinement_bound_fails_on_inflated_differences(monkeypatch,
+                                                        cache_dir):
+    # the row's path has an exponential factor of order 1, so its ratio
+    # is about 0.08 and left-rule differences 20x too large exceed the
+    # paper's estimate
+    probe = prodint._probe_difference
+    monkeypatch.setattr(prodint, "_probe_difference",
+                        lambda *args: 20 * probe(*args))
+    ctx = checks.CheckContext(seed=7, cache=cli.ModuleCache(cache_dir))
+    row = checks.run_check("refinement-bound", ctx)
+    assert row["verdict"] == "fail", row
+
+
+def test_loop_projective_defect_fails_on_flipped_cocycle(monkeypatch,
+                                                         cache_dir):
+    # the Heisenberg pair commutes in the loop algebra, so the defect is
+    # the central term alone: 4i ell against a predicted -4i ell
+    cocycle = hwmod.loop_cocycle
+    monkeypatch.setattr(hwmod, "loop_cocycle", lambda x, y: -cocycle(x, y))
+    spec = cli.parse_module_spec(PINNED_DIGESTS["affine"][0])
+    ctx = checks.CheckContext(seed=7, module_spec=spec,
+                              cache=cli.ModuleCache(cache_dir))
+    row = checks.run_check("loop-projective-defect", ctx)
+    assert row["verdict"] == "fail", row
+    assert row["measured"] == pytest.approx(8.0)
 
 
 # Reports the OPENBLAS_NUM_THREADS value and the thread count of every

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
@@ -282,16 +283,37 @@ def test_holonomy_nontrivial_vir8(vir8):
     assert rep.curvature < 1e-12
 
 
-def test_holonomy_quadrature_evaluates_each_node_once(vir8, monkeypatch):
-    # the Simpson grids 8, 16, 32, ... are nested, so the integrand is
-    # evaluated once per node of the finest grid
+def test_holonomy_quadrature_call_count(vir8, monkeypatch):
+    # the k = 2 integral settles between 10 and 20 Gauss nodes per axis:
+    # one integrand call per node of the 5-, 10- and 20-node grids
     calls = []
     cocycle = vir8.projective_cocycle
     monkeypatch.setattr(vir8, "projective_cocycle",
                         lambda X, Y: calls.append(1) or cocycle(X, Y))
     rep = holonomy_phase(vir8, shrinking_loop_homotopy(k=2))
-    assert rep.quad_panels > 8
-    assert len(calls) == (rep.quad_panels + 1) ** 2
+    assert rep.quad_nodes == 20
+    assert len(calls) == 5 ** 2 + 10 ** 2 + 20 ** 2
+
+
+def test_holonomy_integral_matches_closed_form(vir8):
+    # for the shrinking loop, B(X_1, X_2) = c (k^3 - k)/6 y cosh(2 k y a)
+    # (a' b - b' a), with a, b, alpha, beta as in shrinking_loop_homotopy
+    k, alpha, beta = 2, 0.16, 0.16
+    s, c = np.sin, np.cos
+
+    def integrand(y, x):
+        a = alpha * s(np.pi * x) ** 2
+        da = alpha * np.pi * s(2 * np.pi * x)
+        b = beta * s(np.pi * x) ** 2 * c(np.pi * x)
+        db = beta * np.pi * (s(2 * np.pi * x) * c(np.pi * x)
+                             - s(np.pi * x) ** 3)
+        return (0.5 * (k ** 3 - k) / 6 * y * np.cosh(2 * k * y * a)
+                * (da * b - db * a))
+
+    want, _ = dblquad(integrand, 0.0, 1.0, 0.0, 1.0,
+                      epsabs=1e-15, epsrel=1e-13)
+    rep = holonomy_phase(vir8, shrinking_loop_homotopy(k=k))
+    assert abs(rep.integral - want) < 1e-13
 
 
 def nan_homotopy(lo, hi):
@@ -309,19 +331,19 @@ def vir4():
 
 
 @pytest.fixture
-def capped_panels(monkeypatch):
-    """Stop holonomy_phase's panel doubling past 64 panels per axis."""
-    simpson = grouprep._simpson_2d
+def capped_nodes(monkeypatch):
+    """Stop holonomy_phase's node doubling past 40 nodes per axis."""
+    gauss = grouprep._gauss_2d
 
     def capped(f, n):
-        if n > 64:
-            raise RuntimeError(f"quadrature still doubling at {n} panels")
-        return simpson(f, n)
+        if n > 40:
+            raise RuntimeError(f"quadrature still doubling at {n} nodes")
+        return gauss(f, n)
 
-    monkeypatch.setattr(grouprep, "_simpson_2d", capped)
+    monkeypatch.setattr(grouprep, "_gauss_2d", capped)
 
 
-def test_holonomy_nan_homotopy_fails_the_guard(vir4, capped_panels):
+def test_holonomy_nan_homotopy_fails_the_guard(vir4, capped_nodes):
     # a nan curvature is not below CURVATURE_TOL
     hom = nan_homotopy(0.9, np.inf)
     with pytest.raises(CurvatureTooLarge, match="nan"):
@@ -329,12 +351,13 @@ def test_holonomy_nan_homotopy_fails_the_guard(vir4, capped_panels):
     assert np.isnan(hom.curvature_residual())
 
 
-def test_holonomy_nan_quadrature_names_the_panels(vir4, capped_panels):
-    # nan only between the checker's nodes: the guards pass and the
-    # first doubling (16 panels) is the first grid to meet it
+def test_holonomy_nan_quadrature_names_the_nodes(vir4, capped_nodes):
+    # nan only between the checker's nodes: the guards pass, the 5-node
+    # grid (last node 0.953) misses it and the 10-node grid (node 0.933)
+    # is the first to meet it
     hom = nan_homotopy(0.91, 0.95)
     assert hom.curvature_residual() < 1e-12
-    with pytest.raises(ValueError, match="16 panels"):
+    with pytest.raises(ValueError, match="10 nodes per axis"):
         holonomy_phase(vir4, hom)
 
 

@@ -128,6 +128,32 @@ class TestCocycles(unittest.TestCase):
                      + vect_cocycle_integral(bracket_vect(z, x), y))
             self.assertEqual(total, QC(0))
 
+    def test_float_weights_match_fraction_weights(self):
+        # float and complex fields take the float weight (m^3 - m)/12,
+        # which gives the Fraction-weight mode sum bit for bit (signed
+        # zeros included); exact fields stay exact
+        def fraction_weighted(f, g):
+            total = 0
+            for m, a in f.coeffs.items():
+                b = g.coeffs.get(-m)
+                if b is not None:
+                    total = total + 1j * (Fraction(m ** 3 - m, 12) * a * b)
+            return total
+
+        rng = np.random.default_rng(11)
+        modes = np.arange(-6, 7)
+        for _ in range(40):
+            re, im = rng.normal(size=(2, 2, len(modes)))
+            for amp in (re, re + 1j * im, re.tolist(), (re + 1j * im).tolist()):
+                f, g = (FourierVectorField(dict(zip(modes.tolist(), row)))
+                        for row in amp)
+                self.assertEqual(repr(vect_cocycle_integral(f, g)),
+                                 repr(fraction_weighted(f, g)))
+        f = FourierVectorField({3: Fraction(1, 3), -2: 1})
+        g = FourierVectorField({-3: QC(2, 1), 2: QC(0, 1)})
+        self.assertEqual(vect_cocycle_integral(f, g),
+                         QC(Fraction(-1, 6), Fraction(4, 3)))
+
     def test_loop_cocycle_central_term(self):
         # i * B_raw(x(m), y(-m)) = m <x,y> for all |m| <= 8 and basis pairs
         for m in range(-8, 9):
@@ -276,6 +302,15 @@ class TestSl2(unittest.TestCase):
         self.assertEqual(loop_cocycle(x, y), QC(0, -1))     # -i <e, f>
         with self.assertRaisesRegex(ValueError, "mode 2"):
             LoopAlgebraElement({2: (1, 0)})
+
+    def test_elements_compare_by_value(self):
+        x = LoopAlgebraElement({1: (1, 0, 0), -1: (0, 0, QC(1))})
+        self.assertEqual(x, LoopAlgebraElement({-1: (0, 0, 1), 1: (1, 0, 0)}))
+        self.assertEqual(x + x - x, x)
+        self.assertNotEqual(x, LoopAlgebraElement({1: (1, 0, 0)}))
+        self.assertNotEqual(x, LoopAlgebraElement({2: (1, 0, 0),
+                                                   -1: (0, 0, 1)}))
+        self.assertIs(x.__eq__(FourierVectorField({1: 1})), NotImplemented)
 
 
 if __name__ == "__main__":
