@@ -23,8 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from .liealg import (FourierVectorField, LoopAlgebraElement, bracket_vect,
-                     loop_bracket)
+from .liealg import FourierVectorField, LoopAlgebraElement, bracket
 from .hwmod import (NotUnitarizable, affine_spec, build_module, build_verma,
                     discrete_series_c, discrete_series_h, virasoro_spec)
 from .prodint import (GeneratorPath, dyson_expansion, gateaux_derivative,
@@ -110,36 +109,46 @@ def _omega(mod):
 # algebra / module checks
 
 
+def _safe_dim(mod, depth):
+    """`mod.safe_dim(depth)`; ValueError naming depth and N when the
+    safe window is empty (depth > N)."""
+    d = mod.safe_dim(depth)
+    if d == 0:
+        raise ValueError(f"the safe window of depth {depth} is empty "
+                         f"at N={mod.N}")
+    return d
+
+
+def _projective_defect(mod, X, Y, depth):
+    """B(X, Y) and the residual of [pi(X), pi(Y)] - pi([X, Y]) =
+    i B(X, Y) Id on the safe window of the given depth."""
+    d = _safe_dim(mod, depth)
+    PX, PY = mod.pi(X), mod.pi(Y)
+    M = PX @ PY - PY @ PX - mod.pi(bracket(X, Y))
+    B = complex(mod.projective_cocycle(X, Y))
+    return B, float(np.abs(M[:d, :d] - 1j * B * np.eye(d)).max())
+
+
 def chk_vir_commutation(ctx):
     """Safe-window residual of the Virasoro commutation relation."""
     mod = ctx.rep("virasoro")
     win = 2
     worst = 0.0
-    mats = {m: mod.pi(FourierVectorField({m: 1.0})) for m in range(-win, win + 1)}
     for m in range(-win, win + 1):
         for n in range(-win, win + 1):
-            em = FourierVectorField({m: 1.0})
-            en = FourierVectorField({n: 1.0})
-            M = (mats[m] @ mats[n] - mats[n] @ mats[m]
-                 - mod.pi(bracket_vect(em, en))
-                 - 1j * complex(mod.projective_cocycle(em, en))
-                 * np.eye(mod.dim))
-            d = mod.safe_dim(abs(m) + abs(n))
-            worst = max(worst, float(np.abs(M[:d, :d]).max()))
+            _, res = _projective_defect(mod, FourierVectorField({m: 1.0}),
+                                        FourierVectorField({n: 1.0}),
+                                        abs(m) + abs(n))
+            worst = max(worst, res)
     return worst, {"window": win, "N": mod.N}, 0.0
 
 
 def chk_projective_defect(ctx):
     """[pi(X), pi(Y)] - pi([X, Y]) = i B(X, Y) Id for e_{+-2} flows."""
     mod = ctx.rep("virasoro")
-    X = FourierVectorField({2: 1.0, -2: 1.0})
-    Y = FourierVectorField({2: 1j, -2: -1j})
-    M = (mod.pi(X) @ mod.pi(Y) - mod.pi(Y) @ mod.pi(X)
-         - mod.pi(bracket_vect(X, Y)))
-    d = mod.safe_dim(4)
-    B = complex(mod.projective_cocycle(X, Y))
-    return (float(np.abs(M[:d, :d] - 1j * B * np.eye(d)).max()),
-            {"B": B.real}, 0.0)
+    B, res = _projective_defect(mod, FourierVectorField({2: 1.0, -2: 1.0}),
+                                FourierVectorField({2: 1j, -2: -1j}), 4)
+    return res, {"B": B.real}, 0.0
 
 
 def chk_loop_projective_defect(ctx):
@@ -147,14 +156,10 @@ def chk_loop_projective_defect(ctx):
     u = h(1) - h(-1), v = i(h(1) + h(-1)), whose loop bracket is 0 and
     whose cocycle is 4 ell."""
     mod = ctx.rep("affine_sl2")
-    u = LoopAlgebraElement({1: (0, 1, 0), -1: (0, -1, 0)})
-    v = LoopAlgebraElement({1: (0, 1j, 0), -1: (0, 1j, 0)})
-    M = (mod.pi(u) @ mod.pi(v) - mod.pi(v) @ mod.pi(u)
-         - mod.pi(loop_bracket(u, v)))
-    d = mod.safe_dim(1)
-    B = complex(mod.projective_cocycle(u, v))
-    return (float(np.abs(M[:d, :d] - 1j * B * np.eye(d)).max()),
-            {"B": B.real}, 0.0)
+    B, res = _projective_defect(
+        mod, LoopAlgebraElement({1: (0, 1, 0), -1: (0, -1, 0)}),
+        LoopAlgebraElement({1: (0, 1j, 0), -1: (0, 1j, 0)}), 1)
+    return res, {"B": B.real}, 0.0
 
 
 def chk_vir_gram_exact(ctx):
@@ -470,7 +475,7 @@ def chk_sugawara_intertwining(ctx):
             for n in (-1, 0, 1):
                 Xn = mod.generator_matrix(("x", j, n))
                 M = L @ Xn - Xn @ L + n * mod.generator_matrix(("x", j, m + n))
-                d = mod.safe_dim(abs(m) + abs(n))
+                d = _safe_dim(mod, abs(m) + abs(n))
                 worst = max(worst, float(np.abs(M[:d, :d]).max()))
     return worst, {"N": mod.N}, 0.0
 

@@ -6,11 +6,11 @@ engine.  The module also provides:
 
 * the standard properties of the path propagator U_p (constant paths,
   reparametrization invariance, concatenation, adjoints),
-* flat homotopies over the unit square, their integrable sections and the
-  holonomy phase e^{i * double integral of B(X_1, X_2)} relating the two
-  boundary propagators, the integral taken by a tensor Gauss-Legendre
-  rule (the integrand is analytic, so the rule converges exponentially
-  in its nodes per axis),
+* flat homotopies over the unit square, of vector fields or of loop
+  elements, and the holonomy phase e^{i * double integral of
+  B(X_1, X_2)} relating the two boundary propagators, the integral
+  taken by a tensor Gauss-Legendre rule (the integrand is analytic, so
+  the rule converges exponentially in its nodes per axis),
 * phase charts (u -> (u xi, xi)/|(u xi, xi)|), the local multiplier
   cocycle of a projective representation and the finite-difference
   extraction of its Lie-algebra cocycle B(Y, X) - i(pi([Y,X]) xi, xi).
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .liealg import FourierVectorField, bracket_vect, seminorm
-from .prodint import GeneratorPath, product_integral, solve_homogeneous
+from .liealg import FourierVectorField, bracket, seminorm
+from .prodint import GeneratorPath, product_integral
 
 
 class NonMonotone(ValueError):
@@ -284,9 +284,10 @@ def verify_up_properties(rep, path, tol=1e-8):
 class FlatHomotopy:
     """Analytic zero-curvature data X_1, X_2 on the unit square.
 
-    ``X1``/``X2`` map (x, y) to vector fields; ``d2X1``/``d1X2`` are
-    the closed-form partial derivatives (the derivative contract), used
-    by the curvature checker d_1 X_2 - d_2 X_1 = [X_1, X_2].
+    ``X1``/``X2`` map (x, y) to vector fields, or to loop elements on an
+    affine module; ``d2X1``/``d1X2`` are the closed-form partial
+    derivatives (the derivative contract), used by the curvature checker
+    d_1 X_2 - d_2 X_1 = [X_1, X_2].
     """
 
     X1: object
@@ -300,7 +301,7 @@ class FlatHomotopy:
         grid = np.linspace(0.0, 1.0, CHECKER_NODES)
         return float(np.max([
             seminorm(self.d1X2(x, y) - self.d2X1(x, y)
-                     - bracket_vect(self.X1(x, y), self.X2(x, y)),
+                     - bracket(self.X1(x, y), self.X2(x, y)),
                      CURVATURE_ORDER)
             for x in grid for y in grid]))
 
@@ -315,49 +316,6 @@ class FlatHomotopy:
         """x -> X_1(x, y) as a GeneratorPath on [0, 1] (a horizontal
         boundary)."""
         return GeneratorPath(lambda x: self.X1(x, y))
-
-
-@dataclass
-class FlatSectionResult:
-    xs: np.ndarray
-    ys: np.ndarray
-    values: np.ndarray          # (nx, ny, dim)
-    residual1: float            # d_1 F = pi(X_1) F, interior nodes
-    residual2: float            # d_2 F = pi(X_2) F, interior nodes
-
-
-def flat_section(rep, homotopy, xi0, nx=9, ny=9, tol=1e-8):
-    """The section F with dF = pi(X_i) F dx_i and F(0, 0) = xi0.
-
-    Computed as in the integrability construction: a horizontal solve
-    along the bottom edge followed by vertical solves from its nodes,
-    F(x, y) = Prod Exp(X_2(x, v) dv) Prod Exp(X_1(u, 0) du) xi0, each a
-    `solve_homogeneous` over the grid.  Both partial-derivative residuals
-    are measured by central differences on interior nodes.
-    """
-    curv = homotopy.curvature_residual()
-    if not curv < CURVATURE_TOL:                # nan fails too
-        raise CurvatureTooLarge(f"curvature residual {curv:.3e}")
-    xs = np.linspace(0.0, 1.0, nx)
-    ys = np.linspace(0.0, 1.0, ny)
-    F = np.empty((nx, ny, rep.dim), dtype=complex)
-    F[:, 0] = solve_homogeneous(
-        rep, GeneratorPath(lambda u: homotopy.X1(u, 0.0)), xi0, xs, tol=tol)
-    for i, x in enumerate(xs):
-        F[i] = solve_homogeneous(
-            rep, GeneratorPath(lambda w, x=x: homotopy.X2(x, w)), F[i, 0],
-            ys, tol=tol)
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    r1 = r2 = 0.0
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            lhs1 = (F[i + 1, j] - F[i - 1, j]) / (2 * hx)
-            lhs2 = (F[i, j + 1] - F[i, j - 1]) / (2 * hy)
-            r1 = max(r1, float(np.linalg.norm(
-                lhs1 - rep.pi(homotopy.X1(xs[i], ys[j])) @ F[i, j])))
-            r2 = max(r2, float(np.linalg.norm(
-                lhs2 - rep.pi(homotopy.X2(xs[i], ys[j])) @ F[i, j])))
-    return FlatSectionResult(xs, ys, F, r1, r2)
 
 
 def _gauss_2d(f, n):
@@ -557,8 +515,7 @@ def extension_cocycle_check(rep, chart, Y, X):
 
     measured = mixed(PY, PX) - mixed(PX, PY)
     B = complex(rep.projective_cocycle(Y, X))
-    br = bracket_vect(Y, X)
-    ip = complex(np.vdot(chart.xi, rep.pi(br) @ chart.xi))
+    ip = complex(np.vdot(chart.xi, rep.pi(bracket(Y, X)) @ chart.xi))
     expected = B - 1j * ip
     if abs(expected.imag) > 1e-9 * (1 + abs(expected)):
         raise ValueError("expected cocycle value is not real")

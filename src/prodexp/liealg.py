@@ -185,18 +185,6 @@ class FourierVectorField:
         return f"FourierVectorField({self.coeffs!r})"
 
 
-def bracket_vect(f, g):
-    """Lie bracket [f d/dtheta, g d/dtheta] = (f'g - fg') d/dtheta."""
-    out = {}
-    for m, a in f.coeffs.items():
-        for n, b in g.coeffs.items():
-            # (e^{im})' e^{in} - e^{im} (e^{in})' = i(m-n) e^{i(m+n)}
-            c = _mul_i((m - n) * a * b)
-            k = m + n
-            out[k] = out.get(k, 0) + c
-    return FourierVectorField(out)
-
-
 def vect_cocycle_integral(f, g):
     """The Gelfand-Fuks integral (1/12) int_0^{2pi} (f''+f) g' dtheta/2pi.
 
@@ -318,9 +306,25 @@ class LoopAlgebraElement:
         return f"LoopAlgebraElement({self.coeffs!r})"
 
 
-def loop_bracket(x, y):
-    """[x(m), y(n)] = [x,y](m+n) without the central term."""
+def bracket(x, y):
+    """Lie bracket of two vector fields or two loop elements, without
+    the central term.
+
+    Vector fields: [f d/dtheta, g d/dtheta] = (f'g - fg') d/dtheta.
+    Loop elements: [x(m), y(n)] = [x,y](m+n).
+    """
+    if type(x) is not type(y):
+        raise TypeError(f"no bracket of {type(x).__name__} with "
+                        f"{type(y).__name__}")
     out = {}
+    if isinstance(x, FourierVectorField):
+        for m, a in x.coeffs.items():
+            for n, b in y.coeffs.items():
+                # (e^{im})' e^{in} - e^{im} (e^{in})' = i(m-n) e^{i(m+n)}
+                c = _mul_i((m - n) * a * b)
+                k = m + n
+                out[k] = out.get(k, 0) + c
+        return FourierVectorField(out)
     for m, v in x.coeffs.items():
         for n, w in y.coeffs.items():
             b = sl2_bracket(v, w)

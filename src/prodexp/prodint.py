@@ -15,7 +15,7 @@ of two rules, in two roles:
   Omega = D/2 (A_1 + A_2) + (sqrt(3)/12) D^2 [A_2, A_1].  Omega is
   skew-Hermitian for real paths, so every factor is exactly unitary.
   It is the propagator: the ODE solvers, Gateaux derivatives, grouprep's
-  U_p, flat sections and holonomy, and the su(2) cross-checks use it.
+  U_p and holonomy, and the su(2) cross-checks use it.
 * ``"left"`` is the paper's step scheme: Omega_k = D_k X(t_k) with t_k
   the left end of the step, of first order.  The step-function
   difference estimate samples these step functions, so it is recorded
@@ -35,9 +35,9 @@ of forming a product:
   of Omega (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), one
   Omega-times-block product per term.  Refinement compares the
   propagated columns.  The consumers that read a propagator only through
-  a few vectors use it: flat sections, the holonomy window and the one
-  ODE solver, `solve_homogeneous`, of which the Duhamel and Gateaux
-  solvers are single calls on a block-triangular generator.  The solver
+  a few vectors use it: the holonomy window and the one ODE solver,
+  `solve_homogeneous`, of which the Duhamel and Gateaux solvers are
+  single calls on a block-triangular generator.  The solver
   refines each grid segment in turn, starting each after the first at
   the level the previous one converged at, and one level lower when
   magnus4's fourth order predicts that the halved pair passes as well.

@@ -509,6 +509,26 @@ def test_loop_projective_defect_fails_on_flipped_cocycle(monkeypatch,
     assert row["measured"] == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("cid, module, depth", [
+    ("vir-commutation", {"kind": "virasoro", "c": "1/2", "h": "1/16",
+                         "N": 3}, 4),
+    ("projective-defect", {"kind": "virasoro", "c": "1/2", "h": "1/16",
+                           "N": 3}, 4),
+    ("sugawara-intertwining", {"kind": "affine_sl2", "ell": 1, "lam": 0,
+                               "N": 2}, 3),
+])
+def test_empty_safe_window_is_named(cid, module, depth, cache_dir):
+    # a depth above N leaves no level in the safe window: the error row
+    # says which depth and which N
+    ctx = checks.CheckContext(seed=7, module_spec=cli.parse_module_spec(
+        module), cache=cli.ModuleCache(cache_dir))
+    row = checks.run_check(cid, ctx)
+    assert row["verdict"] == "error", row
+    assert row["params"]["error"] == (
+        f"ValueError: the safe window of depth {depth} is empty at "
+        f"N={module['N']}")
+
+
 # Reports the OPENBLAS_NUM_THREADS value and the thread count of every
 # OpenBLAS that importing the module named in argv[1] loads into a fresh
 # interpreter.

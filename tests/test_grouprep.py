@@ -12,11 +12,11 @@ from prodexp import grouprep
 from prodexp.grouprep import (BoundaryViolation, CirclePath, CurvatureTooLarge,
                               FlatHomotopy, NonMonotone, OutsideChart,
                               PhaseChart, circle_inverse, exponentiate_path,
-                              extension_cocycle_check, flat_section,
-                              holonomy_phase, local_cocycle, log_derivative,
-                              phase_function, scalar_part,
-                              shrinking_loop_homotopy, verify_up_properties)
-from prodexp.hwmod import build_module, virasoro_spec
+                              extension_cocycle_check, holonomy_phase,
+                              local_cocycle, log_derivative, phase_function,
+                              scalar_part, shrinking_loop_homotopy,
+                              verify_up_properties)
+from prodexp.hwmod import affine_spec, build_module, virasoro_spec
 from prodexp.liealg import FourierVectorField, LoopAlgebraElement
 from prodexp.nelson import FinDimRep
 from prodexp.prodint import GeneratorPath, product_integral
@@ -201,49 +201,6 @@ def constant_homotopy(X1const, X2const):
                         d2X1=lambda x, y: zero, d1X2=lambda x, y: zero)
 
 
-def test_flat_section_trivial(vir8):
-    zero = FourierVectorField()
-    hom = constant_homotopy(zero, zero)
-    xi0 = np.zeros(vir8.dim, dtype=complex)
-    xi0[0] = 1.0
-    res = flat_section(vir8, hom, xi0, nx=5, ny=5)
-    assert np.abs(res.values - xi0).max() < 1e-13
-    assert res.residual1 < 1e-12 and res.residual2 < 1e-12
-
-
-def test_flat_section_horizontal(vir8):
-    X = FourierVectorField({2: 0.3, -2: 0.3})
-    zero = FourierVectorField()
-    hom = constant_homotopy(X, zero)
-    xi0 = np.zeros(vir8.dim, dtype=complex)
-    xi0[0] = 1.0
-    res = flat_section(vir8, hom, xi0, nx=5, ny=3)
-    for i, x in enumerate(res.xs):
-        want = expm(x * vir8.pi(X)) @ xi0
-        assert np.linalg.norm(res.values[i, -1] - want) < 1e-7
-
-
-def test_flat_section_commuting(vir8):
-    a, b = 0.4, -0.7
-    e0 = FourierVectorField({0: 1.0})
-    hom = constant_homotopy(a * e0, b * e0)
-    xi0 = vir8.random_vector(np.random.default_rng(21))
-    res = flat_section(vir8, hom, xi0, nx=5, ny=5)
-    P = vir8.pi(e0)
-    for i, x in enumerate(res.xs):
-        for j, y in enumerate(res.ys):
-            want = expm((a * x + b * y) * P) @ xi0
-            assert np.linalg.norm(res.values[i, j] - want) < 1e-8
-
-
-def test_flat_section_curvature_guard(vir8):
-    X = FourierVectorField({1: 0.5, -1: 0.5})
-    Y = FourierVectorField({2: 0.5, -2: 0.5})
-    hom = constant_homotopy(X, Y)      # [X, Y] != 0 but derivatives are 0
-    with pytest.raises(CurvatureTooLarge):
-        flat_section(vir8, hom, np.zeros(vir8.dim), nx=3, ny=3)
-
-
 def test_shrinking_loop_is_flat():
     for k in (1, 2):
         hom = shrinking_loop_homotopy(k=k)
@@ -314,6 +271,64 @@ def test_holonomy_integral_matches_closed_form(vir8):
                       epsabs=1e-15, epsrel=1e-13)
     rep = holonomy_phase(vir8, shrinking_loop_homotopy(k=k))
     assert abs(rep.integral - want) < 1e-13
+
+
+# the Heisenberg pair of loop-projective-defect: u = h(1) - h(-1) and
+# v = i(h(1) + h(-1)) commute in the loop algebra, with B(u, v) = 4 ell
+HEIS_U = LoopAlgebraElement({1: (0, 1, 0), -1: (0, -1, 0)})
+HEIS_V = LoopAlgebraElement({1: (0, 1j, 0), -1: (0, 1j, 0)})
+E1 = LoopAlgebraElement({1: (1, 0, 0)})              # e(1)
+FM1 = LoopAlgebraElement({-1: (0, 0, 1)})            # f(-1)
+
+
+def heisenberg_homotopy(alpha, beta):
+    """H = exp(y a(x) u) exp(y b(x) v), a and b as in
+    shrinking_loop_homotopy; as [u, v] = 0, X_1 = y (a' u + b' v),
+    X_2 = a u + b v and d_2 X_1 = d_1 X_2 = a' u + b' v."""
+    def a(x):
+        return alpha * np.sin(np.pi * x) ** 2
+
+    def b(x):
+        return beta * np.sin(np.pi * x) ** 2 * np.cos(np.pi * x)
+
+    def dX(x, y):
+        da = alpha * np.pi * np.sin(2 * np.pi * x)
+        db = beta * np.pi * (np.sin(2 * np.pi * x) * np.cos(np.pi * x)
+                             - np.sin(np.pi * x) ** 3)
+        return da * HEIS_U + db * HEIS_V
+
+    return FlatHomotopy(X1=lambda x, y: y * dX(x, y),
+                        X2=lambda x, y: a(x) * HEIS_U + b(x) * HEIS_V,
+                        d2X1=dX, d1X2=dX)
+
+
+@pytest.fixture(scope="module")
+def aff6():
+    return build_module(affine_spec(1, 0, 6))
+
+
+def test_heisenberg_loop_holonomy(aff6):
+    # B(X_1, X_2) = 4 ell y (a'b - b'a) and a'b - b'a = pi alpha beta
+    # sin^5(pi x), so the integral is (32/15) ell alpha beta; a flipped
+    # sign would miss by 1.02 and phase 1 by 0.53
+    alpha = beta = 0.5
+    rep = holonomy_phase(aff6, heisenberg_homotopy(alpha, beta), window=0)
+    assert rep.curvature == 0.0
+    assert rep.integral == pytest.approx(32 / 15 * alpha * beta, abs=1e-12)
+    assert rep.mismatch < 1e-4
+
+
+def test_loop_curvature_guard(aff5):
+    # X_1 = e(1), X_2 = sin(pi x) f(-1): X_2 vanishes on {0, 1} x I, but
+    # d_1 X_2 - d_2 X_1 - [X_1, X_2] = pi cos(pi x) f(-1) - sin(pi x) h(0)
+    hom = FlatHomotopy(X1=lambda x, y: E1,
+                       X2=lambda x, y: np.sin(np.pi * x) * FM1,
+                       d2X1=lambda x, y: LoopAlgebraElement(),
+                       d1X2=lambda x, y: np.pi * np.cos(np.pi * x) * FM1)
+    assert hom.boundary_residual() < 1e-15
+    assert hom.curvature_residual() > 6
+    with pytest.raises(CurvatureTooLarge):
+        holonomy_phase(aff5, hom)
 
 
 def nan_homotopy(lo, hi):
@@ -389,23 +404,19 @@ def test_holonomy_magnus4_matches_step_scheme(vir8, window):
 
 @pytest.mark.parametrize("name", ["vir8", "vir12"])
 def test_vector_consumers_match_dense(request, name):
-    # holonomy_phase and flat_section propagate only their vectors; at
-    # equal step counts they equal the dense magnus4 products
+    # holonomy_phase propagates only its window columns; at equal step
+    # counts it equals the dense magnus4 products
     rep = request.getfixturevalue(name)
     hom = shrinking_loop_homotopy(k=2)
-    xi0 = np.zeros(rep.dim, dtype=complex)
-    xi0[0] = 1.0
 
     def run():
         h = holonomy_phase(rep, hom)
-        return [h.measured, h.deviation], flat_section(
-            rep, hom, xi0, nx=5, ny=5).values
+        return [h.measured, h.deviation]
 
     vector = run()
     with dense_at_vector_steps():
         dense = run()
-    assert np.abs(np.subtract(vector[0], dense[0])).max() < 1e-12
-    assert np.abs(vector[1] - dense[1]).max() < 1e-12
+    assert np.abs(np.subtract(vector, dense)).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["vir8", "vir12"])
@@ -537,3 +548,23 @@ def test_extension_cocycle_e2(vir8):
     rep = extension_cocycle_check(vir8, chart, Y, X)
     assert rep["difference"] < 1e-3
     assert abs(rep["expected"]) > 0.5      # genuinely nontrivial
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_extension_cocycle_heisenberg_loops(lam):
+    # [v, u] = 0, so the value is B(v, u) = -4 ell alone
+    mod = build_module(affine_spec(1, lam, 4))
+    rep = extension_cocycle_check(mod, omega_chart(mod), HEIS_V, HEIS_U)
+    assert rep["expected"] == pytest.approx(-4.0, abs=1e-12)
+    assert rep["difference"] < 1e-9
+
+
+@pytest.mark.parametrize("lam, expected", [(0, -2.0), (1, -4.0)])
+def test_extension_cocycle_sl2_loops(lam, expected):
+    # Y = i(e(1) + f(-1)), X = e(1) - f(-1): B(Y, X) = -2 ell, and
+    # [Y, X] = -2i h(0) adds -i (pi(-2i h(0)) Omega, Omega) = -2 lam
+    mod = build_module(affine_spec(1, lam, 4))
+    rep = extension_cocycle_check(mod, omega_chart(mod), 1j * (E1 + FM1),
+                                  E1 - FM1)
+    assert rep["expected"] == pytest.approx(expected, abs=1e-12)
+    assert rep["difference"] < 1e-5

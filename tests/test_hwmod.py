@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prodexp.liealg import (E, FourierVectorField, LoopAlgebraElement,
-                            bracket_vect, loop_bracket)
+                            bracket)
 from prodexp.hwmod import (_ADJ, HighestWeightSpec, NotUnitarizable,
                            _exact_ldl, _IndefiniteGram, _lsolve, _ltsolve,
                            _mm, affine_spec,
@@ -620,7 +620,7 @@ def assert_projective_commutator(mod):
     Y = FourierVectorField({2: 1j, -2: -1j})
     PX, PY = mod.pi(X), mod.pi(Y)
     B = mod.projective_cocycle(X, Y)
-    want = mod.pi(bracket_vect(X, Y)) + 1j * B * np.eye(mod.dim)
+    want = mod.pi(bracket(X, Y)) + 1j * B * np.eye(mod.dim)
     d = mod.safe_dim(4)
     assert np.abs((PX @ PY - PY @ PX - want)[:d, :d]).max() < 1e-10
     assert abs(B.imag) < 1e-14 and abs(B) > 0.01
@@ -729,7 +729,7 @@ class TestAffineAndSugawara:
         assert np.abs(M + M.conj().T).max() < 1e-12
         Y = LoopAlgebraElement({2: (0, 1j, 0), -2: (0, 1j, 0)})
         comm = amod.pi(X) @ amod.pi(Y) - amod.pi(Y) @ amod.pi(X)
-        want = (amod.pi(loop_bracket(X, Y))
+        want = (amod.pi(bracket(X, Y))
                 + 1j * amod.projective_cocycle(X, Y) * np.eye(amod.dim))
         d = amod.safe_dim(4)
         assert np.abs((comm - want)[:d, :d]).max() < 1e-10

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in it, and every
-private module-level name of the package is read somewhere in it.
+"""Source hygiene: every name a module imports is used in it, every
+private module-level name of the package is read somewhere in it, and
+every name the benchmark's span tracer patches still exists.
 
 A stdlib `ast` scan of the package and the test modules; an unused
 import or an unread private helper is dead code, and the first also
@@ -7,6 +8,7 @@ hides what a module really depends on.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -106,3 +108,34 @@ def test_scan_finds_unread_private():
 def test_every_private_name_is_read():
     unread = unread_privates({p.stem: p.read_text() for p in PACKAGE})
     assert not unread, f"private names never read: {unread}"
+
+
+def traced_names():
+    """The (module, attribute, ...) and (module, class, attribute) lists
+    that perfbench's span tracer patches, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    lists = {node.targets[0].id: ast.literal_eval(node.value)
+             for node in tree.body
+             if isinstance(node, ast.Assign)
+             and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("FUNCTIONS", "METHODS")}
+    return lists["FUNCTIONS"], lists["METHODS"]
+
+
+def test_traced_names_exist():
+    # the benchmark's traced runs patch these names by string, and read
+    # the circle path's form to name its spans; a deletion that drops one
+    # would break them without failing any other test
+    functions, methods = traced_names()
+    assert functions and methods
+    attributes = ([(mod, (attr,)) for mod, attr, _ in functions]
+                  + [(mod, (cls, attr)) for mod, cls, attr in methods]
+                  + [("prodexp.grouprep", ("CirclePath", "form"))])
+    missing = []
+    for mod, path in attributes:
+        owner = importlib.import_module(mod)
+        for attr in path:
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(".".join((mod, *path)))
+    assert not missing, f"names perfbench/spans.py traces are gone: {missing}"

@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from prodexp.liealg import (
-    E, F, H, QC, QC_I, FourierVectorField, LoopAlgebraElement, bracket_vect,
-    vect_cocycle_integral, loop_bracket, loop_cocycle, seminorm, sl2_bracket,
-    sl2_inner,
+    E, F, H, QC, QC_I, FourierVectorField, LoopAlgebraElement, bracket,
+    vect_cocycle_integral, loop_cocycle, seminorm, sl2_bracket, sl2_inner,
 )
 
 # exact Gaussian-rational coefficients, fields and sl2 loops with few modes
@@ -51,28 +50,28 @@ class TestBracket(unittest.TestCase):
         # [e_1, e_-1] = 2i e_0
         f = FourierVectorField.basis(1, QC(1))
         g = FourierVectorField.basis(-1, QC(1))
-        self.assertEqual(bracket_vect(f, g), FourierVectorField({0: QC(0, 2)}))
+        self.assertEqual(bracket(f, g), FourierVectorField({0: QC(0, 2)}))
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             f, g = random_field(rng), random_field(rng)
-            self.assertEqual(bracket_vect(f, g) + bracket_vect(g, f),
+            self.assertEqual(bracket(f, g) + bracket(g, f),
                              FourierVectorField())
-            self.assertEqual(bracket_vect(f, f), FourierVectorField())
+            self.assertEqual(bracket(f, f), FourierVectorField())
 
     def test_l_basis_commutator(self):
         # [L_2, L_-1] = 3 L_1 with L_n = -i e_n
         L = {n: FourierVectorField.basis(n, QC(0, -1)) for n in (2, 1, -1)}
-        self.assertEqual(bracket_vect(L[2], L[-1]), 3 * L[1])
+        self.assertEqual(bracket(L[2], L[-1]), 3 * L[1])
 
     def test_jacobi(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             f, g, h = (random_field(rng, nterms=3) for _ in range(3))
-            total = (bracket_vect(bracket_vect(f, g), h)
-                     + bracket_vect(bracket_vect(g, h), f)
-                     + bracket_vect(bracket_vect(h, f), g))
+            total = (bracket(bracket(f, g), h)
+                     + bracket(bracket(g, h), f)
+                     + bracket(bracket(h, f), g))
             self.assertEqual(total, FourierVectorField())
 
     def test_against_symbolic_differentiation(self):
@@ -88,12 +87,21 @@ class TestBracket(unittest.TestCase):
             gs = sum(complex(a) * sympy.exp(sympy.I * n * theta)
                      for n, a in g.coeffs.items())
             hs = sympy.diff(fs, theta) * gs - fs * sympy.diff(gs, theta)
-            got = bracket_vect(f, g)
+            got = bracket(f, g)
             for th in np.linspace(0.1, 6.0, 7):
                 want = complex(hs.subs(theta, th).evalf())
                 val = sum(complex(a) * np.exp(1j * n * th)
                           for n, a in got.coeffs.items())
                 self.assertAlmostEqual(val, want, places=9)
+
+    def test_mixed_pair_names_both_types(self):
+        f = FourierVectorField({1: 0.5, -1: 0.5})
+        x = LoopAlgebraElement({1: (1.0, 0, 0)})
+        for a, b in ((f, x), (x, f)):
+            with self.assertRaisesRegex(
+                    TypeError, "FourierVectorField.*LoopAlgebraElement|"
+                    "LoopAlgebraElement.*FourierVectorField"):
+                bracket(a, b)
 
 
 class TestCocycles(unittest.TestCase):
@@ -123,9 +131,9 @@ class TestCocycles(unittest.TestCase):
         rng = np.random.default_rng(5)
         for _ in range(10):
             x, y, z = (random_field(rng, nterms=3) for _ in range(3))
-            total = (vect_cocycle_integral(bracket_vect(x, y), z)
-                     + vect_cocycle_integral(bracket_vect(y, z), x)
-                     + vect_cocycle_integral(bracket_vect(z, x), y))
+            total = (vect_cocycle_integral(bracket(x, y), z)
+                     + vect_cocycle_integral(bracket(y, z), x)
+                     + vect_cocycle_integral(bracket(z, x), y))
             self.assertEqual(total, QC(0))
 
     def test_float_weights_match_fraction_weights(self):
@@ -182,7 +190,7 @@ class TestCentralBracket(unittest.TestCase):
         # [L_2, L_-2] = 4 L_0 + c/2 with L_n = -i e_n
         L2, L0, Lm2 = (FourierVectorField.basis(n, QC(0, -1))
                        for n in (2, 0, -2))
-        self.assertEqual(bracket_vect(L2, Lm2), 4 * L0)
+        self.assertEqual(bracket(L2, Lm2), 4 * L0)
         self.assertEqual(QC_I * vect_cocycle_integral(L2, Lm2),
                          QC(Fraction(1, 2)))
 
@@ -190,29 +198,29 @@ class TestCentralBracket(unittest.TestCase):
     @given(_FIELD, _FIELD, _FIELD)
     def test_jacobi_with_center(self, x, y, z):
         # Jacobi of the bracket; antisymmetry and 2-cocycle identity of B
-        self.assertEqual(bracket_vect(bracket_vect(x, y), z)
-                         + bracket_vect(bracket_vect(y, z), x)
-                         + bracket_vect(bracket_vect(z, x), y),
+        self.assertEqual(bracket(bracket(x, y), z)
+                         + bracket(bracket(y, z), x)
+                         + bracket(bracket(z, x), y),
                          FourierVectorField())
         self.assertEqual(vect_cocycle_integral(x, y)
                          + vect_cocycle_integral(y, x), QC(0))
-        self.assertEqual(vect_cocycle_integral(bracket_vect(x, y), z)
-                         + vect_cocycle_integral(bracket_vect(y, z), x)
-                         + vect_cocycle_integral(bracket_vect(z, x), y),
+        self.assertEqual(vect_cocycle_integral(bracket(x, y), z)
+                         + vect_cocycle_integral(bracket(y, z), x)
+                         + vect_cocycle_integral(bracket(z, x), y),
                          QC(0))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_LOOP, _LOOP, _LOOP)
     def test_affine_jacobi(self, x, y, z):
         # the same three identities for sl2 loops and the loop cocycle
-        total = (loop_bracket(loop_bracket(x, y), z)
-                 + loop_bracket(loop_bracket(y, z), x)
-                 + loop_bracket(loop_bracket(z, x), y))
+        total = (bracket(bracket(x, y), z)
+                 + bracket(bracket(y, z), x)
+                 + bracket(bracket(z, x), y))
         self.assertEqual(total.coeffs, {})
         self.assertEqual(loop_cocycle(x, y) + loop_cocycle(y, x), QC(0))
-        self.assertEqual(loop_cocycle(loop_bracket(x, y), z)
-                         + loop_cocycle(loop_bracket(y, z), x)
-                         + loop_cocycle(loop_bracket(z, x), y), QC(0))
+        self.assertEqual(loop_cocycle(bracket(x, y), z)
+                         + loop_cocycle(bracket(y, z), x)
+                         + loop_cocycle(bracket(z, x), y), QC(0))
 
 
 class TestSeminorms(unittest.TestCase):
@@ -285,10 +293,10 @@ class TestSl2(unittest.TestCase):
         self.assertEqual(sl2_bracket(h, f), (0, 0, -2))
         self.assertEqual(sl2_bracket(e, f), (0, 1, 0))
 
-    def test_loop_bracket_mode_addition(self):
+    def test_bracket_adds_loop_modes(self):
         x = LoopAlgebraElement.single(E, 2, QC(1))   # e(2)
         y = LoopAlgebraElement.single(F, -1, QC(1))  # f(-1)
-        out = loop_bracket(x, y)
+        out = bracket(x, y)
         self.assertEqual(out.coeffs, {1: (QC(0), QC(1), QC(0))})  # h(1)
 
     def test_elements_are_plain_values(self):
@@ -297,7 +305,7 @@ class TestSl2(unittest.TestCase):
         y = LoopAlgebraElement({-1: (0, 0, QC(1))})        # f(-1)
         self.assertEqual((x + y).coeffs, {1: (QC(1), 0, 0),
                                           -1: (0, 0, QC(1))})
-        self.assertEqual(loop_bracket(x, y).coeffs,
+        self.assertEqual(bracket(x, y).coeffs,
                          {0: (0, QC(1), 0)})                # h(0)
         self.assertEqual(loop_cocycle(x, y), QC(0, -1))     # -i <e, f>
         with self.assertRaisesRegex(ValueError, "mode 2"):
