@@ -83,6 +83,17 @@ class FinDimRep:
         x = np.asarray(x, dtype=float)
         return x[0] * G[0] + x[1] * G[1] + x[2] * G[2]
 
+    def commutator(self, x, y):
+        """[pi(x), pi(y)] = pi(x cross y): the structure constants are
+        eps_{ijk}."""
+        return self.pi(np.cross(x, y))
+
+    def magnus_exponent(self, x1, x2, h, w):
+        """h (pi(x1) + pi(x2)) + w [pi(x2), pi(x1)], the exponent of a
+        magnus4 step, as the single element h (x1 + x2) + w x2 cross x1."""
+        x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+        return self.pi(h * (x1 + x2) + w * np.cross(x2, x1))
+
     def a_diag(self):
         """Diagonal of A = 1 - Delta = (1 + j(j+1)) Id per block."""
         return np.repeat([1.0 + float(s * (s + 1)) for s in self.spins],

@@ -11,7 +11,8 @@ of two rules, in two roles:
 
 * ``"magnus4"``, the default, is the fourth-order Magnus rule (Iserles &
   Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): with
-  A_1, A_2 the path at the Gauss-Legendre nodes t_0 + (1/2 -+ sqrt(3)/6) D,
+  X_1, X_2 the path at the Gauss-Legendre nodes
+  t_0 + (1/2 -+ sqrt(3)/6) D and A_i = pi(X_i),
   Omega = D/2 (A_1 + A_2) + (sqrt(3)/12) D^2 [A_2, A_1].  Omega is
   skew-Hermitian for real paths, so every factor is exactly unitary.
   It is the propagator: the ODE solvers, Gateaux derivatives, grouprep's
@@ -22,8 +23,16 @@ of two rules, in two roles:
   along the refinement: the ``refinement-bound`` check reads it and
   ``prodint-convergence-order`` fits the scheme's order.
 
-Each step's exponent Omega is formed once, the same matrix in both modes
-of forming a product:
+Each step's exponent Omega is formed once, by the representation:
+``"left"`` takes D pi(X), and ``"magnus4"`` calls
+``rep.magnus_exponent(X_1, X_2, D/2, (sqrt(3)/12) D^2)``, which forms it
+with no dim x dim product where the algebra allows.  Since pi is linear,
+[pi(X_2), pi(X_1)] is a bilinear form in the elements' coefficients: a
+graded module sums cached generator commutators [G_k, G_l] with their
+coefficients, in one accumulator with the G_k terms; on su(2)
+[pi(x), pi(y)] = pi(x cross y), so Omega is one pi; and the stacked
+generators of the Duhamel and Gateaux solvers assemble it from blocks.
+It is the same matrix in both modes of forming a product:
 
 * dense: the dim x dim propagator, each step multiplied on as
   ``expm(Omega) @ U``.  The claims about the propagator itself use it:
@@ -182,12 +191,11 @@ def step_product(rep, path, n, rule="magnus4", V=None):
     U = (np.eye(rep.dim, dtype=complex) if V is None
          else np.asarray(V, dtype=complex))
     for dt, ts in zip(widths, nodes):
-        A = [rep.pi(path(t)) for t in ts]
         if rule == "magnus4":
-            omega = (dt / 2) * (A[0] + A[1]) + (
-                _MAGNUS_COMMUTATOR * dt * dt) * (A[1] @ A[0] - A[0] @ A[1])
+            omega = rep.magnus_exponent(path(ts[0]), path(ts[1]), dt / 2,
+                                        _MAGNUS_COMMUTATOR * dt * dt)
         else:
-            omega = dt * A[0]
+            omega = dt * rep.pi(path(ts[0]))
         U = (expm(omega) @ U if V is None
              else _expm_action(omega.__matmul__, _norm1(omega), U))
     return Propagator(U, n)
@@ -314,20 +322,26 @@ def cumulative_simpson(values, h):
 _TAU_WEIGHT = 1.0
 
 
-def _stacked_tail(rep, path, top, coupling, head0, head_weights, grid, tol):
+def _stacked_tail(rep, blocks, head0, head_weights, grid, tol):
     """Tail of the solution from (head0, 0) of the path t -> t under
-    [[top(P), 0], [coupling(t), P]], P = pi(X(t)): the Duhamel integral
-    int U(t, s) coupling(s) head(s) ds (Al-Mohy & Higham 2011, section 2)."""
+    S(t) = [[T(t), 0], [C(t), P(t)]], P = pi(X(t)): the Duhamel integral
+    int U(t, s) C(s) head(s) ds (Al-Mohy & Higham 2011, section 2).
+
+    blocks(t1, t2, h, w) gives the diagonal and coupling blocks of the
+    magnus4 exponent h (S(t1) + S(t2)) + w [S(t2), S(t1)].  Its diagonal
+    blocks are the exponents of T and P, and its coupling block is
+    h (C_1 + C_2) + w (C_2 T_1 - C_1 T_2 + P_2 C_1 - P_1 C_2), so no
+    product of stacked matrices is formed."""
     k = len(head0)
     weights = np.concatenate([head_weights, rep.a_diag()])
 
-    def pi(t):
-        P = rep.pi(path(t))
+    def magnus_exponent(t1, t2, h, w):
         M = np.zeros((len(weights),) * 2, dtype=complex)
-        M[:k, :k], M[k:, :k], M[k:, k:] = top(P), coupling(t), P
+        M[:k, :k], M[k:, :k], M[k:, k:] = blocks(t1, t2, h, w)
         return M
 
-    stacked = SimpleNamespace(dim=len(weights), a_diag=lambda: weights, pi=pi)
+    stacked = SimpleNamespace(dim=len(weights), a_diag=lambda: weights,
+                              magnus_exponent=magnus_exponent)
     v0 = np.concatenate([head0, np.zeros(rep.dim)])
     return solve_homogeneous(stacked, GeneratorPath(lambda t: t), v0, grid,
                              tol=tol)[:, k:]
@@ -335,20 +349,33 @@ def _stacked_tail(rep, path, top, coupling, head0, head_weights, grid, tol):
 
 def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8):
     """J(t) = int_{t_0}^t Prod_{t>=tau>=s} Exp(X dtau) eta(s) ds: the tail
-    of (tau, J) from (1, 0) under [[0, 0], [eta(t), pi(X(t))]]."""
-    return _stacked_tail(rep, path, lambda P: 0,
-                         lambda t: np.asarray(eta(t))[:, None],
-                         [1.0], [_TAU_WEIGHT], grid, tol)
+    of (tau, J) from (1, 0) under [[0, 0], [eta(t), pi(X(t))]].  With
+    T = 0 the exponent's coupling block is h (eta_1 + eta_2)
+    + w (P_2 eta_1 - P_1 eta_2)."""
+    def blocks(t1, t2, h, w):
+        X1, X2 = path(t1), path(t2)
+        P1, P2 = rep.pi(X1), rep.pi(X2)
+        e1, e2 = np.asarray(eta(t1)), np.asarray(eta(t2))
+        return (0, (h * (e1 + e2) + w * (P2 @ e1 - P1 @ e2))[:, None],
+                h * (P1 + P2) + w * rep.commutator(X2, X1))
+
+    return _stacked_tail(rep, blocks, [1.0], [_TAU_WEIGHT], grid, tol)
 
 
 def gateaux_derivative(rep, path, xi0, direction, grid, tol=1e-8):
     """Derivative J of the solution map in the generator along
     `direction`, J' = pi(X) J + pi(direction) xi: the tail of the
     variational system (xi, J) from (xi0, 0) under
-    [[pi(X), 0], [pi(direction(t)), pi(X(t))]]."""
-    return _stacked_tail(rep, path, lambda P: P,
-                         lambda t: rep.pi(direction(t)), xi0,
-                         rep.a_diag(), grid, tol)
+    [[pi(X), 0], [pi(direction(t)), pi(X(t))]].  With T = P both
+    diagonal blocks of the exponent are X's own, and the coupling
+    block's bracket is [pi(D_2), pi(X_1)] + [pi(X_2), pi(D_1)]."""
+    def blocks(t1, t2, h, w):
+        X1, X2, D1, D2 = path(t1), path(t2), direction(t1), direction(t2)
+        P = rep.magnus_exponent(X1, X2, h, w)
+        return P, h * rep.pi(D1 + D2) + w * (
+            rep.commutator(D2, X1) + rep.commutator(X2, D1)), P
+
+    return _stacked_tail(rep, blocks, xi0, rep.a_diag(), grid, tol)
 
 
 def dyson_expansion(rep, path, xi0, order, scaling):

@@ -228,13 +228,13 @@ def test_cache_correctness(tmp_path):
 PINNED_DIGESTS = {
     "virasoro": (
         {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8},
-        "b80c8adbb021c6c9e03c008b371c4b15ca5e5c0dfbc5070233bb29d30cc7f8d1"),
+        "41cfb817bf1e5e0ee31b95a3c68ae66778bac5cfdfdd5a53ee9fe582f8aaf983"),
     "affine": (
         {"kind": "affine_sl2", "ell": 1, "lam": 1, "N": 4},
-        "690e03cc318966780b20fa957fc85e5e3e050d6d0da29f977dffaafbb1a57c3c"),
+        "4ebb18f36b78781fb89ef418490206896d01f9e755534f0a356024ec1f4695a9"),
     "su2": (
         {"kind": "su2", "spins": ["1", "1/2"]},
-        "2a6560082a66b9bbd7407bbe5dcd3007807ae5ea02018803304cb7f67bee29da"),
+        "2b66db0e8c61909b5b7ce7b10df9724a9f9a30cc303bba7fecc850d4d6060622"),
 }
 
 

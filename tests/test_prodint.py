@@ -1,10 +1,15 @@
+import collections
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conftest import dense_at_vector_steps, safe_vector
-from prodexp.liealg import FourierVectorField
+from prodexp import prodint
+from prodexp.grouprep import holonomy_phase, shrinking_loop_homotopy
+from prodexp.hwmod import GradedModule, affine_spec, build_module
+from prodexp.liealg import E, F, FourierVectorField, LoopAlgebraElement
 from prodexp.prodint import (GeneratorPath, MaxRefinementExceeded,
                              cumulative_simpson, dyson_expansion,
                              gateaux_derivative, product_integral,
@@ -495,6 +500,12 @@ def test_vector_mode_matches_dense_product(vir8, rule):
     assert np.abs(vec.matrix - dense @ V).max() < 1e-12
 
 
+@pytest.mark.parametrize("rule", ["magnus4", "left"])
+def test_vector_mode_matches_dense_product_n16(vir16, rule):
+    # the N=8 test's assertions, at equal step counts, on the N=16 module
+    test_vector_mode_matches_dense_product(vir16, rule)
+
+
 def test_zero_probe_column_converges(vir8):
     path = oscillating_path(scale=0.5)
     kw = dict(tol=1e-9)
@@ -533,3 +544,160 @@ def test_vector_solvers_match_dense(request, name):
         dense = solve()
     for v, d in zip(vector, dense):
         assert np.abs(v - d).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the magnus4 exponent from cached generator commutators
+
+
+def dense_commutator(A2, A1):
+    """[A2, A1] by two dense products: the reference form of the magnus4
+    commutator."""
+    return A2 @ A1 - A1 @ A2
+
+
+def reference_step_product(rep, path, n):
+    """The dense magnus4 product over n uniform steps, each exponent
+    D/2 (A1 + A2) + (sqrt(3)/12) D^2 [A2, A1] from two pi matrices."""
+    bp = np.linspace(*path.interval, n + 1)
+    U = np.eye(rep.dim, dtype=complex)
+    for t0, dt in zip(bp[:-1], np.diff(bp)):
+        mid, off = t0 + dt / 2, np.sqrt(3.0) / 6.0 * dt
+        A1, A2 = rep.pi(path(mid - off)), rep.pi(path(mid + off))
+        U = expm(dt / 2 * (A1 + A2) + np.sqrt(3.0) / 12.0 * dt * dt
+                 * dense_commutator(A2, A1)) @ U
+    return U
+
+
+def relative_error(M, want):
+    return np.abs(M - want).max() / np.abs(want).max()
+
+
+def real_field(coeffs):
+    """The real vector field with the given a_n for n >= 0."""
+    both = dict(coeffs)
+    both.update({-n: np.conj(a) for n, a in coeffs.items() if n})
+    return FourierVectorField(both)
+
+
+def counted(monkeypatch, owner, *names):
+    """A Counter of the calls to each named attribute of owner."""
+    calls = collections.Counter()
+
+    def wrap(name, original):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return original(*args, **kw)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, wrap(name, getattr(owner, name)))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def aff4():
+    """Affine sl2, ell = 1, lam = 1, N = 4."""
+    return build_module(affine_spec(1, 1, 4))
+
+
+HEISENBERG_U = LoopAlgebraElement({1: (0, 1, 0), -1: (0, -1, 0)})
+HEISENBERG_V = LoopAlgebraElement({1: (0, 1j, 0), -1: (0, 1j, 0)})
+
+
+@pytest.mark.parametrize("module, X, Y, cached", [
+    ("vir8", real_field({0: 0.3, 2: 0.3 + 0.1j}),
+     real_field({0: -0.7, 2: 1j}), True),
+    # eight modes each: 64 coefficient products, the dense fallback
+    ("vir8", real_field({n: 0.2 * n + 0.1j for n in range(1, 5)}),
+     real_field({n: 0.3 - 0.05j * n for n in range(1, 5)}), False),
+    ("aff4", HEISENBERG_U, HEISENBERG_V, True),
+    ("aff4", LoopAlgebraElement.single(E, 1), LoopAlgebraElement.single(F, -1),
+     True),
+], ids=["vir8-modes-0-2", "vir8-fallback", "aff4-heisenberg", "aff4-e1-f-1"])
+def test_commutator_matches_dense(request, monkeypatch, module, X, Y,
+                                  cached):
+    rep = request.getfixturevalue(module)
+    calls = counted(monkeypatch, GradedModule, "_generator_commutator")
+    K = rep.commutator(X, Y)
+    assert bool(calls) == cached
+    assert relative_error(K, dense_commutator(rep.pi(X), rep.pi(Y))) < 1e-13
+    h, w = 0.3, 0.7
+    A1, A2 = rep.pi(X), rep.pi(Y)
+    assert relative_error(rep.magnus_exponent(X, Y, h, w),
+                          h * (A1 + A2) + w * dense_commutator(A2, A1)) < 1e-13
+
+
+def stacked_generator(monkeypatch, solve):
+    """The stacked representation that `solve` hands to
+    solve_homogeneous (which is not run)."""
+    seen = []
+
+    def capture(rep, path, xi0, grid, tol):
+        seen.append(rep)
+        return np.zeros((len(grid), rep.dim), dtype=complex)
+
+    monkeypatch.setattr(prodint, "solve_homogeneous", capture)
+    solve()
+    return seen[0]
+
+
+def test_stacked_exponents_match_dense(vir8, monkeypatch):
+    path = oscillating_path(scale=0.5)
+    delta = GeneratorPath(lambda t: real_field({0: 0.1 * t, 2: 0.2 * np.sin(t)}))
+    w_vec = safe_vector(np.random.default_rng(2), vir8, 3)
+    xi0 = np.zeros(vir8.dim, dtype=complex)
+    xi0[0] = 1.0
+    grid = [0.0, 1.0]
+    d = vir8.dim
+    zero = np.zeros((d, d))
+
+    def gateaux(t):
+        P = vir8.pi(path(t))
+        return np.block([[P, zero], [vir8.pi(delta(t)), P]])
+
+    def duhamel(t):
+        S = np.zeros((d + 1, d + 1), dtype=complex)
+        S[1:, 0], S[1:, 1:] = np.cos(2 * t) * w_vec, vir8.pi(path(t))
+        return S
+
+    cases = [
+        (lambda: gateaux_derivative(vir8, path, xi0, delta, grid), gateaux),
+        (lambda: solve_inhomogeneous(vir8, path,
+                                     lambda t: np.cos(2 * t) * w_vec, grid),
+         duhamel),
+    ]
+    h, w = 0.3, 0.7
+    for solve, dense in cases:
+        stacked = stacked_generator(monkeypatch, solve)
+        for t1, t2 in ((0.2, 0.45), (0.9, 0.1)):
+            S1, S2 = dense(t1), dense(t2)
+            want = h * (S1 + S2) + w * dense_commutator(S2, S1)
+            assert relative_error(stacked.magnus_exponent(t1, t2, h, w),
+                                  want) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["vir8", "vir12"])
+def test_step_product_matches_reference_step(request, name):
+    # holonomy_phase's top boundary path, 16 steps
+    rep = request.getfixturevalue(name)
+    path = shrinking_loop_homotopy().boundary_path(1.0)
+    ref = reference_step_product(rep, path, 16)
+    assert np.abs(step_product(rep, path, 16).matrix - ref).max() < 1e-12
+    W = np.eye(rep.dim, int((rep.level_of() <= 3).sum()), dtype=complex)
+    vec = step_product(rep, path, 16, V=W).matrix
+    assert np.abs(vec - ref @ W).max() < 1e-12
+
+
+def test_warm_holonomy_forms_no_dense_commutator(vir8, monkeypatch):
+    hom = shrinking_loop_homotopy()
+    holonomy_phase(vir8, hom)                # fills the commutator cache
+    cached = set(vir8._gen_mats)
+    calls = counted(monkeypatch, GradedModule, "pi", "_combination",
+                    "magnus_exponent")
+    holonomy_phase(vir8, hom)
+    # every step's exponent is one accumulator: no pi matrix, no dense
+    # fallback (it would combine three times), no commutator recomputed
+    assert calls["pi"] == 0
+    assert calls["_combination"] == calls["magnus_exponent"] > 0
+    assert set(vir8._gen_mats) == cached
