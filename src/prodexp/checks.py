@@ -11,7 +11,7 @@ names none of the kind the check needs, names that module in
 `params["module"]` (descriptor JSON; a list when there are several).
 
 Rows are the one place truncation is measured: `leakage` is the
-`_top_fraction` of the final vector a check propagates, or 0.0.
+`_top_fraction` of the final vector a check propagates, or None.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def chk_vir_commutation(ctx):
                                         FourierVectorField({n: 1.0}),
                                         abs(m) + abs(n))
             worst = max(worst, res)
-    return worst, {"window": win, "N": mod.N}, 0.0
+    return worst, {"window": win, "N": mod.N}, None
 
 
 def chk_projective_defect(ctx):
@@ -148,7 +148,7 @@ def chk_projective_defect(ctx):
     mod = ctx.rep("virasoro")
     B, res = _projective_defect(mod, FourierVectorField({2: 1.0, -2: 1.0}),
                                 FourierVectorField({2: 1j, -2: -1j}), 4)
-    return res, {"B": B.real}, 0.0
+    return res, {"B": B.real}, None
 
 
 def chk_loop_projective_defect(ctx):
@@ -159,7 +159,7 @@ def chk_loop_projective_defect(ctx):
     B, res = _projective_defect(
         mod, LoopAlgebraElement({1: (0, 1, 0), -1: (0, -1, 0)}),
         LoopAlgebraElement({1: (0, 1j, 0), -1: (0, 1j, 0)}), 1)
-    return res, {"B": B.real}, 0.0
+    return res, {"B": B.real}, None
 
 
 def chk_vir_gram_exact(ctx):
@@ -171,7 +171,7 @@ def chk_vir_gram_exact(ctx):
     ok = (g1[0][0] == 2 * h
           and g2[0][0] == 4 * h + c / 2          # (L_{-2}, L_{-2})
           and g2[1][1] == 8 * h * h + 4 * h)     # (L_{-1}^2, L_{-1}^2)
-    return (0.0 if ok else 1.0), {"c": str(c), "h": str(h)}, 0.0
+    return (0.0 if ok else 1.0), {"c": str(c), "h": str(h)}, None
 
 
 def chk_vir_unitarity_region(ctx):
@@ -190,7 +190,7 @@ def chk_vir_unitarity_region(ctx):
         bad += 1
     except NotUnitarizable:
         pass
-    return float(bad), {"points": len(points) + 1}, 0.0
+    return float(bad), {"points": len(points) + 1}, None
 
 
 def chk_rotation_phase(ctx):
@@ -208,14 +208,14 @@ def chk_holonomy_phase(ctx):
     mod = ctx.rep("virasoro")
     rep = grouprep.holonomy_phase(mod, grouprep.shrinking_loop_homotopy(k=2))
     return rep.mismatch, {"N": mod.N, "predicted_arg": float(np.angle(rep.predicted)),
-                          "deviation": rep.deviation}, 0.0
+                          "deviation": rep.deviation}, None
 
 
 def chk_holonomy_mobius(ctx):
     """Moebius-span homotopy: holonomy phase 1."""
     mod = ctx.rep("virasoro")
     rep = grouprep.holonomy_phase(mod, grouprep.shrinking_loop_homotopy(k=1))
-    return abs(rep.measured - 1.0), {"N": mod.N}, 0.0
+    return abs(rep.measured - 1.0), {"N": mod.N}, None
 
 
 def chk_up_properties(ctx):
@@ -225,7 +225,7 @@ def chk_up_properties(ctx):
     bounds = {"constant-exponential": 1e-9, "reparametrization": 1e-5,
               "concatenation": 1e-6, "adjoint": 1e-6}
     measured = max(res[k] / bounds[k] for k in bounds)
-    return measured, {k: res[k] for k in sorted(res)}, 0.0
+    return measured, {k: res[k] for k in sorted(res)}, None
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def chk_prodint_convergence_order(ctx):
     errs = [np.linalg.norm(step_product(mod, path, int(n), "left").matrix
                            - ref, 2) for n in ns]
     slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
-    return abs(slope + 1.0), {"slope": slope, "steps": ns.tolist()}, 0.0
+    return abs(slope + 1.0), {"slope": slope, "steps": ns.tolist()}, None
 
 
 def chk_refinement_bound(ctx):
@@ -255,7 +255,7 @@ def chk_refinement_bound(ctx):
     mod = ctx.rep("virasoro")
     P = product_integral(mod, _oscillator(0.05), tol=1e-3, r=0, rule="left")
     ratios = [emp / bnd for _, emp, bnd in P.refinement_error]
-    return max(ratios), {"levels": len(ratios)}, 0.0
+    return max(ratios), {"levels": len(ratios)}, None
 
 
 def chk_dyson_order_scaling(ctx):
@@ -277,7 +277,7 @@ def chk_dyson_order_scaling(ctx):
         s = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
         slopes[f"k{k}"] = s
         worst = max(worst, abs(s - (k + 1)))
-    return worst, slopes, 0.0
+    return worst, slopes, None
 
 
 def chk_ode_norm_conservation(ctx):
@@ -290,16 +290,25 @@ def chk_ode_norm_conservation(ctx):
             {"grid": 17}, _top_fraction(mod, traj[-1]))
 
 
+def _residual(mod, path, grid, traj, eta=lambda t: 0):
+    """max ||xi' - pi(X) xi - eta|| on grid nodes 2..len(grid)-3, xi' by
+    the fourth-order central difference: at h = 1/128 the second-order
+    stencil's own error is about the size of the bound."""
+    h = grid[1] - grid[0]
+    return float(max(np.linalg.norm(
+        (-traj[i + 2] + 8 * traj[i + 1] - 8 * traj[i - 1] + traj[i - 2])
+        / (12 * h) - mod.pi(path(grid[i])) @ traj[i] - eta(grid[i]))
+        for i in range(2, len(grid) - 2)))
+
+
 def chk_ode_residual(ctx):
     mod = ctx.rep("virasoro")
     path = _oscillator(0.3)
+    xi0 = mod.random_vector(ctx.rng("ode-residual"), max_level=mod.N - 3)
     grid = np.linspace(0, 1, 129)
-    traj = solve_homogeneous(mod, path, _omega(mod), grid, tol=1e-9)
-    h = grid[1] - grid[0]
-    worst = max(np.linalg.norm((traj[i + 1] - traj[i - 1]) / (2 * h)
-                               - mod.pi(path(grid[i])) @ traj[i])
-                for i in range(1, len(grid) - 1, 4))
-    return float(worst), {"grid": 129}, _top_fraction(mod, traj[-1])
+    traj = solve_homogeneous(mod, path, xi0, grid, tol=1e-9)
+    return (_residual(mod, path, grid, traj), {"grid": 129},
+            _top_fraction(mod, traj[-1]))
 
 
 def chk_inhomogeneous_residual(ctx):
@@ -308,17 +317,13 @@ def chk_inhomogeneous_residual(ctx):
     w = mod.random_vector(ctx.rng("inhomogeneous-residual"),
                           max_level=mod.N - 3)
     grid = np.linspace(0, 1, 129)
-    J = solve_inhomogeneous(mod, path, lambda t: np.cos(2 * t) * w,
-                            grid, tol=1e-9)
-    h = grid[1] - grid[0]
-    # fourth-order central difference: at h = 1/128 the second-order
-    # stencil's own error is about the size of the bound
-    worst = max(np.linalg.norm((-J[i + 2] + 8 * J[i + 1] - 8 * J[i - 1]
-                                + J[i - 2]) / (12 * h)
-                               - mod.pi(path(grid[i])) @ J[i]
-                               - np.cos(2 * grid[i]) * w)
-                for i in range(2, len(grid) - 2))
-    return float(worst), {"grid": 129}, _top_fraction(mod, J[-1])
+
+    def eta(t):
+        return np.cos(2 * t) * w
+
+    J = solve_inhomogeneous(mod, path, eta, grid, tol=1e-9)
+    return (_residual(mod, path, grid, J, eta), {"grid": 129},
+            _top_fraction(mod, J[-1]))
 
 
 def chk_gateaux_central_difference(ctx):
@@ -327,7 +332,8 @@ def chk_gateaux_central_difference(ctx):
     delta = GeneratorPath(lambda t: FourierVectorField(
         {2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)}), (0, 1))
     grid = np.linspace(0, 1, 65)
-    xi0 = _omega(mod)
+    xi0 = mod.random_vector(ctx.rng("gateaux-central-difference"),
+                            max_level=mod.N - 3)
     traj = gateaux_derivative(mod, path, xi0, delta, grid, tol=1e-9)
     eps = 1e-4
 
@@ -338,7 +344,7 @@ def chk_gateaux_central_difference(ctx):
     minus = solve_homogeneous(mod, shifted(-eps), xi0, grid, tol=1e-10)
     fd = (plus[-1] - minus[-1]) / (2 * eps)
     rel = float(np.linalg.norm(traj[-1] - fd) / np.linalg.norm(fd))
-    return rel, {"eps": eps}, 0.0
+    return rel, {"eps": eps}, _top_fraction(mod, traj[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +374,7 @@ def chk_gw_virasoro_estimate(ctx):
         t = float(rng.choice([0, 0.5, 1, 1.5, -1]))
         if not scale.check_gw_virasoro(mod, X, xi, t).holds:
             violations += 1
-    return float(violations), {"samples": GW_SAMPLES}, 0.0
+    return float(violations), {"samples": GW_SAMPLES}, None
 
 
 def chk_gw_loop_estimate(ctx):
@@ -389,7 +395,7 @@ def chk_gw_loop_estimate(ctx):
         for r in scale.check_gw_loop(mod, X, f, xi, t):
             if not r.holds:
                 violations += 1
-    return float(violations), {"samples": GW_SAMPLES}, 0.0
+    return float(violations), {"samples": GW_SAMPLES}, None
 
 
 def chk_exp_estimate(ctx):
@@ -399,7 +405,7 @@ def chk_exp_estimate(ctx):
     for n in (0, 1, 2):
         if not scale.check_exp_estimate(mod, X, n).holds:
             violations += 1
-    return float(violations), {"orders": [0, 1, 2]}, 0.0
+    return float(violations), {"orders": [0, 1, 2]}, None
 
 
 def chk_exp_difference_estimate(ctx):
@@ -413,7 +419,7 @@ def chk_exp_difference_estimate(ctx):
         for n in (0, 1):
             if not scale.check_exp_difference(mod, X, Y, xi, n).holds:
                 violations += 1
-    return float(violations), {"deltas": [1e-1, 1e-2, 1e-3]}, 0.0
+    return float(violations), {"deltas": [1e-1, 1e-2, 1e-3]}, None
 
 
 def chk_basic_estimates(ctx):
@@ -447,7 +453,7 @@ def chk_basic_estimates(ctx):
         "virasoro": {"c": str(vir.spec.c), "h": str(vir.spec.h), "N": vir.N},
         "sugawara": {"ell": aff.spec.ell, "lam": aff.spec.lam, "N": aff.N},
         "su2": [str(s) for s in su2.spins],
-        "samples": samples, "orders": [0, 1, 2]}, 0.0
+        "samples": samples, "orders": [0, 1, 2]}, None
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +468,7 @@ def chk_sugawara_central_charge(ctx):
     L2, Lm2 = mod.generator_matrix(("L", 2)), mod.generator_matrix(("L", -2))
     comm = np.diag(L2 @ Lm2 - Lm2 @ L2)[mod.level_of() == 0]
     c = 2 * (comm - 4 * float(mod.h0))
-    return float(np.abs(c - want).max()), {"ell": ell, "expected": want}, 0.0
+    return float(np.abs(c - want).max()), {"ell": ell, "expected": want}, None
 
 
 def chk_sugawara_intertwining(ctx):
@@ -477,7 +483,7 @@ def chk_sugawara_intertwining(ctx):
                 M = L @ Xn - Xn @ L + n * mod.generator_matrix(("x", j, m + n))
                 d = _safe_dim(mod, abs(m) + abs(n))
                 worst = max(worst, float(np.abs(M[:d, :d]).max()))
-    return worst, {"N": mod.N}, 0.0
+    return worst, {"N": mod.N}, None
 
 
 def chk_sugawara_lowest_weight(ctx):
@@ -485,7 +491,7 @@ def chk_sugawara_lowest_weight(ctx):
     L0 = mod.generator_matrix(("L", 0))
     eigs = np.linalg.eigvalsh((L0 + L0.conj().T) / 2)
     want = float(mod.h0)
-    return abs(float(eigs.min()) - want), {"h0": want}, 0.0
+    return abs(float(eigs.min()) - want), {"h0": want}, None
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +504,7 @@ def chk_nelson_axis_angle(ctx):
     P = product_integral(rep, GeneratorPath(lambda t: x), tol=1e-10)
     err = float(np.abs(P.matrix - nelson.axis_angle_oracle(rep, x)).max())
     return err, {"spins": [str(s) for s in rep.spins],
-                 "unitarity": P.unitarity_defect()}, 0.0
+                 "unitarity": P.unitarity_defect()}, None
 
 
 def chk_nelson_full_turn(ctx):
@@ -510,7 +516,7 @@ def chk_nelson_full_turn(ctx):
     for sl, s in zip(rep.block_slices(), rep.spins):
         want[sl] = (-1) ** int(2 * s)
     return (float(np.abs(P.matrix - np.diag(want)).max()),
-            {"spins": [str(s) for s in rep.spins]}, 0.0)
+            {"spins": [str(s) for s in rep.spins]}, None)
 
 
 def chk_nelson_assumptions(ctx):
@@ -520,7 +526,7 @@ def chk_nelson_assumptions(ctx):
     comm = max(r["commutator_constant"] for s in rep.spins
                for r in nelson.verify_assumptions(nelson.FinDimRep((s,))))
     return ((comm if finite else float("inf")),
-            {"spins": [str(s) for s in rep.spins]}, 0.0)
+            {"spins": [str(s) for s in rep.spins]}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +540,7 @@ def chk_extension_cocycle(ctx):
     Y = FourierVectorField({2: 1j, -2: -1j})
     rep = grouprep.extension_cocycle_check(mod, chart, Y, X)
     return rep["difference"], {"expected": rep["expected"],
-                               "step": grouprep.COCYCLE_STEP}, 0.0
+                               "step": grouprep.COCYCLE_STEP}, None
 
 
 def chk_local_cocycle_invariance(ctx):
@@ -550,7 +556,7 @@ def chk_local_cocycle_invariance(ctx):
         c = grouprep.local_cocycle(chart, np.exp(1j * a) * Ug,
                                    np.exp(1j * b) * Uh)
         worst = max(worst, abs(c - c0))
-    return worst, {"value_arg": float(np.angle(c0))}, 0.0
+    return worst, {"value_arg": float(np.angle(c0))}, None
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +684,7 @@ def run_check(check_id, ctx):
         measured, params, leakage = func(ctx)
         verdict = "pass" if measured <= bound else "fail"
     except Exception as exc:                      # failed row, not a crash
-        measured, params, leakage = None, {"error": f"{type(exc).__name__}: {exc}"}, 0.0
+        measured, params, leakage = None, {"error": f"{type(exc).__name__}: {exc}"}, None
         verdict = "error"
     wall = time.perf_counter() - t0
     if ctx.substituted:

@@ -286,11 +286,10 @@ def sweep(descriptor, param, values, cache=None):
         report = execute(d, cache=cache)
         ok = ok and report_passed(report)
         for row in report["rows"]:
-            w.writerow([param, val, row["check"],
-                        "" if row["measured"] is None
-                        else repr(float(row["measured"])),
-                        repr(row["bound"]), row["verdict"],
-                        repr(row["leakage"])])
+            m, leak = ("" if v is None else repr(float(v))
+                       for v in (row["measured"], row["leakage"]))
+            w.writerow([param, val, row["check"], m, repr(row["bound"]),
+                        row["verdict"], leak])
             per_check.setdefault(row["check"], []).append(
                 (val, row["measured"]))
     # fit metadata where value and measured are positive numbers: the

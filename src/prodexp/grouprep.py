@@ -53,8 +53,9 @@ class OutsideChart(ValueError):
 # checkers' flatness and boundary tolerances, nodes per axis and the
 # curvature's Sobolev order; the stopping tolerance of holonomy_phase's
 # Gauss node doubling; the finest grid on which `_certify_monotone`
-# tries to settle phi' > 0; the smallest |(U xi, xi)| of a phase chart;
-# the finite-difference step of `extension_cocycle_check`
+# tries to settle phi' > 0; the share of the norm `log_derivative` may
+# drop; the smallest |(U xi, xi)| of a phase chart; the finite-difference
+# step of `extension_cocycle_check`
 ROOT_TOL = 1e-12
 ROOT_MAXITER = 100
 CURVATURE_TOL = 1e-6
@@ -63,6 +64,7 @@ CHECKER_NODES = 9
 CURVATURE_ORDER = 1.0
 QUAD_TOL = 1e-6
 MONOTONE_MAX_GRID = 2 ** 16
+SPECTRAL_TAIL = 1e-9
 CHART_THRESHOLD = 1e-12
 COCYCLE_STEP = 1e-3
 
@@ -185,6 +187,7 @@ def log_derivative(path):
     two) and kept to modes |n| <= M/4; phi_t^{-1} is evaluated at all
     nodes at once by `circle_inverse`'s bracketed Newton solve, after
     `_certify_monotone` has shown phi_t' > 0 between the nodes too.
+    ValueError when the dropped modes carry over SPECTRAL_TAIL of the norm.
     """
     M = path.grid_size
     max_modes = max(M // 4, 1)
@@ -203,12 +206,14 @@ def log_derivative(path):
         if np.abs(samples.imag).max() > 1e-9 * (1 + np.abs(samples).max()):
             raise ValueError("time derivative is not real-valued")
         fft = np.fft.fft(samples.real) / M
-        coeffs = {}
-        for n in range(-max_modes, max_modes + 1):
-            a = fft[n % M]
-            if abs(a) > 1e-14:
-                coeffs[n] = complex(a)
-        out = FourierVectorField(coeffs)
+        modes = range(-max_modes, max_modes + 1)
+        tail = np.linalg.norm(np.delete(fft, [n % M for n in modes]))
+        if tail > SPECTRAL_TAIL * np.linalg.norm(fft):
+            raise ValueError(f"log_derivative at t={t}: the modes above M/4 "
+                             f"of the M={M} grid carry "
+                             f"{tail / np.linalg.norm(fft):.3g} of its norm")
+        out = FourierVectorField({n: complex(fft[n % M]) for n in modes
+                                  if abs(fft[n % M]) > 1e-14})
         cache[t] = out
         return out
 

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import hashlib
+import itertools
 import json
 import math
 
@@ -852,41 +853,27 @@ class GradedModule:
             C = self._gen_mats[g, g2] = G @ G2 - G2 @ G
         return C
 
-    def _bracket_form(self, linear, x, y, w=1.0):
-        """sum_g linear[g] G_g + w [sum_k x_k G_k, sum_l y_l G_l] as one
-        combination: the bracket is the sum over generator pairs k < l of
-        (x_k y_l - x_l y_k) [G_k, G_l], each pair's commutator cached.
-        Broad elements (a `log_derivative` field carries up to 65 modes)
-        take two dense products instead: for two fields of m modes the
-        cached commutators were the faster up to m^2 of about 60, 85 and
-        115 at dim 25, 70 and 169 (2 CPUs, one BLAS thread), hence the
-        cut at 2/3 dim, which the largest dim sets."""
-        terms = self._generator_terms(linear)
-        if 3 * len(x) * len(y) > 2 * self.dim:
-            X = self._combination(self._generator_terms(x))
-            Y = self._combination(self._generator_terms(y))
-            return self._combination(terms) + w * (X @ Y - Y @ X)
-        keys = sorted(x.keys() | y.keys())
-        for i, k in enumerate(keys):
-            xk, yk = x.get(k, 0), y.get(k, 0)
-            for l in keys[i + 1:]:
-                a = xk * y.get(l, 0) - x.get(l, 0) * yk
-                if a:
-                    terms.append((w * a, self._generator_commutator(k, l)))
-        return self._combination(terms)
-
-    def commutator(self, X, Y):
-        """[pi(X), pi(Y)] from the cached generator commutators."""
-        return self._bracket_form({}, self.coefficients(X),
-                                  self.coefficients(Y))
-
     def magnus_exponent(self, X1, X2, h, w):
         """h (pi(X1) + pi(X2)) + w [pi(X2), pi(X1)], the exponent of a
-        magnus4 step: one combination of the generator matrices of both
-        elements and their cached commutators (`_bracket_form`)."""
+        magnus4 step, as one combination: the bracket is the sum over
+        generator pairs k < l of (x2_k x1_l - x2_l x1_k) [G_k, G_l], each
+        pair's commutator cached.  Broad elements (a `log_derivative`
+        field carries up to 65 modes) take two dense products instead:
+        for two fields of m modes the cached commutators were the faster
+        up to m^2 of about 60, 85 and 115 at dim 25, 70 and 169 (2 CPUs,
+        one BLAS thread), hence the cut at 2/3 dim, which the largest dim
+        sets."""
         x1, x2 = self.coefficients(X1), self.coefficients(X2)
-        linear = {g: h * (x1.get(g, 0) + x2.get(g, 0)) for g in {**x1, **x2}}
-        return self._bracket_form(linear, x2, x1, w)
+        terms = self._generator_terms(
+            {g: h * (x1.get(g, 0) + x2.get(g, 0)) for g in {**x1, **x2}})
+        if 3 * len(x1) * len(x2) > 2 * self.dim:
+            A1, A2 = self.pi(X1), self.pi(X2)
+            return self._combination(terms) + w * (A2 @ A1 - A1 @ A2)
+        for k, l in itertools.combinations(sorted(x1.keys() | x2.keys()), 2):
+            a = x2.get(k, 0) * x1.get(l, 0) - x2.get(l, 0) * x1.get(k, 0)
+            if a:
+                terms.append((w * a, self._generator_commutator(k, l)))
+        return self._combination(terms)
 
     @property
     def central_charge(self):

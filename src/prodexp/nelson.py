@@ -83,14 +83,10 @@ class FinDimRep:
         x = np.asarray(x, dtype=float)
         return x[0] * G[0] + x[1] * G[1] + x[2] * G[2]
 
-    def commutator(self, x, y):
-        """[pi(x), pi(y)] = pi(x cross y): the structure constants are
-        eps_{ijk}."""
-        return self.pi(np.cross(x, y))
-
     def magnus_exponent(self, x1, x2, h, w):
         """h (pi(x1) + pi(x2)) + w [pi(x2), pi(x1)], the exponent of a
-        magnus4 step, as the single element h (x1 + x2) + w x2 cross x1."""
+        magnus4 step, as the one element h (x1 + x2) + w x2 cross x1, since
+        [pi(x), pi(y)] = pi(x cross y) (structure constants eps_{ijk})."""
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
         return self.pi(h * (x1 + x2) + w * np.cross(x2, x1))
 

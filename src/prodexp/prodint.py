@@ -31,7 +31,9 @@ with no dim x dim product where the algebra allows.  Since pi is linear,
 graded module sums cached generator commutators [G_k, G_l] with their
 coefficients, in one accumulator with the G_k terms; on su(2)
 [pi(x), pi(y)] = pi(x cross y), so Omega is one pi; and the stacked
-generators of the Duhamel and Gateaux solvers assemble it from blocks.
+generators of the Duhamel and Gateaux solvers assemble it from blocks
+that are exponents of the representation, the Gateaux coupling block as
+the polarization (Omega(X_i + D_i) - Omega(X_i - D_i)) / 2 along D.
 It is the same matrix in both modes of forming a product:
 
 * dense: the dim x dim propagator, each step multiplied on as
@@ -331,7 +333,8 @@ def _stacked_tail(rep, blocks, head0, head_weights, grid, tol):
     magnus4 exponent h (S(t1) + S(t2)) + w [S(t2), S(t1)].  Its diagonal
     blocks are the exponents of T and P, and its coupling block is
     h (C_1 + C_2) + w (C_2 T_1 - C_1 T_2 + P_2 C_1 - P_1 C_2), so no
-    product of stacked matrices is formed."""
+    product of stacked matrices is formed.  When T = P the coupling
+    block is P's exponent polarized along C (`gateaux_derivative`)."""
     k = len(head0)
     weights = np.concatenate([head_weights, rep.a_diag()])
 
@@ -351,13 +354,13 @@ def solve_inhomogeneous(rep, path, eta, grid, tol=1e-8):
     """J(t) = int_{t_0}^t Prod_{t>=tau>=s} Exp(X dtau) eta(s) ds: the tail
     of (tau, J) from (1, 0) under [[0, 0], [eta(t), pi(X(t))]].  With
     T = 0 the exponent's coupling block is h (eta_1 + eta_2)
-    + w (P_2 eta_1 - P_1 eta_2)."""
+    + w (P_2 eta_1 - P_1 eta_2), and its bottom block X's own."""
     def blocks(t1, t2, h, w):
         X1, X2 = path(t1), path(t2)
         P1, P2 = rep.pi(X1), rep.pi(X2)
         e1, e2 = np.asarray(eta(t1)), np.asarray(eta(t2))
         return (0, (h * (e1 + e2) + w * (P2 @ e1 - P1 @ e2))[:, None],
-                h * (P1 + P2) + w * rep.commutator(X2, X1))
+                rep.magnus_exponent(X1, X2, h, w))
 
     return _stacked_tail(rep, blocks, [1.0], [_TAU_WEIGHT], grid, tol)
 
@@ -367,13 +370,14 @@ def gateaux_derivative(rep, path, xi0, direction, grid, tol=1e-8):
     `direction`, J' = pi(X) J + pi(direction) xi: the tail of the
     variational system (xi, J) from (xi0, 0) under
     [[pi(X), 0], [pi(direction(t)), pi(X(t))]].  With T = P both
-    diagonal blocks of the exponent are X's own, and the coupling
-    block's bracket is [pi(D_2), pi(X_1)] + [pi(X_2), pi(D_1)]."""
+    diagonal blocks are X's exponent M(X_1, X_2), and the coupling block,
+    M's derivative along D, is exactly the polarization
+    (M(X_1 + D_1, X_2 + D_2) - M(X_1 - D_1, X_2 - D_2)) / 2: M is quadratic."""
     def blocks(t1, t2, h, w):
         X1, X2, D1, D2 = path(t1), path(t2), direction(t1), direction(t2)
         P = rep.magnus_exponent(X1, X2, h, w)
-        return P, h * rep.pi(D1 + D2) + w * (
-            rep.commutator(D2, X1) + rep.commutator(X2, D1)), P
+        return P, (rep.magnus_exponent(X1 + D1, X2 + D2, h, w)
+                   - rep.magnus_exponent(X1 - D1, X2 - D2, h, w)) / 2, P
 
     return _stacked_tail(rep, blocks, xi0, rep.a_diag(), grid, tol)
 

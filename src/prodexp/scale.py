@@ -5,7 +5,8 @@ operator estimates.
 affine with the Sugawara L_n) or the su(2) testbed's FinDimRep.  Each
 provides
 
-* `dim` and `pi(element) -> dim x dim matrix` of an algebra element;
+* `dim`, `pi(element) -> dim x dim matrix` of an algebra element, and
+  `magnus_exponent(X1, X2, h, w)`, a magnus4 step's exponent;
 * `a_diag()`, the diagonal of A in the working basis (A is diagonal
   throughout), and `level_of()`, the grading level of each coordinate;
 * `seminorm(X, t)` and `a_seminorm(X, t)`, the representation's own
@@ -16,8 +17,8 @@ A module's |X|_t is Goodman and Wallach's: `gw_virasoro_seminorm` on a
 Virasoro module, and on an affine sl2 module `gw_loop_seminorm` of a loop
 element or `gw_field_seminorm` of a vector field.
 
-Module representations add `N`, `safe_dim(depth)` and `central_charge`
-(`check_gw_virasoro` reads it).
+Module representations add `N`, `safe_dim(depth)`, `central_charge`
+(`check_gw_virasoro` reads it) and `projective_cocycle` (holonomy reads it).
 """
 
 from __future__ import annotations

@@ -228,13 +228,13 @@ def test_cache_correctness(tmp_path):
 PINNED_DIGESTS = {
     "virasoro": (
         {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8},
-        "41cfb817bf1e5e0ee31b95a3c68ae66778bac5cfdfdd5a53ee9fe582f8aaf983"),
+        "1a36f29557eebc975ba3c12b48af3f1a104309252fbb56b93652bebc1d29c462"),
     "affine": (
         {"kind": "affine_sl2", "ell": 1, "lam": 1, "N": 4},
-        "4ebb18f36b78781fb89ef418490206896d01f9e755534f0a356024ec1f4695a9"),
+        "61429255a60b25f515bd175859d317a7b5087b8a5aefc77c0f1c991904e363da"),
     "su2": (
         {"kind": "su2", "spins": ["1", "1/2"]},
-        "2b66db0e8c61909b5b7ce7b10df9724a9f9a30cc303bba7fecc850d4d6060622"),
+        "857f69052275df1dd41db3ee24af16c628f51ea8bc404ccc9e8ae902f2d63f90"),
 }
 
 
@@ -264,6 +264,8 @@ def test_sweep_csv(tmp_path, cache_dir, capsys):
     assert len(body) == 2              # one row per value
     assert all(l.split(",")[0] == "module.N" for l in body)
     assert any("loglog_slope" in l and "vir-commutation" in l for l in meta)
+    # the row propagates no vector: its leakage field is empty
+    assert all(l.split(",")[-1] == "" for l in body)
 
 
 def test_sweep_csv_measured_values_are_plain_floats(tmp_path, cache_dir,
@@ -399,15 +401,18 @@ def test_basic_estimates_pass(module, cache_dir):
 
 
 def test_samples_outside_the_truncation_are_error_rows(cache_dir):
-    # at N=2 these checks ask for vectors on levels up to N-4, N-3 and N-3
+    # at N=2 these checks ask for vectors on levels up to N-4, N-3, N-3,
+    # N-3 and N-3
     desc = cli.validate_descriptor({
         "name": "n2", "seed": 7,
         "module": {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 2},
         "checks": ["ode-norm-conservation", "gw-virasoro-estimate",
-                   "inhomogeneous-residual"]})
+                   "inhomogeneous-residual", "ode-residual",
+                   "gateaux-central-difference"]})
     report = cli.execute(desc, cache=cli.ModuleCache(cache_dir))
     for row in report["rows"]:
         assert row["verdict"] == "error", row
+        assert row["leakage"] is None, row
         assert "max_level" in row["params"]["error"], row
         assert "N=2" in row["params"]["error"], row
 
@@ -456,6 +461,34 @@ def test_substituted_module_is_named_in_params(cache_dir):
         assert row["params"].get("module") == want, (module, cid, row)
         for m in want if isinstance(want, list) else [want] * bool(want):
             assert cli.parse_module_spec(m).descriptor() == m
+
+
+# the rows that propagate a vector and report its leakage
+LEAKAGE_ROWS = {"rotation-phase", "ode-norm-conservation", "ode-residual",
+                "inhomogeneous-residual", "gateaux-central-difference"}
+
+
+def test_leakage_is_null_where_nothing_is_measured(cache_dir):
+    desc = cli.validate_descriptor({"seed": 7,
+                                    "checks": list(checks.CATALOG)})
+    report = cli.execute(desc, cache=cli.ModuleCache(cache_dir))
+    for row in report["rows"]:
+        if row["check"] in LEAKAGE_ROWS:
+            # rotation-phase measures none: a rotation keeps each level
+            assert 0 <= row["leakage"] < 1, row
+        else:
+            assert row["leakage"] is None, row
+
+
+def test_solver_rows_draw_their_start_vector(cache_dir):
+    # each seed propagates another vector, so it measures another value
+    for cid in ("ode-residual", "gateaux-central-difference"):
+        rows = [checks.run_check(cid, checks.CheckContext(
+                    seed=seed, cache=cli.ModuleCache(cache_dir)))
+                for seed in (0, 1)]
+        assert all(row["verdict"] == "pass" for row in rows), rows
+        assert rows[0]["measured"] != rows[1]["measured"], rows
+        assert rows[0]["leakage"] != rows[1]["leakage"], rows
 
 
 @pytest.mark.parametrize("seed", [12, 19, 29, 65, 70, 72, 89])

@@ -99,7 +99,10 @@ def test_log_derivative_nonmonotone():
     path = CirclePath(coeff=lambda t: {1: 0.6 * t, -1: 0.6 * t},
                       dcoeff=lambda t: {1: 0.6, -1: 0.6}, grid_size=64)
     gen = log_derivative(path)
-    gen(0.5)                       # phi' = 1 - 1.2 t sin(theta): still fine
+    # phi' = 1 - 1.2 t sin(theta) is certified positive at t = 0.5, and
+    # the 64-point grid then leaves 1.8e-4 of X(0.5) above M/4
+    with pytest.raises(ValueError, match="modes above M/4"):
+        gen(0.5)
     with pytest.raises(NonMonotone):
         gen(1.0)
 
@@ -111,12 +114,24 @@ def test_log_derivative_nonmonotone_between_nodes(monkeypatch):
                       dcoeff=lambda t: {64: -0.05j, -64: 0.05j},
                       grid_size=64)
     gen = log_derivative(path)
-    gen(0.1)                       # min 0.36, settled on 512 nodes
+    # min 0.36, settled on 512 nodes; the 64-point grid cannot resolve
+    # mode 64, which the spectral cut then reports
+    with pytest.raises(ValueError, match="modes above M/4"):
+        gen(0.1)
     with pytest.raises(NonMonotone, match="<= 0"):
         gen(1.0)                   # min -5.4
     monkeypatch.setattr(grouprep, "MONOTONE_MAX_GRID", 256)
     with pytest.raises(NonMonotone, match="not certified"):
         log_derivative(path)(0.1)
+
+
+def test_log_derivative_spectral_tail():
+    # phi = theta - 0.002 t sin(40 theta): modes +-40 sit above M/4 = 32 of
+    # the default 128-point grid, so the cut would drop all of X(t)
+    path = CirclePath(coeff=lambda t: {40: 0.001j * t, -40: -0.001j * t},
+                      dcoeff=lambda t: {40: 0.001j, -40: -0.001j})
+    with pytest.raises(ValueError, match=r"t=0\.5: .* M=128 .* carry 1 of"):
+        log_derivative(path)(0.5)
 
 
 @pytest.mark.parametrize("path", [mobius_diffeo(0.2), odd_mode_diffeo()],

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in it, every
-private module-level name of the package is read somewhere in it, and
-every name the benchmark's span tracer patches still exists.
+private module-level name of the package is read somewhere in it, every
+name the benchmark's span tracer patches still exists, and the
+consumers of a representation read only the protocol's members.
 
 A stdlib `ast` scan of the package and the test modules; an unused
 import or an unread private helper is dead code, and the first also
@@ -12,6 +13,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from prodexp.nelson import FinDimRep
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/prodexp/*.py"))
@@ -139,3 +142,33 @@ def test_traced_names_exist():
         if owner is None:
             missing.append(".".join((mod, *path)))
     assert not missing, f"names perfbench/spans.py traces are gone: {missing}"
+
+
+# the representation protocol: what the consumers read off a
+# representation, and the members only a module has (`scale` docstring)
+CONSUMERS = ("prodint", "grouprep", "scale")
+PROTOCOL = {"dim", "pi", "magnus_exponent", "a_diag", "level_of",
+            "seminorm", "a_seminorm", "central_charge", "projective_cocycle"}
+MODULE_ONLY = {"central_charge", "projective_cocycle"}
+
+
+def protocol_reads(source):
+    """Attributes read off a name `rep` or `module` in the source."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("rep", "module")}
+
+
+def test_consumers_read_only_the_protocol(vir8):
+    reads = set().union(*(
+        protocol_reads((ROOT / "src" / "prodexp" / f"{mod}.py").read_text())
+        for mod in CONSUMERS))
+    assert reads == PROTOCOL
+    su2 = FinDimRep(("1/2", "3/2"))
+    missing = sorted((type(rep).__name__, name) for name in reads
+                     for rep in (vir8, su2)
+                     if not hasattr(rep, name)
+                     and not (rep is su2 and name in MODULE_ONLY))
+    assert not missing, f"protocol members missing: {missing}"
