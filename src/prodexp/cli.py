@@ -171,6 +171,8 @@ def validate_descriptor(data):
     }
     if not isinstance(out["name"], str):
         raise DescriptorError("name: expected a string")
+    if not isinstance(out["output"], (str, type(None))):
+        raise DescriptorError("output: expected a string")
     _integer(out["seed"], "seed")
     if not isinstance(out["checks"], list):
         raise DescriptorError("checks: expected a list of check ids")

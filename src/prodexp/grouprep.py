@@ -24,6 +24,7 @@ flow loop and is frozen here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -51,11 +52,11 @@ class OutsideChart(ValueError):
 # the largest last update, and the iteration cap, of the bracketed
 # Newton solve for phi_t^{-1} in `circle_inverse`; the homotopy
 # checkers' flatness and boundary tolerances, nodes per axis and the
-# curvature's Sobolev order; the stopping tolerance of holonomy_phase's
-# Gauss node doubling; the finest grid on which `_certify_monotone`
-# tries to settle phi' > 0; the share of the norm `log_derivative` may
-# drop; the smallest |(U xi, xi)| of a phase chart; the finite-difference
-# step of `extension_cocycle_check`
+# curvature's Sobolev order; the stopping tolerance, and the cap on the
+# nodes per axis, of holonomy_phase's Gauss node doubling; the finest
+# grid `log_derivative` doubles to while it settles phi' > 0 and the
+# share of the norm it may drop; the smallest |(U xi, xi)| of a phase
+# chart; the finite-difference step of `extension_cocycle_check`
 ROOT_TOL = 1e-12
 ROOT_MAXITER = 100
 CURVATURE_TOL = 1e-6
@@ -63,7 +64,8 @@ BOUNDARY_TOL = 1e-10
 CHECKER_NODES = 9
 CURVATURE_ORDER = 1.0
 QUAD_TOL = 1e-6
-MONOTONE_MAX_GRID = 2 ** 16
+QUAD_MAX_NODES = 160
+MAX_GRID = 2 ** 16
 SPECTRAL_TAIL = 1e-9
 CHART_THRESHOLD = 1e-12
 COCYCLE_STEP = 1e-3
@@ -99,15 +101,11 @@ class CirclePath:
     # the only form; perfbench's span tracer reads it
     form = "diffeo"
 
-    def __init__(self, coeff, dcoeff, grid_size=128):
+    def __init__(self, coeff, dcoeff):
         if dcoeff is None:
             raise ValueError("a circle path requires the dcoeff contract")
-        if grid_size < 1 or grid_size & (grid_size - 1):
-            raise ValueError(
-                f"grid_size must be a positive power of two, got {grid_size}")
         self.coeff = coeff
         self.dcoeff = dcoeff
-        self.grid_size = int(grid_size)
         c0 = coeff(0.0)
         if any(abs(complex(v)) > 1e-12 for v in c0.values()):
             raise ValueError("phi(0, .) must be the identity")
@@ -116,7 +114,7 @@ class CirclePath:
     def rotation(cls, angle):
         """Constant-speed rigid rotation by `angle` over [0, 1]."""
         return cls(coeff=lambda t: {0: angle * t},
-                   dcoeff=lambda t: {0: angle}, grid_size=8)
+                   dcoeff=lambda t: {0: angle})
 
 
 def circle_inverse(coeffs, theta, t):
@@ -148,34 +146,23 @@ def circle_inverse(coeffs, theta, t):
                      f"{ROOT_MAXITER} iterations (worst residual {worst:.3e})")
 
 
-def _certify_monotone(coeffs, M, t):
-    """Raise NonMonotone unless phi' > 0 on the whole circle.
+def _monotone_margin(coeffs, theta, t):
+    """A lower bound on phi' over the whole circle, from the uniform grid
+    `theta`; NonMonotone if phi' <= 0 at a node.
 
     phi' - 1 = Re sum_n i n c_n e^{ins} is a trigonometric polynomial of
     degree K = max |n| and sup norm at most S = sum_n |n c_n|, so by
     Bernstein's inequality its derivative is at most K S, and every
-    angle lies within pi/M of a node of the uniform M-point grid:
-    min phi' >= min_grid phi' - (pi/M) K S.  While that bound is not
-    positive, the grid is doubled, until the bound is positive or a node
-    has phi' <= 0; past MONOTONE_MAX_GRID nodes phi' counts as not
-    certified positive.
+    angle lies within pi/M of a node of the M-point grid:
+    min phi' >= min_grid phi' - (pi/M) K S.
     """
     dcoeffs = {n: 1j * n * v for n, v in coeffs.items()}
     K = max((abs(n) for n in coeffs), default=0)
     slack = np.pi * K * sum(abs(complex(v)) for v in dcoeffs.values())
-    while True:
-        theta = 2 * np.pi * np.arange(M) / M
-        low = (1.0 + _eval_series(dcoeffs, theta).real).min()
-        if low <= 0:
-            raise NonMonotone(f"phi'(t={t}) = {low:.3e} <= 0 at some node")
-        if low - slack / M > 0:
-            return
-        if M >= MONOTONE_MAX_GRID:
-            raise NonMonotone(
-                f"phi'(t={t}) not certified positive: node minimum "
-                f"{low:.3e} within the Bernstein slack {slack / M:.3e} "
-                f"on {M} nodes")
-        M *= 2
+    low = (1.0 + _eval_series(dcoeffs, theta).real).min()
+    if low <= 0:
+        raise NonMonotone(f"phi'(t={t}) = {low:.3e} <= 0 at some node")
+    return low - slack / len(theta)
 
 
 def log_derivative(path):
@@ -183,39 +170,43 @@ def log_derivative(path):
     [0, 1].
 
     X(t)(theta) = d_t phi(t, phi_t^{-1}(theta)) d/dtheta, fitted
-    spectrally on a uniform M-point theta grid (M = grid_size, a power of
-    two) and kept to modes |n| <= M/4; phi_t^{-1} is evaluated at all
-    nodes at once by `circle_inverse`'s bracketed Newton solve, after
-    `_certify_monotone` has shown phi_t' > 0 between the nodes too.
-    ValueError when the dropped modes carry over SPECTRAL_TAIL of the norm.
+    spectrally on a uniform M-point theta grid (phi_t^{-1} at all nodes
+    by `circle_inverse`) and kept to modes |n| <= M/4.  For each t, M
+    starts at the least power of two, at least 8, above 4K (K the largest
+    mode of coeff(t) and dcoeff(t), so no mode aliases into the kept
+    band) and doubles until one grid both certifies phi_t' > 0 by
+    `_monotone_margin` and drops at most SPECTRAL_TAIL of the samples'
+    norm.  Past MAX_GRID nodes: NonMonotone if the certificate failed,
+    else ValueError naming t, M and the dropped share.
     """
-    M = path.grid_size
-    max_modes = max(M // 4, 1)
-    theta = 2 * np.pi * np.arange(M) / M
-    cache = {}
-
+    @cache
     def func(t):
-        t = float(t)
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        c = path.coeff(t)
-        dc = path.dcoeff(t)
-        _certify_monotone(c, M, t)
-        samples = _eval_series(dc, circle_inverse(c, theta, t))
-        if np.abs(samples.imag).max() > 1e-9 * (1 + np.abs(samples).max()):
-            raise ValueError("time derivative is not real-valued")
-        fft = np.fft.fft(samples.real) / M
-        modes = range(-max_modes, max_modes + 1)
-        tail = np.linalg.norm(np.delete(fft, [n % M for n in modes]))
-        if tail > SPECTRAL_TAIL * np.linalg.norm(fft):
-            raise ValueError(f"log_derivative at t={t}: the modes above M/4 "
-                             f"of the M={M} grid carry "
-                             f"{tail / np.linalg.norm(fft):.3g} of its norm")
-        out = FourierVectorField({n: complex(fft[n % M]) for n in modes
-                                  if abs(fft[n % M]) > 1e-14})
-        cache[t] = out
-        return out
+        c, dc = path.coeff(t), path.dcoeff(t)
+        K = max((abs(n) for n in (*c, *dc)), default=0)
+        M = max(8, 1 << (4 * K).bit_length())
+        while True:
+            theta = 2 * np.pi * np.arange(M) / M
+            margin = _monotone_margin(c, theta, t)
+            if margin > 0:
+                samples = _eval_series(dc, circle_inverse(c, theta, t))
+                if (np.abs(samples.imag).max()
+                        > 1e-9 * (1 + np.abs(samples).max())):
+                    raise ValueError("time derivative is not real-valued")
+                fft = np.fft.fft(samples.real) / M
+                modes = range(-(M // 4), M // 4 + 1)
+                share = (np.linalg.norm(np.delete(fft, [n % M for n in modes]))
+                         / (np.linalg.norm(fft) or 1.0))
+                if share <= SPECTRAL_TAIL:
+                    return FourierVectorField({
+                        n: complex(fft[n % M]) for n in modes
+                        if abs(fft[n % M]) > 1e-14})
+            if M >= MAX_GRID:
+                if margin <= 0:
+                    raise NonMonotone(f"phi'(t={t}) not certified positive "
+                                      f"on {M} nodes: bound {margin:.3e}")
+                raise ValueError(f"log_derivative at t={t}: the modes above "
+                                 f"M/4 on M={M} carry {share:.3g} of the norm")
+            M *= 2
 
     return GeneratorPath(func, (0.0, 1.0))
 
@@ -356,13 +347,15 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7):
     by the tensor Gauss-Legendre rule with 5, 10, 20, ... nodes per axis
     until two successive values agree to QUAD_TOL (the last, finer one is
     kept, so for an analytic integrand its error is far below QUAD_TOL);
-    a non-finite value raises ValueError naming the nodes per axis.  The
-    measurement is the scalar part of U_{p_1} U_{p_0}^{-1} on the fixed
-    comparison window of levels 0..window (fixed so that truncation
-    sweeps over N compare like with like), where p_y is the horizontal
-    boundary path x -> X_1(x, y), each integrated with the fourth-order
-    Magnus rule.  Only the window columns are propagated: through the
-    reversed p_0, whose propagator is U_{p_0}^{-1}, and then through p_1.
+    a non-finite value, or two values at QUAD_MAX_NODES and half as many
+    nodes per axis that still differ, raises ValueError naming the nodes
+    per axis.  The measurement is the scalar part of U_{p_1} U_{p_0}^{-1}
+    on the fixed comparison window of levels 0..window (fixed so that
+    truncation sweeps over N compare like with like), where p_y is the
+    horizontal boundary path x -> X_1(x, y), each integrated with the
+    fourth-order Magnus rule.  Only the window columns are propagated:
+    through the reversed p_0, whose propagator is U_{p_0}^{-1}, and then
+    through p_1.
     """
     bnd = homotopy.boundary_residual()
     if not bnd <= BOUNDARY_TOL:                 # nan fails too
@@ -383,6 +376,9 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7):
         I, prev = _gauss_2d(integrand, n), I
         if abs(I - prev) < QUAD_TOL:
             break
+        if n >= QUAD_MAX_NODES:
+            raise ValueError(f"Gauss values {prev!r} and {I!r} at {n // 2} "
+                             f"and {n} nodes per axis differ by over QUAD_TOL")
     predicted = complex(np.exp(1j * I))
 
     d = int((rep.level_of() <= window).sum())

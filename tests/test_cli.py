@@ -125,6 +125,7 @@ def test_validation_errors_name_the_field(tmp_path, cache_dir, capsys):
         ({"name": 3, "checks": []}, "name"),
         ({"name": "x", "checks": [], "seed": "seven"}, "seed"),
         ({"name": "x", "checks": [], "seed": True}, "seed"),
+        ({"name": "x", "checks": [], "output": 5}, "output"),
         ({"name": "x", "checks": [], "tolerances": {"vir-commutation": True}},
          "tolerances.vir-commutation"),
         ({"name": "x", "checks": [],
@@ -606,8 +607,7 @@ prodexp.cli.main(["--cache-dir", sys.argv[1], "build-module",
 loaded.append("scipy.optimize" in sys.modules)
 from prodexp.grouprep import CirclePath, log_derivative
 log_derivative(CirclePath(coeff=lambda t: {1: 0.1 * t, -1: 0.1 * t},
-                          dcoeff=lambda t: {1: 0.1, -1: 0.1},
-                          grid_size=64))(0.5)
+                          dcoeff=lambda t: {1: 0.1, -1: 0.1}))(0.5)
 loaded.append("scipy.optimize" in sys.modules)
 print(loaded)
 """

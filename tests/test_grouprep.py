@@ -23,21 +23,40 @@ from prodexp.prodint import GeneratorPath, product_integral
 from prodexp.scale import SobolevScale
 
 
-def mobius_diffeo(eps=0.2, grid_size=64):
+def mobius_diffeo(eps=0.2):
     """phi(t, theta) = theta + t * eps * sin(theta)."""
     return CirclePath(
         coeff=lambda t: {1: -0.5j * eps * t, -1: 0.5j * eps * t},
-        dcoeff=lambda t: {1: -0.5j * eps, -1: 0.5j * eps},
-        grid_size=grid_size)
+        dcoeff=lambda t: {1: -0.5j * eps, -1: 0.5j * eps})
 
 
-def odd_mode_diffeo(grid_size=128):
+def odd_mode_diffeo():
     """phi(t, theta) = theta + t (0.2 cos(theta) + 0.06 sin(3 theta))."""
     return CirclePath(
         coeff=lambda t: {1: 0.1 * t, -1: 0.1 * t,
                          3: -0.03j * t, -3: 0.03j * t},
-        dcoeff=lambda t: {1: 0.1, -1: 0.1, 3: -0.03j, -3: 0.03j},
-        grid_size=grid_size)
+        dcoeff=lambda t: {1: 0.1, -1: 0.1, 3: -0.03j, -3: 0.03j})
+
+
+def max_velocity_error(X, t, velocity):
+    """max over s of |X(t)(phi(t, s)) - d_t phi(t, s)|, phi(t, s) =
+    s + t velocity(s) on 101 angles."""
+    s = np.linspace(0.0, 2 * np.pi, 101)
+    angle = s + t * velocity(s)
+    val = sum(c * np.exp(1j * n * angle) for n, c in X.coeffs.items())
+    return np.abs(val - velocity(s)).max()
+
+
+def grids_used(monkeypatch):
+    """The node counts of every `circle_inverse` call from now on."""
+    sizes = []
+    inverse = grouprep.circle_inverse
+
+    def spy(coeffs, theta, t):
+        sizes.append(len(theta))
+        return inverse(coeffs, theta, t)
+    monkeypatch.setattr(grouprep, "circle_inverse", spy)
+    return sizes
 
 
 def oscillator(scale=0.25):
@@ -54,21 +73,22 @@ def oscillator(scale=0.25):
 def test_circle_path_validation():
     with pytest.raises(TypeError):
         CirclePath()
+    with pytest.raises(TypeError):         # two callables, no grid knob
+        CirclePath(lambda t: {}, lambda t: {}, 64)
     with pytest.raises(ValueError):
         CirclePath(coeff=lambda t: {0: 1.0}, dcoeff=None)
-    for bad in (48, 0, -4):
-        with pytest.raises(ValueError, match="grid_size"):
-            CirclePath(coeff=lambda t: {}, dcoeff=lambda t: {}, grid_size=bad)
     with pytest.raises(ValueError):        # phi(0) must be the identity
         CirclePath(coeff=lambda t: {0: 1.0}, dcoeff=lambda t: {0: 1.0})
 
 
-def test_rotation_log_derivative():
+def test_rotation_log_derivative(monkeypatch):
+    sizes = grids_used(monkeypatch)
     gen = log_derivative(CirclePath.rotation(2 * np.pi))
     for t in (0.0, 0.3, 1.0):
         X = gen(t)
         assert set(X.coeffs) == {0}
         assert X.coeffs[0] == pytest.approx(2 * np.pi, abs=1e-12)
+    assert sizes == [8, 8, 8]              # one 8-point fit per t
 
 
 def test_mobius_log_derivative_at_zero():
@@ -95,43 +115,55 @@ def test_mobius_log_derivative_consistency():
         assert abs(val.imag) < 1e-9
 
 
-def test_log_derivative_nonmonotone():
-    path = CirclePath(coeff=lambda t: {1: 0.6 * t, -1: 0.6 * t},
-                      dcoeff=lambda t: {1: 0.6, -1: 0.6}, grid_size=64)
-    gen = log_derivative(path)
-    # phi' = 1 - 1.2 t sin(theta) is certified positive at t = 0.5, and
-    # the 64-point grid then leaves 1.8e-4 of X(0.5) above M/4
-    with pytest.raises(ValueError, match="modes above M/4"):
-        gen(0.5)
-    with pytest.raises(NonMonotone):
-        gen(1.0)
+def cosine_path():
+    """phi = theta + 1.2 t cos(theta): phi' = 1 - 1.2 t sin(theta)."""
+    return CirclePath(coeff=lambda t: {1: 0.6 * t, -1: 0.6 * t},
+                      dcoeff=lambda t: {1: 0.6, -1: 0.6})
 
 
-def test_log_derivative_nonmonotone_between_nodes(monkeypatch):
-    # phi'(t, .) = 1 + 6.4 t cos(64 theta) is 1 + 6.4 t at every node of
-    # the 64-point grid; between them it falls to 1 - 6.4 t
-    path = CirclePath(coeff=lambda t: {64: -0.05j * t, -64: 0.05j * t},
-                      dcoeff=lambda t: {64: -0.05j, -64: 0.05j},
-                      grid_size=64)
-    gen = log_derivative(path)
-    # min 0.36, settled on 512 nodes; the 64-point grid cannot resolve
-    # mode 64, which the spectral cut then reports
-    with pytest.raises(ValueError, match="modes above M/4"):
-        gen(0.1)
+def test_log_derivative_nonmonotone(monkeypatch):
+    sizes = grids_used(monkeypatch)
+    gen = log_derivative(cosine_path())
+    # phi' > 0 is certified on 8 nodes at t = 0.5, but the dropped modes
+    # carry 1.8e-4 of the norm on 64 nodes and 1.5e-11 only on 256
+    X = gen(0.5)
+    assert sizes == [8, 16, 32, 64, 128, 256]
+    assert max_velocity_error(X, 0.5, lambda s: 1.2 * np.cos(s)) < 1e-9
+    sizes.clear()
     with pytest.raises(NonMonotone, match="<= 0"):
-        gen(1.0)                   # min -5.4
-    monkeypatch.setattr(grouprep, "MONOTONE_MAX_GRID", 256)
-    with pytest.raises(NonMonotone, match="not certified"):
-        log_derivative(path)(0.1)
+        gen(1.0)                   # min -0.2, on the first grid
+    assert sizes == []
 
 
-def test_log_derivative_spectral_tail():
-    # phi = theta - 0.002 t sin(40 theta): modes +-40 sit above M/4 = 32 of
-    # the default 128-point grid, so the cut would drop all of X(t)
+def test_log_derivative_nonmonotone_between_nodes():
+    # phi'(t, .) = 1 + 6.4 t cos(64 theta) is 1 + 6.4 t at every node of
+    # a 64-point grid; the first grid, 512 nodes, sees its minimum -5.4
+    path = CirclePath(coeff=lambda t: {64: -0.05j * t, -64: 0.05j * t},
+                      dcoeff=lambda t: {64: -0.05j, -64: 0.05j})
+    with pytest.raises(NonMonotone, match="<= 0"):
+        log_derivative(path)(1.0)
+    # phi' = 1 - 0.99999996 sin(theta) is 4e-8 at its minimum node, and
+    # the Bernstein slack pi 0.99999996 / M stays above it up to MAX_GRID
+    with pytest.raises(NonMonotone, match="not certified positive on 65536"):
+        log_derivative(cosine_path())(0.8333333)
+
+
+def test_log_derivative_spectral_tail(monkeypatch):
+    # phi = theta - 0.002 t sin(40 theta): modes +-40 start the grid at
+    # 256 > 4 * 40 nodes, so none of them aliases into |n| <= M/4
     path = CirclePath(coeff=lambda t: {40: 0.001j * t, -40: -0.001j * t},
                       dcoeff=lambda t: {40: 0.001j, -40: -0.001j})
-    with pytest.raises(ValueError, match=r"t=0\.5: .* M=128 .* carry 1 of"):
-        log_derivative(path)(0.5)
+    sizes = grids_used(monkeypatch)
+    X = log_derivative(path)(0.5)
+    assert sizes[0] == 256 and sizes[-1] == 2048
+    assert max_velocity_error(
+        X, 0.5, lambda s: -0.002 * np.sin(40 * s)) < 1e-13
+    # a cap below the 256 nodes the cosine path needs: the error names
+    # t, M and the share of the norm above M/4
+    monkeypatch.setattr(grouprep, "MAX_GRID", 64)
+    with pytest.raises(ValueError,
+                       match=r"t=0\.5: .* M=64 carry 0\.000179 of the norm"):
+        log_derivative(cosine_path())(0.5)
 
 
 @pytest.mark.parametrize("path", [mobius_diffeo(0.2), odd_mode_diffeo()],
@@ -144,8 +176,7 @@ def test_circle_inverse_matches_brentq(path, t):
     def phi(s):
         return s + sum(v * np.exp(1j * n * s) for n, v in c.items()).real
 
-    M = path.grid_size
-    theta = 2 * np.pi * np.arange(M) / M
+    theta = 2 * np.pi * np.arange(64) / 64
     inv = circle_inverse(c, theta, t)
     ref = np.array([brentq(lambda s, x=x: phi(s) - x, x - 1, x + 1,
                            xtol=1e-15) for x in theta])
@@ -156,7 +187,7 @@ def test_circle_inverse_matches_brentq(path, t):
 def test_odd_mode_log_derivative_consistency():
     # X(t)(phi(t, s)) = d_t phi(t, s) on a path with modes +-1 and +-3
     t = 0.8
-    X = log_derivative(odd_mode_diffeo(grid_size=256))(t)
+    X = log_derivative(odd_mode_diffeo())(t)
     for s in np.linspace(0.0, 2 * np.pi, 11):
         velocity = 0.2 * np.cos(s) + 0.06 * np.sin(3 * s)
         angle = s + t * velocity
@@ -188,7 +219,7 @@ def test_rotation_propagator_phase(vir8):
 
 
 def test_trivial_path_identity(vir8):
-    triv = CirclePath(coeff=lambda t: {}, dcoeff=lambda t: {}, grid_size=8)
+    triv = CirclePath(coeff=lambda t: {}, dcoeff=lambda t: {})
     P = exponentiate_path(vir8, triv, tol=1e-10)
     assert np.abs(P.matrix - np.eye(vir8.dim)).max() < 1e-12
 
@@ -265,6 +296,15 @@ def test_holonomy_quadrature_call_count(vir8, monkeypatch):
     rep = holonomy_phase(vir8, shrinking_loop_homotopy(k=2))
     assert rep.quad_nodes == 20
     assert len(calls) == 5 ** 2 + 10 ** 2 + 20 ** 2
+
+
+def test_holonomy_quadrature_cap(vir8, monkeypatch):
+    # two values that never agree stop at the cap, naming both values
+    monkeypatch.setattr(grouprep, "QUAD_TOL", 0.0)
+    monkeypatch.setattr(grouprep, "QUAD_MAX_NODES", 20)
+    with pytest.raises(ValueError,
+                       match=r"Gauss values .* at 10 and 20 nodes per axis"):
+        holonomy_phase(vir8, shrinking_loop_homotopy(k=2))
 
 
 def test_holonomy_integral_matches_closed_form(vir8):

@@ -1,15 +1,18 @@
 """Source hygiene: every name a module imports is used in it, every
-private module-level name of the package is read somewhere in it, every
-name the benchmark's span tracer patches still exists, and the
-consumers of a representation read only the protocol's members.
+private module-level name and every UPPER_CASE module constant of the
+package is read somewhere in it, every name the benchmark's span tracer
+patches still exists, and the consumers of a representation read only
+the protocol's members.
 
 A stdlib `ast` scan of the package and the test modules; an unused
-import or an unread private helper is dead code, and the first also
-hides what a module really depends on.
+import, an unread private helper or a constant renamed away from its
+readers is dead code, and the first also hides what a module really
+depends on.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -57,11 +60,21 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-def unread_privates(sources):
-    """(module, line, name) of each module-level name with one leading
-    underscore that is never read: not in its own module, nor in another
-    through `from .module import name` or `module.name`.  `sources` maps
-    module names (file stems) to their text."""
+def is_private(name):
+    """One leading underscore, not a dunder."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def is_constant(name):
+    """An UPPER_CASE name such as MAX_GRID."""
+    return re.fullmatch(r"[A-Z][A-Z0-9_]*", name) is not None
+
+
+def unread_names(sources, wanted):
+    """(module, line, name) of each module-level name with `wanted(name)`
+    that is never read: not in its own module, nor in another through
+    `from .module import name` or `module.name`.  `sources` maps module
+    names (file stems) to their text."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     read = set()                                # (module, name)
     for mod, tree in trees.items():
@@ -91,8 +104,7 @@ def unread_privates(sources):
             else:
                 continue
             out += [(mod, node.lineno, name) for name in names
-                    if name.startswith("_") and not name.startswith("__")
-                    and (mod, name) not in read]
+                    if wanted(name) and (mod, name) not in read]
     return out
 
 
@@ -104,13 +116,28 @@ def test_scan_finds_unread_private():
                      "_imported = 4\nclass _Unused:\n    pass\n"),
                "b": ("import a\nfrom .a import _imported\n"
                      "_dropped = a._helper() + _imported\nprint(_dropped)\n")}
-    assert unread_privates(sources) == [("a", 2, "_dropped"),
-                                        ("a", 7, "_Unused")]
+    assert unread_names(sources, is_private) == [("a", 2, "_dropped"),
+                                                 ("a", 7, "_Unused")]
+
+
+def test_scan_finds_unread_constant():
+    # b reads a's MAX_GRID by attribute and its own RENAMED, not a's
+    sources = {"a": "MAX_GRID = 8\nRENAMED = 2\n_private = 3\nCamel = 4\n",
+               "b": "import a\nRENAMED = a.MAX_GRID\nprint(RENAMED)\n"}
+    assert unread_names(sources, is_constant) == [("a", 2, "RENAMED")]
 
 
 def test_every_private_name_is_read():
-    unread = unread_privates({p.stem: p.read_text() for p in PACKAGE})
+    unread = unread_names({p.stem: p.read_text() for p in PACKAGE},
+                          is_private)
     assert not unread, f"private names never read: {unread}"
+
+
+def test_every_constant_is_read():
+    # a constant renamed away from its last reader lingers unread
+    unread = unread_names({p.stem: p.read_text() for p in PACKAGE},
+                          is_constant)
+    assert not unread, f"module constants never read: {unread}"
 
 
 def traced_names():
