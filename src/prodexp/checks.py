@@ -21,14 +21,13 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from .liealg import FourierVectorField, LoopAlgebraElement, bracket
 from .hwmod import (NotUnitarizable, affine_spec, build_module, build_verma,
                     discrete_series_c, discrete_series_h, virasoro_spec)
-from .prodint import (GeneratorPath, dyson_expansion, gateaux_derivative,
-                      product_integral, solve_homogeneous, solve_inhomogeneous,
-                      step_product)
+from .prodint import (GeneratorPath, dyson_expansion, exponential,
+                      gateaux_derivative, product_integral, solve_homogeneous,
+                      solve_inhomogeneous, step_product)
 from . import grouprep, nelson, scale
 
 
@@ -103,6 +102,16 @@ def _omega(mod):
     xi = np.zeros(mod.dim, dtype=complex)
     xi[0] = 1.0
     return xi
+
+
+def _probe_block(mod, rng):
+    """Four unit columns with independent complex Gaussian entries, drawn
+    from the check's own stream.  For such a column v and any operator D,
+    E ||D v||^2 = ||D||_F^2 / dim: a probe's norm estimates the Frobenius
+    norm over sqrt(dim), not the largest entry, and it sees any nonzero D
+    with probability 1 (Freivalds 1977)."""
+    V = rng.normal(size=(mod.dim, 4)) + 1j * rng.normal(size=(mod.dim, 4))
+    return V / np.linalg.norm(V, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +203,23 @@ def chk_vir_unitarity_region(ctx):
 
 
 def chk_rotation_phase(ctx):
-    """Full-turn propagator is e^{2 pi i h} Id on the truncation."""
+    """Full-turn propagator is e^{2 pi i h} Id on the truncation:
+    ||(U - e^{2 pi i h}) V||_2 on V = [Omega | probes].
+
+    The rotation's generator is diagonal with spectrum i(h + k), k the
+    level, so every step is exact and the value is rounding; a wrong
+    phase on any level moves the probe columns by its size over
+    sqrt(dim) (`_probe_block`), far above the bound.  Leakage is that of
+    the propagated lowest vector, column 0.
+    """
     mod = ctx.rep("virasoro")
-    P = grouprep.exponentiate_path(mod, grouprep.CirclePath.rotation(2 * np.pi),
-                                   tol=1e-10)
+    V = np.column_stack([_omega(mod),
+                         _probe_block(mod, ctx.rng("rotation-phase"))])
+    W = grouprep.exponentiate_path(
+        mod, grouprep.CirclePath.rotation(2 * np.pi), V, tol=1e-10).matrix
     want = np.exp(2j * np.pi * float(mod.h0))
-    measured = float(np.abs(P.matrix - want * np.eye(mod.dim)).max())
-    return measured, {"h": str(mod.h0)}, _top_fraction(mod, P.matrix @ _omega(mod))
+    measured = float(np.linalg.norm(W - want * V, 2))
+    return measured, {"h": str(mod.h0)}, _top_fraction(mod, W[:, 0])
 
 
 def chk_holonomy_phase(ctx):
@@ -219,9 +238,21 @@ def chk_holonomy_mobius(ctx):
 
 
 def chk_up_properties(ctx):
-    """Propagator properties: constant/reparam/concatenation/adjoint."""
+    """Propagator properties: constant/reparam/concatenation/adjoint,
+    each the spectral norm of a difference block on four probe columns
+    (`grouprep.verify_up_properties`), over its own bound.
+
+    Each identity holds exactly for the propagator, and every product
+    integral is refined to 1e-8 on the columns it propagates, so the
+    entries read rounding or integration error (at N=8 reparametrization
+    8.9e-10 and concatenation 2.8e-9, the others below 1e-14), under
+    bounds of 1e-9 to 1e-5.  A failed identity D moves the probe columns
+    by about ||D||_F / sqrt(dim) (`_probe_block`): never by 0, and by
+    the defect's size where it is spread over the module.
+    """
     mod = ctx.rep("virasoro")
-    res = grouprep.verify_up_properties(mod, _oscillator(0.2), tol=1e-8)
+    V = _probe_block(mod, ctx.rng("up-properties"))
+    res = grouprep.verify_up_properties(mod, _oscillator(0.2), V, tol=1e-8)
     bounds = {"constant-exponential": 1e-9, "reparametrization": 1e-5,
               "concatenation": 1e-6, "adjoint": 1e-6}
     measured = max(res[k] / bounds[k] for k in bounds)
@@ -232,17 +263,54 @@ def chk_up_properties(ctx):
 # product-integral engine checks
 
 
+def _order_slope(mod, path, rule, steps, V, ref):
+    """The log-log slope of ||step_product(n) V - ref||_2 against the
+    step counts n."""
+    errs = [np.linalg.norm(step_product(mod, path, n, V, rule).matrix - ref,
+                           2) for n in steps]
+    return float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
+
+
 def chk_prodint_convergence_order(ctx):
     """log-log slope of error vs step count for the left-rule scheme,
-    against a fourth-order Magnus reference."""
+    against a fourth-order Magnus reference, on four probe columns.
+
+    The left rule's error is first order in the step, and on a probe
+    block it is that error's Frobenius norm over sqrt(dim)
+    (`_probe_block`): the constant changes, not the power, so the slope
+    is -1 and the bound 0.1 leaves no room for another order.
+    """
     mod = ctx.rep("virasoro")
     path = _oscillator(0.5)
-    ref = product_integral(mod, path, tol=1e-8).matrix
-    ns = np.array([8, 16, 32, 64, 128])
-    errs = [np.linalg.norm(step_product(mod, path, int(n), "left").matrix
-                           - ref, 2) for n in ns]
-    slope = float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
-    return abs(slope + 1.0), {"slope": slope, "steps": ns.tolist()}, None
+    V = _probe_block(mod, ctx.rng("prodint-convergence-order"))
+    ref = product_integral(mod, path, V, tol=1e-8).matrix
+    steps = [8, 16, 32, 64, 128]
+    slope = _order_slope(mod, path, "left", steps, V, ref)
+    return abs(slope + 1.0), {"slope": slope, "steps": steps}, None
+
+
+def chk_magnus4_order(ctx):
+    """log-log slope of the magnus4 step product's error at n = 4, 8,
+    16, 32 steps, against its own 512-step product, on four probe
+    columns.
+
+    The rule is fourth order, so the slope is -4; a wrong commutator
+    (flipped sign or dropped) or Gauss nodes moved to the step midpoint
+    leave a second-order rule, slope -2.  The bound 1 on |slope + 4| is
+    half that gap: a second-order rule misses it by 2, twice the bound,
+    and the fourth-order rule's drift before its asymptotic range uses
+    under half of it (slopes -4.02, -4.09 and -4.44 at N = 8, 12 and 16,
+    against -2.00 to -2.01 under each of the three defects).  The probe
+    block measures the error's Frobenius norm over sqrt(dim)
+    (`_probe_block`), which scales with the step as the error does.
+    """
+    mod = ctx.rep("virasoro")
+    path = _oscillator(0.5)
+    V = _probe_block(mod, ctx.rng("magnus4-order"))
+    ref = step_product(mod, path, 512, V).matrix
+    steps = [4, 8, 16, 32]
+    slope = _order_slope(mod, path, "magnus4", steps, V, ref)
+    return abs(slope + 4.0), {"slope": slope, "steps": steps}, None
 
 
 def chk_refinement_bound(ctx):
@@ -250,10 +318,14 @@ def chk_refinement_bound(ctx):
 
     On this path, with r = 0, the estimate's factor
     exp(2 (r+1) sup|X|_{A,r+1}) is about 1.6, so the ratio is about 0.08
-    at every N and a 12x larger difference fails.
+    at every N and a 12x larger difference fails.  The differences are
+    the supremum over the coordinate basis, V = I, which is what the
+    estimate bounds; four random probes average over the basis and read
+    less of it (0.057 against 0.075 at N=8).
     """
     mod = ctx.rep("virasoro")
-    P = product_integral(mod, _oscillator(0.05), tol=1e-3, r=0, rule="left")
+    P = product_integral(mod, _oscillator(0.05), np.eye(mod.dim), tol=1e-3,
+                         r=0, rule="left")
     ratios = [emp / bnd for _, emp, bnd in P.refinement_error]
     return max(ratios), {"levels": len(ratios)}, None
 
@@ -499,19 +571,26 @@ def chk_sugawara_lowest_weight(ctx):
 
 
 def chk_nelson_axis_angle(ctx):
+    """The su(2) propagator against the axis-angle closed form, on
+    V = I: the sum of spins is small (dim 6 by default), so the whole
+    propagator, and its unitarity, are read."""
     rep = ctx.rep("su2")
     x = np.array([0.4, -0.2, 0.9])
-    P = product_integral(rep, GeneratorPath(lambda t: x), tol=1e-10)
-    err = float(np.abs(P.matrix - nelson.axis_angle_oracle(rep, x)).max())
+    U = product_integral(rep, GeneratorPath(lambda t: x), np.eye(rep.dim),
+                         tol=1e-10).matrix
+    err = float(np.abs(U - nelson.axis_angle_oracle(rep, x)).max())
+    unitarity = float(np.abs(U.conj().T @ U - np.eye(rep.dim)).max())
     return err, {"spins": [str(s) for s in rep.spins],
-                 "unitarity": P.unitarity_defect()}, None
+                 "unitarity": unitarity}, None
 
 
 def chk_nelson_full_turn(ctx):
-    """The 2 pi rotation is (-1)^{2j} on each spin-j block."""
+    """The 2 pi rotation is (-1)^{2j} on each spin-j block, read on
+    V = I (dim 6 by default)."""
     rep = ctx.rep("su2")
     axis = 2 * np.pi * np.array([0.0, 0.0, 1.0])
-    P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10)
+    P = product_integral(rep, GeneratorPath(lambda t: axis), np.eye(rep.dim),
+                         tol=1e-10)
     want = np.empty(rep.dim)
     for sl, s in zip(rep.block_slices(), rep.spins):
         want[sl] = (-1) ** int(2 * s)
@@ -546,8 +625,8 @@ def chk_extension_cocycle(ctx):
 def chk_local_cocycle_invariance(ctx):
     mod = ctx.rep("virasoro")
     chart = grouprep.PhaseChart(_omega(mod))
-    Ug = expm(mod.pi(FourierVectorField({2: 0.3, -2: 0.3})))
-    Uh = expm(mod.pi(FourierVectorField({2: 0.2j, -2: -0.2j})))
+    Ug = exponential(mod, FourierVectorField({2: 0.3, -2: 0.3}))
+    Uh = exponential(mod, FourierVectorField({2: 0.2j, -2: -0.2j}))
     c0 = grouprep.local_cocycle(chart, Ug, Uh)
     rng = ctx.rng("local-cocycle-invariance")
     worst = 0.0
@@ -671,6 +750,10 @@ CATALOG = {
         chk_loop_projective_defect, 1e-9,
         "[pi(u), pi(v)] - pi([u, v]) = i ell omega(u, v) Id on the "
         "safe window for a Heisenberg pair of loops (cocycle 4 ell)"),
+    "magnus4-order": (
+        chk_magnus4_order, 1.0,
+        "magnus4 step product converges at fourth order (slope -4); a "
+        "second-order rule misses by 2"),
 }
 
 

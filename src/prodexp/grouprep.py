@@ -5,7 +5,8 @@ logarithmic derivative (a path of vector fields) to the product-integral
 engine.  The module also provides:
 
 * the standard properties of the path propagator U_p (constant paths,
-  reparametrization invariance, concatenation, adjoints),
+  reparametrization invariance, concatenation, adjoints), tested on a
+  probe block,
 * flat homotopies over the unit square, of vector fields or of loop
   elements, and the holonomy phase e^{i * double integral of
   B(X_1, X_2)} relating the two boundary propagators, the integral
@@ -27,10 +28,9 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .liealg import FourierVectorField, bracket, seminorm
-from .prodint import GeneratorPath, product_integral
+from .prodint import GeneratorPath, exponential, product_integral
 
 
 class NonMonotone(ValueError):
@@ -211,9 +211,10 @@ def log_derivative(path):
     return GeneratorPath(func, (0.0, 1.0))
 
 
-def exponentiate_path(rep, path, tol=1e-8):
-    """U_p of a CirclePath: the product integral of its log derivative."""
-    return product_integral(rep, log_derivative(path), tol=tol)
+def exponentiate_path(rep, path, V, tol=1e-8):
+    """U_p V for a CirclePath p and a probe block V: the product integral
+    of its log derivative."""
+    return product_integral(rep, log_derivative(path), V, tol=tol)
 
 
 def scalar_part(rep, matrix, window):
@@ -230,45 +231,52 @@ def scalar_part(rep, matrix, window):
     return s, dev
 
 
-def verify_up_properties(rep, path, tol=1e-8):
-    """Residuals of a GeneratorPath's propagator properties, keyed by name.
+def verify_up_properties(rep, path, V, tol=1e-8):
+    """Residuals of a GeneratorPath's propagator properties on the probe
+    block V, keyed by name; each is the spectral norm of a dim x k
+    difference block, every product integral refined to `tol` on the
+    block it propagates.
 
-    * ``constant-exponential``: for the path frozen at its initial value,
-      U equals the matrix exponential of the generator.
+    * ``constant-exponential``: for the path frozen at its initial value
+      X0, U V equals e^{pi(X0)} V.
     * ``reparametrization``: U of phi' . (X o phi) over [0, 1] equals U
-      of X, in operator norm, for the smoothstep
+      of X, ||(U - U_pulled) V||, for the smoothstep
       phi(s) = a + (b - a)(3 - 2s) s^2 onto the interval [a, b].
     * ``concatenation``: U over [a, b] equals U over [m, b] times U over
-      [a, m], m the midpoint.
-    * ``adjoint``: U_p^* equals the propagator of the reversed path.
+      [a, m], U_2 (U_1 V) against U V, at m = a + (b - a)/3: the two
+      pieces refine onto grids of their own, which the whole path's does
+      not contain.
+    * ``adjoint``: U_p^* equals the propagator U_rev of the reversed
+      path, U_rev (U V) = V.
     """
     a, b = path.interval
     out = {}
 
     X0 = path(a)
-    Pc = product_integral(rep, GeneratorPath.constant(X0, (0.0, 1.0)), tol=tol)
+    Pc = product_integral(rep, GeneratorPath.constant(X0, (0.0, 1.0)), V,
+                          tol=tol)
     out["constant-exponential"] = float(
-        np.abs(Pc.matrix - expm(rep.pi(X0))).max())
+        np.linalg.norm(Pc.matrix - exponential(rep, X0) @ V, 2))
 
     def pulled_back(s):
         """phi'(s) X(phi(s)) for the smoothstep phi."""
         phi = a + (b - a) * ((3 - 2 * s) * s ** 2)
         return ((b - a) * (6 * s - 6 * s ** 2)) * path.func(phi)
 
-    P = product_integral(rep, path, tol=tol)
+    P = product_integral(rep, path, V, tol=tol)
     pulled = product_integral(rep, GeneratorPath(pulled_back, (0.0, 1.0)),
-                              tol=tol)
+                              V, tol=tol)
     out["reparametrization"] = float(
         np.linalg.norm(P.matrix - pulled.matrix, 2))
 
-    m = a + 0.5 * (b - a)
-    P1 = product_integral(rep, GeneratorPath(path.func, (a, m)), tol=tol)
-    P2 = product_integral(rep, GeneratorPath(path.func, (m, b)), tol=tol)
-    out["concatenation"] = float(np.abs(P2.matrix @ P1.matrix
-                                        - P.matrix).max())
+    m = a + (b - a) / 3
+    P1 = product_integral(rep, GeneratorPath(path.func, (a, m)), V, tol=tol)
+    P2 = product_integral(rep, GeneratorPath(path.func, (m, b)), P1.matrix,
+                          tol=tol)
+    out["concatenation"] = float(np.linalg.norm(P2.matrix - P.matrix, 2))
 
-    Pinv = product_integral(rep, path.reversed(), tol=tol)
-    out["adjoint"] = float(np.abs(P.matrix.conj().T - Pinv.matrix).max())
+    Pinv = product_integral(rep, path.reversed(), P.matrix, tol=tol)
+    out["adjoint"] = float(np.linalg.norm(Pinv.matrix - V, 2))
     return out
 
 
@@ -385,7 +393,7 @@ def holonomy_phase(rep, homotopy, window=3, tol=1e-7):
     W = np.eye(rep.dim, d, dtype=complex)
     for path in (homotopy.boundary_path(0.0).reversed(),
                  homotopy.boundary_path(1.0)):
-        W = product_integral(rep, path, tol=tol, V=W).matrix
+        W = product_integral(rep, path, W, tol=tol).matrix
     measured, dev = scalar_part(rep, W, window)
     return HolonomyReport(predicted, measured, dev, I, n, curv)
 
@@ -503,18 +511,17 @@ def extension_cocycle_check(rep, chart, Y, X):
     dict with both values and their difference; the accuracy is tied to
     the finite-difference step COCYCLE_STEP.
     """
-    PY, PX = rep.pi(Y), rep.pi(X)
-
-    def mixed(P, Q):
+    def mixed(u, v):
         total = 0.0
         for sy in (1.0, -1.0):
             for sx in (1.0, -1.0):
-                c = local_cocycle(chart, expm(sy * COCYCLE_STEP * P),
-                                  expm(sx * COCYCLE_STEP * Q))
+                c = local_cocycle(chart,
+                                  exponential(rep, sy * COCYCLE_STEP * u),
+                                  exponential(rep, sx * COCYCLE_STEP * v))
                 total += sy * sx * float(np.angle(c))
         return total / (4.0 * COCYCLE_STEP * COCYCLE_STEP)
 
-    measured = mixed(PY, PX) - mixed(PX, PY)
+    measured = mixed(Y, X) - mixed(X, Y)
     B = complex(rep.projective_cocycle(Y, X))
     ip = complex(np.vdot(chart.xi, rep.pi(bracket(Y, X)) @ chart.xi))
     expected = B - 1j * ip

@@ -6,7 +6,7 @@ of matrix exponentials over n uniform steps of its interval,
     Exp(Omega_n) ... Exp(Omega_1),   rightmost factor first,
 
 with dyadic refinement until successive approximants agree on a probe
-basis in a Sobolev-weighted norm.  The per-step exponent comes from one
+block in a Sobolev-weighted norm.  The per-step exponent comes from one
 of two rules, in two roles:
 
 * ``"magnus4"``, the default, is the fourth-order Magnus rule (Iserles &
@@ -34,24 +34,26 @@ coefficients, in one accumulator with the G_k terms; on su(2)
 generators of the Duhamel and Gateaux solvers assemble it from blocks
 that are exponents of the representation, the Gateaux coupling block as
 the polarization (Omega(X_i + D_i) - Omega(X_i - D_i)) / 2 along D.
-It is the same matrix in both modes of forming a product:
 
-* dense: the dim x dim propagator, each step multiplied on as
-  ``expm(Omega) @ U``.  The claims about the propagator itself use it:
-  grouprep's U_p and its properties, the step-scheme checks and the
-  su(2) cross-checks.
-* vector: given a probe block V (dim x k), only U V is propagated.  Each
-  step applies exp(Omega) to the block by a truncated Taylor series whose
-  degree and substep count are fixed in advance from the exact 1-norm
-  of Omega (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), one
-  Omega-times-block product per term.  Refinement compares the
-  propagated columns.  The consumers that read a propagator only through
-  a few vectors use it: the holonomy window and the one ODE solver,
-  `solve_homogeneous`, of which the Duhamel and Gateaux solvers are
-  single calls on a block-triangular generator.  The solver
-  refines each grid segment in turn, starting each after the first at
-  the level the previous one converged at, and one level lower when
-  magnus4's fourth order predicts that the halved pair passes as well.
+A product is always taken on a probe block V (dim x k): only U V is
+propagated.  Each step applies exp(Omega) to the block by a truncated
+Taylor series whose degree and substep count are fixed in advance from
+the exact 1-norm of Omega (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+2011), one Omega-times-block product per term, and refinement compares
+the propagated columns.  A claim about the propagator itself is tested
+on a few seeded probe columns (a Gaussian probe sees any nonzero defect
+with probability 1), or on V = I where the dimension is small or the
+coordinate basis is the claim; the holonomy window and the one ODE
+solver, `solve_homogeneous`, propagate the vectors they read.  The
+Duhamel and Gateaux solvers are single `solve_homogeneous` calls on a
+block-triangular generator.  The solver refines each grid segment in
+turn, starting each after the first at the level the previous one
+converged at, and one level lower when magnus4's fourth order predicts
+that the halved pair passes as well.
+
+The package's one dense exponential, `exponential`, is that of a
+constant element: the oracle of the constant-path claim, the exponential
+estimates and the cocycle checks.
 
 Also: Dyson expansions.
 """
@@ -105,8 +107,8 @@ _MAGNUS_COMMUTATOR = np.sqrt(3.0) / 12.0
 
 
 class Propagator:
-    """A product with its construction record: the dense propagator,
-    unitary for real paths, or in vector mode the propagated probe block."""
+    """A product with its construction record: the propagated probe
+    block U V."""
 
     def __init__(self, matrix, steps, refinement_error=None):
         self.matrix = matrix
@@ -114,9 +116,10 @@ class Propagator:
         # list of (steps, empirical difference, theoretical bound) triples
         self.refinement_error = refinement_error or []
 
-    def unitarity_defect(self):
-        U = self.matrix
-        return float(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max())
+
+def exponential(rep, X):
+    """The dense exponential e^{pi(X)} of a constant element X."""
+    return expm(rep.pi(X))
 
 
 # The Taylor action: unit roundoff of double precision, and the largest
@@ -176,10 +179,10 @@ def _norm1(A):
     return float(np.abs(A).sum(axis=0).max())
 
 
-def step_product(rep, path, n, rule="magnus4", V=None):
+def step_product(rep, path, n, V, rule="magnus4"):
     """Ordered product of exponentials over n uniform steps of
-    path.interval, each step's exponent by `rule` (one of RULES); with a
-    probe block V (dim x k), that product applied to V (vector mode)."""
+    path.interval, each step's exponent by `rule` (one of RULES), applied
+    to the probe block V (dim x k)."""
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     bp = np.linspace(path.interval[0], path.interval[1], n + 1)
@@ -190,27 +193,22 @@ def step_product(rep, path, n, rule="magnus4", V=None):
         nodes = zip(mid - offset, mid + offset)
     else:
         nodes = zip(bp[:-1])
-    U = (np.eye(rep.dim, dtype=complex) if V is None
-         else np.asarray(V, dtype=complex))
+    U = np.asarray(V, dtype=complex)
     for dt, ts in zip(widths, nodes):
         if rule == "magnus4":
             omega = rep.magnus_exponent(path(ts[0]), path(ts[1]), dt / 2,
                                         _MAGNUS_COMMUTATOR * dt * dt)
         else:
             omega = dt * rep.pi(path(ts[0]))
-        U = (expm(omega) @ U if V is None
-             else _expm_action(omega.__matmul__, _norm1(omega), U))
+        U = _expm_action(omega.__matmul__, _norm1(omega), U)
     return Propagator(U, n)
 
 
-def _probe_difference(rep, U1, U2, r, V=None):
+def _probe_difference(rep, U1, U2, r, V):
     """max_j ||(U1 - U2) v_j||_r / ||v_j||_{r+1} over the probe columns
-    v_j of V, where U1, U2 are the propagated blocks U V.  Dense mode
-    probes the coordinate basis, V = I.  An exactly zero column counts
-    as converged."""
+    v_j of V, where U1, U2 are the propagated blocks U V.  An exactly
+    zero column counts as converged."""
     a = np.asarray(rep.a_diag(), dtype=float)
-    if V is None:
-        V = np.eye(len(a))
     num = np.linalg.norm((a ** r)[:, None] * (U1 - U2), axis=0)
     den = np.linalg.norm((a ** (r + 1))[:, None] * V, axis=0)
     ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -234,26 +232,26 @@ def _difference_bound(rep, path, n_coarse, r):
     return (b - a) * sup_diff * np.exp(2 * (r + 1) * (b - a) * sup_a)
 
 
-def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="magnus4", V=None):
-    """Dyadically refined product integral of a generator path.
+def product_integral(rep, path, V, tol=1e-8, r=0, n0=8, rule="magnus4"):
+    """Dyadically refined product integral of a generator path, applied
+    to the probe block V (dim x k).
 
-    Successive refinements are compared on the probe columns in the
-    ||A^r . A^{-r-1}|| weighted sense: the coordinate basis, or with a
-    probe block V (dim x k) the columns of V, in which case only U V is
-    propagated and returned as the Propagator's matrix.  For the "left"
-    step scheme the difference-estimate bound, which samples its step
-    functions, is recorded alongside each empirical difference; for
-    "magnus4" the recorded bound is nan.
+    Successive refinements are compared on the columns of V in the
+    ||A^r . A^{-r-1}|| weighted sense, and U V is returned as the
+    Propagator's matrix.  For the "left" step scheme the
+    difference-estimate bound, which samples its step functions, is
+    recorded alongside each empirical difference; for "magnus4" the
+    recorded bound is nan.
     """
     n = n0
-    U_prev = step_product(rep, path, n, rule, V).matrix
+    U_prev = step_product(rep, path, n, V, rule).matrix
     record = []
     while True:
         n2 = 2 * n
         if n2 > MAX_STEPS:
             raise MaxRefinementExceeded(
                 f"no convergence to {tol} within {MAX_STEPS} steps")
-        U = step_product(rep, path, n2, rule, V).matrix
+        U = step_product(rep, path, n2, V, rule).matrix
         diff = _probe_difference(rep, U_prev, U, r, V)
         bound = (_difference_bound(rep, path, n, r) if rule == "left"
                  else float("nan"))
@@ -265,8 +263,7 @@ def product_integral(rep, path, tol=1e-8, r=0, n0=8, rule="magnus4", V=None):
 
 def solve_homogeneous(rep, path, xi0, grid, tol=1e-8):
     """xi(t) = product integral over [t_0, t] applied to xi0, each grid
-    segment in vector mode: the segment's refinement is tested on the
-    vector it propagates.  Returns the (len(grid), dim) array of the
+    segment's refinement tested on the vector it propagates.  Returns the (len(grid), dim) array of the
     xi(t_i).
 
     The first segment's refinement starts at 4 steps; each later one
@@ -283,7 +280,7 @@ def solve_homogeneous(rep, path, xi0, grid, tol=1e-8):
     n0 = 4
     for t0, t1 in zip(grid[:-1], grid[1:]):
         seg = GeneratorPath(path.func, (t0, t1))
-        P = product_integral(rep, seg, tol=tol, n0=n0, V=vecs[-1][:, None])
+        P = product_integral(rep, seg, vecs[-1][:, None], tol=tol, n0=n0)
         # magnus4's n-vs-2n difference scales like n^-4 = 2^-4 per
         # halving, so with 16 diff < tol the halved pair is predicted
         # to pass as well

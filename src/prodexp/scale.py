@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .liealg import DIM_G, seminorm
+from .prodint import exponential
 
 
 class SobolevScale:
@@ -150,7 +150,7 @@ def check_gw_loop(module, X, f, xi, t):
 def check_exp_estimate(rep, X, n):
     """||A^n e^{pi(X)} A^{-n}|| <= e^{2n |X|_{A,n}} on the truncation."""
     scale = SobolevScale(rep)
-    U = expm(rep.pi(X))
+    U = exponential(rep, X)
     lhs = scale.operator_norm(U, n, n)
     rhs = math.exp(2 * n * rep.a_seminorm(X, n))
     return EstimateReport("exp-estimate", lhs, rhs)
@@ -160,7 +160,7 @@ def check_exp_difference(rep, X, Y, xi, n):
     """||(e^{pi(X)} - e^{pi(Y)}) xi||_n <= |X-Y|_{n+1}
     e^{2(n+1) max(|X|_{A,n+1}, |Y|_{A,n+1})} ||xi||_{n+1}."""
     scale = SobolevScale(rep)
-    w = (expm(rep.pi(X)) - expm(rep.pi(Y))) @ xi
+    w = (exponential(rep, X) - exponential(rep, Y)) @ xi
     rhs = (rep.seminorm(X - Y, n + 1)
            * math.exp(2 * (n + 1) * max(rep.a_seminorm(X, n + 1),
                                         rep.a_seminorm(Y, n + 1)))

@@ -126,7 +126,8 @@ def test_unitarity_region_level8():
 
 def test_rotation_phase(vir8):
     t0 = time.perf_counter()
-    P = exponentiate_path(vir8, CirclePath.rotation(2 * np.pi), tol=1e-10)
+    P = exponentiate_path(vir8, CirclePath.rotation(2 * np.pi),
+                          np.eye(vir8.dim), tol=1e-10)
     s, dev = scalar_part(vir8, P.matrix, vir8.N)
     want = np.exp(2j * np.pi / 16)
     assert abs(s - want) < 1e-8
@@ -158,9 +159,10 @@ def test_holonomy_mobius_trivial(vir8):
 
 def test_step_scheme_first_order(vir8):
     path = oscillating_path()
-    ref = product_integral(vir8, path, tol=1e-9).matrix
+    eye = np.eye(vir8.dim)
+    ref = product_integral(vir8, path, eye, tol=1e-9).matrix
     ns = np.array([8, 16, 32, 64, 128, 256])
-    errs = [np.linalg.norm(step_product(vir8, path, int(n), "left").matrix
+    errs = [np.linalg.norm(step_product(vir8, path, int(n), eye, "left").matrix
                            - ref, 2) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
@@ -184,8 +186,8 @@ def test_dyson_scaling_orders(vir8):
 
 
 def test_refinement_differences_within_bound(vir8):
-    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1,
-                         rule="left")
+    P = product_integral(vir8, oscillating_path(), np.eye(vir8.dim),
+                         tol=5e-3, r=1, rule="left")
     assert len(P.refinement_error) >= 2
     for n, emp, bound in P.refinement_error:
         assert emp <= bound
@@ -334,7 +336,8 @@ def test_sugawara_lowest_weight_vacuum(aff5):
 def test_nelson_axis_angle_residual():
     rep = FinDimRep((0.5, 1.5))
     x = np.array([0.4, -0.2, 0.9])
-    P = product_integral(rep, GeneratorPath(lambda t: x), tol=1e-10)
+    P = product_integral(rep, GeneratorPath(lambda t: x), np.eye(rep.dim),
+                         tol=1e-10)
     assert np.abs(P.matrix - axis_angle_oracle(rep, x)).max() < 1e-12
 
 
@@ -354,8 +357,7 @@ def test_nelson_path_independence():
     kw = dict(tol=1e-9)
     P = np.eye(rep.dim)
     for seg in ((0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)):
-        U = product_integral(rep, GeneratorPath(euler, seg), **kw)
-        P = U.matrix @ P
+        P = product_integral(rep, GeneratorPath(euler, seg), P, **kw).matrix
 
     # the same SU(2) element along the direct axis-angle path
     rep_half = FinDimRep((0.5,))
@@ -372,7 +374,8 @@ def test_nelson_path_independence():
 def test_nelson_spin_half_full_turn():
     rep = FinDimRep((0.5,))
     axis = 2 * np.pi * np.array([0.0, 0.0, 1.0])
-    P = product_integral(rep, GeneratorPath(lambda t: axis), tol=1e-10)
+    P = product_integral(rep, GeneratorPath(lambda t: axis), np.eye(2),
+                         tol=1e-10)
     assert np.abs(P.matrix + np.eye(2)).max() < 1e-9
 
 

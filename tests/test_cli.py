@@ -229,13 +229,13 @@ def test_cache_correctness(tmp_path):
 PINNED_DIGESTS = {
     "virasoro": (
         {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8},
-        "1a36f29557eebc975ba3c12b48af3f1a104309252fbb56b93652bebc1d29c462"),
+        "1889cc26018ea91a67186e04776357fb25e3682ac96f7e07f386e8f663d666ce"),
     "affine": (
         {"kind": "affine_sl2", "ell": 1, "lam": 1, "N": 4},
-        "61429255a60b25f515bd175859d317a7b5087b8a5aefc77c0f1c991904e363da"),
+        "df1b1d2724303fbb0500b3fe476c644658c32637e8e235ca44bf890af579d0b8"),
     "su2": (
         {"kind": "su2", "spins": ["1", "1/2"]},
-        "857f69052275df1dd41db3ee24af16c628f51ea8bc404ccc9e8ae902f2d63f90"),
+        "e298b61304cdfa4c772bd6d1dea850c245d9144dcdddf9498e4ec097420623dc"),
 }
 
 
@@ -245,7 +245,7 @@ def test_report_digests_are_pinned(kind, cache_dir):
     desc = cli.validate_descriptor(
         {"module": module, "seed": 7, "checks": list(checks.CATALOG)})
     report = cli.execute(desc, cache=cli.ModuleCache(cache_dir))
-    assert len(report["rows"]) == 29
+    assert len(report["rows"]) == 30
     assert cli.report_passed(report), [
         row for row in report["rows"] if row["verdict"] != "pass"]
     assert report["artifact_hashes"]["rows"] == digest
@@ -526,6 +526,29 @@ def test_refinement_bound_fails_on_inflated_differences(monkeypatch,
                         lambda *args: 20 * probe(*args))
     ctx = checks.CheckContext(seed=7, cache=cli.ModuleCache(cache_dir))
     row = checks.run_check("refinement-bound", ctx)
+    assert row["verdict"] == "fail", row
+
+
+# the standing defect table: (row, module, attribute, defective value).
+# Each defect, patched in, fails its row on the default module, and the
+# row passes without it
+DEFECTS = [
+    ("magnus4-order", prodint, "_MAGNUS_COMMUTATOR",
+     -prodint._MAGNUS_COMMUTATOR),
+    ("magnus4-order", prodint, "_MAGNUS_COMMUTATOR", 0.0),
+    ("magnus4-order", prodint, "_GAUSS_OFFSET", 0.0),
+]
+
+
+@pytest.mark.parametrize("cid, owner, name, value", DEFECTS, ids=[
+    "magnus-commutator-negated", "magnus-commutator-dropped",
+    "gauss-nodes-at-midpoint"])
+def test_rows_fail_on_their_defects(monkeypatch, cache_dir, cid, owner,
+                                    name, value):
+    ctx = checks.CheckContext(seed=7, cache=cli.ModuleCache(cache_dir))
+    assert checks.run_check(cid, ctx)["verdict"] == "pass"
+    monkeypatch.setattr(owner, name, value)
+    row = checks.run_check(cid, ctx)
     assert row["verdict"] == "fail", row
 
 

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in it, every
 private module-level name and every UPPER_CASE module constant of the
 package is read somewhere in it, every name the benchmark's span tracer
-patches still exists, and the consumers of a representation read only
-the protocol's members.
+patches still exists, one module owns the dense exponential, and the
+consumers of a representation read only the protocol's members.
 
 A stdlib `ast` scan of the package and the test modules; an unused
 import, an unread private helper or a constant renamed away from its
@@ -169,6 +169,45 @@ def test_traced_names_exist():
         if owner is None:
             missing.append(".".join((mod, *path)))
     assert not missing, f"names perfbench/spans.py traces are gone: {missing}"
+
+
+def dense_exponential_sites(sources):
+    """(modules that import scipy.linalg, (module, line) of each call of
+    a name or attribute `expm`) in the given {module: source} texts."""
+    importers, calls = [], []
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
+                   for n in names):
+                importers.append(mod)
+            if isinstance(node, ast.Call) and "expm" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                calls.append((mod, node.lineno))
+    return importers, calls
+
+
+def test_scan_finds_dense_exponentials():
+    sources = {"a": "from scipy.linalg import expm\nexpm(1)\n",
+               "b": "import scipy.linalg\nscipy.linalg.expm(2)\n",
+               "c": "from scipy.integrate import solve_ivp\n"}
+    assert dense_exponential_sites(sources) == (["a", "b"],
+                                                [("a", 2), ("b", 2)])
+
+
+def test_one_dense_exponential():
+    # prodint's `exponential` is the package's one dense exponential: no
+    # other module imports scipy.linalg, and expm is called once
+    importers, calls = dense_exponential_sites(
+        {p.stem: p.read_text() for p in PACKAGE})
+    assert importers == ["prodint"]
+    assert [mod for mod, _ in calls] == ["prodint"]
 
 
 # the representation protocol: what the consumers read off a

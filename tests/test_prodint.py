@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import dense_at_vector_steps, safe_vector
+from conftest import (dense_at_vector_steps, dense_commutator,
+                      reference_step_product, safe_vector, unitarity_defect)
 from prodexp import prodint
 from prodexp.grouprep import holonomy_phase, shrinking_loop_homotopy
 from prodexp.hwmod import GradedModule, affine_spec, build_module
@@ -35,11 +36,12 @@ def recording_path(interval):
 
 
 def test_step_product_rules(vir8):
+    V = np.eye(vir8.dim, 1)
     with pytest.raises(ValueError):
-        step_product(vir8, oscillating_path(), 4, rule="right")
+        step_product(vir8, oscillating_path(), 4, V, rule="right")
     # the left rule samples each of the n uniform steps at its left end
     seen, path = recording_path((0.0, 1.0))
-    step_product(vir8, path, 4, "left")
+    step_product(vir8, path, 4, V, "left")
     np.testing.assert_allclose(seen, [0.0, 0.25, 0.5, 0.75])
 
 
@@ -64,15 +66,15 @@ def test_cumulative_simpson_polynomial():
 def test_constant_path_exact(vir8):
     X = FourierVectorField({1: 0.3 + 0.2j, -1: 0.3 - 0.2j,
                             2: 0.1, -2: 0.1})
-    P = product_integral(vir8, GeneratorPath.constant(X), tol=1e-9,
-                         rule="left")
+    P = product_integral(vir8, GeneratorPath.constant(X), np.eye(vir8.dim),
+                         tol=1e-9, rule="left")
     assert np.abs(P.matrix - expm(vir8.pi(X))).max() < 1e-13
 
 
 def test_diagonal_family(vir8):
     # path through multiples of e_0 only: exp of the integral
     path = GeneratorPath(lambda t: FourierVectorField({0: np.sin(t)}), (0, 1))
-    P = product_integral(vir8, path, tol=1e-11)
+    P = product_integral(vir8, path, np.eye(vir8.dim), tol=1e-11)
     integral = 1 - np.cos(1.0)
     want = expm(integral * vir8.pi(FourierVectorField({0: 1.0})))
     assert np.abs(P.matrix - want).max() < 1e-9
@@ -80,17 +82,18 @@ def test_diagonal_family(vir8):
 
 def test_first_order_convergence(vir8):
     path = oscillating_path()
-    ref = product_integral(vir8, path, tol=1e-9).matrix
+    eye = np.eye(vir8.dim)
+    ref = product_integral(vir8, path, eye, tol=1e-9).matrix
     ns = np.array([8, 16, 32, 64, 128, 256])
-    errs = [np.linalg.norm(step_product(vir8, path, int(n), "left").matrix
+    errs = [np.linalg.norm(step_product(vir8, path, int(n), eye, "left").matrix
                            - ref, 2) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
 
 
 def test_refinement_within_bound(vir8):
-    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1,
-                         rule="left")
+    P = product_integral(vir8, oscillating_path(), np.eye(vir8.dim),
+                         tol=5e-3, r=1, rule="left")
     assert len(P.refinement_error) >= 2
     for n, emp, bound in P.refinement_error:
         assert emp <= bound
@@ -100,25 +103,27 @@ def test_max_refinement(vir8, monkeypatch):
     from prodexp import prodint
     monkeypatch.setattr(prodint, "MAX_STEPS", 64)
     with pytest.raises(MaxRefinementExceeded):
-        product_integral(vir8, oscillating_path(), tol=1e-14, n0=4,
-                         rule="left")
+        product_integral(vir8, oscillating_path(), np.eye(vir8.dim),
+                         tol=1e-14, n0=4, rule="left")
 
 
 def test_unitarity_and_inversion(vir8):
     path = oscillating_path(scale=0.4)
-    P = product_integral(vir8, path, tol=1e-9)
-    assert P.unitarity_defect() < 1e-10
-    Pinv = product_integral(vir8, path.reversed(), tol=1e-9)
-    assert np.abs(Pinv.matrix @ P.matrix - np.eye(vir8.dim)).max() < 1e-9
+    eye = np.eye(vir8.dim)
+    P = product_integral(vir8, path, eye, tol=1e-9)
+    assert unitarity_defect(P.matrix) < 1e-10
+    Pinv = product_integral(vir8, path.reversed(), P.matrix, tol=1e-9)
+    assert np.abs(Pinv.matrix - eye).max() < 1e-9
 
 
 def test_semigroup(vir8):
     f = oscillating_path(scale=0.4).func
     kw = dict(tol=1e-9)
-    P = product_integral(vir8, GeneratorPath(f, (0, 1)), **kw)
-    Pa = product_integral(vir8, GeneratorPath(f, (0, 0.4)), **kw)
-    Pb = product_integral(vir8, GeneratorPath(f, (0.4, 1)), **kw)
-    assert np.abs(Pb.matrix @ Pa.matrix - P.matrix).max() < 1e-9
+    eye = np.eye(vir8.dim)
+    P = product_integral(vir8, GeneratorPath(f, (0, 1)), eye, **kw)
+    Pa = product_integral(vir8, GeneratorPath(f, (0, 0.4)), eye, **kw)
+    Pb = product_integral(vir8, GeneratorPath(f, (0.4, 1)), Pa.matrix, **kw)
+    assert np.abs(Pb.matrix - P.matrix).max() < 1e-9
 
 
 def test_homogeneous_diagonal_phase(vir8):
@@ -166,7 +171,7 @@ def test_homogeneous_one_segment_is_product_integral(vir8):
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     traj = solve_homogeneous(vir8, path, xi0, [0.0, 1.0], tol=1e-9)
-    P = product_integral(vir8, path, tol=1e-9, n0=4, V=xi0[:, None])
+    P = product_integral(vir8, path, xi0[:, None], tol=1e-9, n0=4)
     assert np.array_equal(traj[-1], P.matrix[:, 0])
 
 
@@ -371,11 +376,12 @@ def test_change_of_variable(vir8):
     path = oscillating_path(scale=0.4)
 
     def change(phi, dphi, tol):
+        eye = np.eye(vir8.dim)
         direct = product_integral(
-            vir8, GeneratorPath(path.func, (phi(0), phi(1))), tol=tol)
+            vir8, GeneratorPath(path.func, (phi(0), phi(1))), eye, tol=tol)
         pulled = product_integral(
             vir8, GeneratorPath(lambda s: dphi(s) * path(phi(s)), (0, 1)),
-            tol=tol)
+            eye, tol=tol)
         return np.linalg.norm(direct.matrix - pulled.matrix, 2)
 
     assert change(lambda s: s, lambda s: 1.0, 1e-6) < 1e-12
@@ -391,7 +397,7 @@ def test_magnus4_gauss_nodes(vir8):
     # the rule samples the path at the two Gauss-Legendre nodes of each
     # interval, in time order, and nowhere else
     seen, path = recording_path((0.0, 1.5))
-    step_product(vir8, path, 2)
+    step_product(vir8, path, 2, np.eye(vir8.dim, 1))
     c = np.sqrt(3) / 6
     np.testing.assert_allclose(seen, [0.75 * (0.5 - c), 0.75 * (0.5 + c),
                                       0.75 + 0.75 * (0.5 - c),
@@ -400,18 +406,20 @@ def test_magnus4_gauss_nodes(vir8):
 
 def test_magnus4_fourth_order(vir8):
     path = oscillating_path()
-    ref = step_product(vir8, path, 1024).matrix
+    eye = np.eye(vir8.dim)
+    ref = step_product(vir8, path, 1024, eye).matrix
     ns = np.array([8, 16, 32, 64])
-    errs = [np.linalg.norm(step_product(vir8, path, int(n)).matrix - ref, 2)
-            for n in ns]
+    errs = [np.linalg.norm(step_product(vir8, path, int(n), eye).matrix
+                           - ref, 2) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-4.0, abs=0.3)
 
 
 def test_magnus4_unitary(vir8):
-    P = product_integral(vir8, oscillating_path(), tol=1e-10)
+    P = product_integral(vir8, oscillating_path(), np.eye(vir8.dim),
+                         tol=1e-10)
     assert P.steps >= 64
-    assert P.unitarity_defect() < 1e-13
+    assert unitarity_defect(P.matrix) < 1e-13
 
 
 # real Fourier fields on modes 1-3: a_{-n} = conj(a_n), so pi(X) is
@@ -427,25 +435,24 @@ _REAL_FIELD = st.dictionaries(st.integers(1, 3), _COEFF, min_size=1).map(
 @given(_REAL_FIELD, _REAL_FIELD)
 def test_magnus4_real_fields_unitary(vir8, F, G):
     # the path t -> F + t G: every magnus4 exponent is skew-Hermitian, so
-    # the dense product is unitary and vector mode keeps column norms
+    # the product is unitary
     path = GeneratorPath(lambda t: F + t * G)
-    assert step_product(vir8, path, 8).unitarity_defect() < 1e-12
-    V = np.eye(vir8.dim, 4, dtype=complex)
-    W = step_product(vir8, path, 8, V=V).matrix
-    assert np.abs(np.linalg.norm(W, axis=0) - 1.0).max() < 1e-12
+    assert unitarity_defect(
+        step_product(vir8, path, 8, np.eye(vir8.dim)).matrix) < 1e-12
 
 
 def test_magnus4_constant_path_exact(vir8):
     X = FourierVectorField({1: 0.3 + 0.2j, -1: 0.3 - 0.2j,
                             2: 0.1, -2: 0.1})
-    P = product_integral(vir8, GeneratorPath.constant(X), tol=1e-9)
+    P = product_integral(vir8, GeneratorPath.constant(X), np.eye(vir8.dim),
+                         tol=1e-9)
     assert np.abs(P.matrix - expm(vir8.pi(X))).max() < 1e-13
 
 
 def test_magnus4_matches_ode_reference(vir8):
     from scipy.integrate import solve_ivp
     path = oscillating_path(scale=0.5)
-    P = product_integral(vir8, path, tol=1e-10)
+    P = product_integral(vir8, path, np.eye(vir8.dim), tol=1e-10)
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[:vir8.safe_dim(3)] = 1.0
     sol = solve_ivp(lambda t, y: vir8.pi(path(t)) @ y, (0, 1), xi0,
@@ -454,13 +461,14 @@ def test_magnus4_matches_ode_reference(vir8):
 
 
 def test_magnus4_records_no_step_bound(vir8):
-    P = product_integral(vir8, oscillating_path(), tol=5e-3, r=1)
+    P = product_integral(vir8, oscillating_path(), np.eye(vir8.dim),
+                         tol=5e-3, r=1)
     assert P.refinement_error
     assert all(np.isnan(bound) for _, _, bound in P.refinement_error)
 
 
 # ---------------------------------------------------------------------------
-# vector mode
+# the Taylor action on a probe block
 
 
 @pytest.mark.parametrize("norm", [0.05, 0.3, 1.0, 2.0, 3.0, 5.0])
@@ -496,8 +504,8 @@ def test_vector_mode_matches_dense_product(vir8, rule):
     path = oscillating_path(scale=0.5)
     rng = np.random.default_rng(5)
     V = rng.normal(size=(vir8.dim, 3)) + 1j * rng.normal(size=(vir8.dim, 3))
-    dense = step_product(vir8, path, 32, rule).matrix
-    vec = step_product(vir8, path, 32, rule, V=V)
+    dense = reference_step_product(vir8, path, 32, rule)
+    vec = step_product(vir8, path, 32, V, rule)
     assert vec.matrix.shape == V.shape and vec.steps == 32
     assert np.abs(vec.matrix - dense @ V).max() < 1e-12
 
@@ -511,13 +519,13 @@ def test_vector_mode_matches_dense_product_n16(vir16, rule):
 def test_zero_probe_column_converges(vir8):
     path = oscillating_path(scale=0.5)
     kw = dict(tol=1e-9)
-    zero = product_integral(vir8, path, V=np.zeros((vir8.dim, 1)), **kw)
+    zero = product_integral(vir8, path, np.zeros((vir8.dim, 1)), **kw)
     assert zero.steps == 16 and zero.refinement_error[0][1] == 0.0
     assert not zero.matrix.any()
     V = np.zeros((vir8.dim, 2), dtype=complex)
     V[0, 1] = 1.0
-    P = product_integral(vir8, path, V=V, **kw)
-    alone = product_integral(vir8, path, V=V[:, 1:], **kw)
+    P = product_integral(vir8, path, V, **kw)
+    alone = product_integral(vir8, path, V[:, 1:], **kw)
     assert P.steps == alone.steps > 16
     assert not P.matrix[:, 0].any()
     np.testing.assert_allclose(P.matrix[:, 1], alone.matrix[:, 0],
@@ -550,25 +558,6 @@ def test_vector_solvers_match_dense(request, name):
 
 # ---------------------------------------------------------------------------
 # the magnus4 exponent from cached generator commutators
-
-
-def dense_commutator(A2, A1):
-    """[A2, A1] by two dense products: the reference form of the magnus4
-    commutator."""
-    return A2 @ A1 - A1 @ A2
-
-
-def reference_step_product(rep, path, n):
-    """The dense magnus4 product over n uniform steps, each exponent
-    D/2 (A1 + A2) + (sqrt(3)/12) D^2 [A2, A1] from two pi matrices."""
-    bp = np.linspace(*path.interval, n + 1)
-    U = np.eye(rep.dim, dtype=complex)
-    for t0, dt in zip(bp[:-1], np.diff(bp)):
-        mid, off = t0 + dt / 2, np.sqrt(3.0) / 6.0 * dt
-        A1, A2 = rep.pi(path(mid - off)), rep.pi(path(mid + off))
-        U = expm(dt / 2 * (A1 + A2) + np.sqrt(3.0) / 12.0 * dt * dt
-                 * dense_commutator(A2, A1)) @ U
-    return U
 
 
 def relative_error(M, want):
@@ -697,9 +686,8 @@ def test_step_product_matches_reference_step(request, name):
     rep = request.getfixturevalue(name)
     path = shrinking_loop_homotopy().boundary_path(1.0)
     ref = reference_step_product(rep, path, 16)
-    assert np.abs(step_product(rep, path, 16).matrix - ref).max() < 1e-12
     W = np.eye(rep.dim, int((rep.level_of() <= 3).sum()), dtype=complex)
-    vec = step_product(rep, path, 16, V=W).matrix
+    vec = step_product(rep, path, 16, W).matrix
     assert np.abs(vec - ref @ W).max() < 1e-12
 
 
