@@ -53,9 +53,8 @@ that the halved pair passes as well.
 
 The package's one dense exponential, `exponential`, is that of a
 constant element: the oracle of the constant-path claim, the exponential
-estimates and the cocycle checks.
-
-Also: Dyson expansions.
+estimates and the cocycle checks, by `numpy.linalg.eigh` of the
+Hermitian i pi(X) (`expm`).  Also: the terms of Dyson expansions.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class MaxRefinementExceeded(Exception):
@@ -115,6 +113,16 @@ class Propagator:
         self.steps = steps
         # list of (steps, empirical difference, theoretical bound) triples
         self.refinement_error = refinement_error or []
+
+
+def expm(A):
+    """e^A of a skew-Hermitian A: V diag(e^{-i w}) V^H, where
+    i A = V diag(w) V^H.  ValueError when A + A^H exceeds 1e-12 of A's
+    largest entry, since eigh reads one triangle only."""
+    if np.abs(A + A.conj().T).max() > 1e-12 * np.abs(A).max():
+        raise ValueError("expm takes a skew-Hermitian matrix")
+    w, V = np.linalg.eigh(1j * A)
+    return (V * np.exp(-1j * w)) @ V.conj().T
 
 
 def exponential(rep, X):
@@ -292,28 +300,20 @@ def solve_homogeneous(rep, path, xi0, grid, tol=1e-8):
 
 
 def cumulative_simpson(values, h):
-    """Cumulative integral of uniformly sampled values (axis 0), fourth order.
+    """Cumulative integral of at least three uniformly sampled values
+    (axis 0), fourth order.
 
-    Even nodes accumulate composite Simpson pairs; odd nodes use the
-    quadratic through the three nearest samples.
+    Even nodes accumulate composite Simpson pairs; odd nodes add to the
+    even node before them the quadratic through the three nearest
+    samples (node 1: through nodes 0, 1, 2).
     """
-    values = np.asarray(values)
-    out = np.zeros_like(values, dtype=complex if np.iscomplexobj(values)
-                        else float)
-    n = len(values)
-    for i in range(1, n):
-        if i == 1:
-            # quadratic through nodes 0,1,2 integrated over [0, h]
-            if n >= 3:
-                out[1] = h / 12.0 * (5 * values[0] + 8 * values[1] - values[2])
-            else:
-                out[1] = h / 2.0 * (values[0] + values[1])
-        elif i % 2 == 0:
-            out[i] = out[i - 2] + h / 3.0 * (values[i - 2] + 4 * values[i - 1]
-                                             + values[i])
-        else:
-            out[i] = out[i - 1] + h / 12.0 * (5 * values[i] + 8 * values[i - 1]
-                                              - values[i - 2])
+    v = np.asarray(values)
+    out = np.zeros_like(v, dtype=complex if np.iscomplexobj(v) else float)
+    out[2::2] = np.cumsum(h / 3.0 * (v[:-2:2] + 4 * v[1:-1:2] + v[2::2]),
+                          axis=0)
+    out[1] = h / 12.0 * (5 * v[0] + 8 * v[1] - v[2])
+    out[3::2] = out[2:-1:2] + h / 12.0 * (5 * v[3::2] + 8 * v[2:-1:2]
+                                          - v[1:-2:2])
     return out
 
 
@@ -379,20 +379,21 @@ def gateaux_derivative(rep, path, xi0, direction, grid, tol=1e-8):
     return _stacked_tail(rep, blocks, xi0, rep.a_diag(), grid, tol)
 
 
-def dyson_expansion(rep, path, xi0, order, scaling):
-    """Partial sum of the Dyson series for the path scaling*X at t = b.
+def dyson_expansion(rep, path, xi0, order):
+    """The terms psi_0 .. psi_order of the Dyson series at t = b, as rows.
 
-    psi_0 = xi0; psi_j(t) = int_0^t pi(X(s)) psi_{j-1}(s) ds on
-    DYSON_NODES nodes; returns sum_{j<=order} scaling^j psi_j(b).
+    psi_0 = xi0; psi_j(t) = int_a^t pi(X(s)) psi_{j-1}(s) ds on
+    DYSON_NODES nodes.  The partial sum for the path h X is
+    sum_{j<=k} h^j psi_j.
     """
     a, b = path.interval
     grid = np.linspace(a, b, DYSON_NODES)
     h = grid[1] - grid[0]
     mats = [rep.pi(path(t)) for t in grid]
     psi = np.tile(np.asarray(xi0, dtype=complex), (DYSON_NODES, 1))
-    total = np.asarray(xi0, dtype=complex).copy()
-    for j in range(1, order + 1):
+    terms = [psi[-1]]
+    for _ in range(order):
         integrand = np.array([M @ v for M, v in zip(mats, psi)])
         psi = cumulative_simpson(integrand, h)
-        total = total + scaling ** j * psi[-1]
-    return total
+        terms.append(psi[-1])
+    return np.array(terms)

@@ -178,8 +178,9 @@ def test_dyson_scaling_orders(vir8):
         sol = solve_ivp(lambda t, y: h * (vir8.pi(path(t)) @ y), (0, 1), xi0,
                         rtol=1e-12, atol=1e-13)
         exact[h] = sol.y[:, -1]
+    psi = dyson_expansion(vir8, path, xi0, 3)
     for k in (1, 2, 3):
-        errs = [np.linalg.norm(dyson_expansion(vir8, path, xi0, k, h)
+        errs = [np.linalg.norm(sum(h ** j * psi[j] for j in range(k + 1))
                                - exact[h]) for h in hs]
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope == pytest.approx(k + 1, abs=0.15), (k, slope)

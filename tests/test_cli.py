@@ -223,19 +223,19 @@ def test_cache_correctness(tmp_path):
     assert cache_files, "module cache was not populated"
 
 
-# artifact_hashes.rows of every check at seed 7 (numpy 2.4.6, scipy
-# 1.17.1, one OpenBLAS thread): a change that keeps every report row bit
-# for bit keeps these
+# artifact_hashes.rows of every check at seed 7 (numpy 2.4.6, one
+# OpenBLAS thread): a change that keeps every report row bit for bit
+# keeps these
 PINNED_DIGESTS = {
     "virasoro": (
         {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8},
-        "1889cc26018ea91a67186e04776357fb25e3682ac96f7e07f386e8f663d666ce"),
+        "024293cf57adf328c0952a073bd380ca68c82aeb636a1888b071652b9d64935a"),
     "affine": (
         {"kind": "affine_sl2", "ell": 1, "lam": 1, "N": 4},
-        "df1b1d2724303fbb0500b3fe476c644658c32637e8e235ca44bf890af579d0b8"),
+        "c9fe7a7444bbdf2ef7ba12edcb5852dad601ed92c82653cd7594a01fb8a365ad"),
     "su2": (
         {"kind": "su2", "spins": ["1", "1/2"]},
-        "e298b61304cdfa4c772bd6d1dea850c245d9144dcdddf9498e4ec097420623dc"),
+        "53e960585811b7c67232c99f7e7082e20826c6f840c8069708d44cb8268e8473"),
 }
 
 
@@ -529,6 +529,16 @@ def test_refinement_bound_fails_on_inflated_differences(monkeypatch,
     assert row["verdict"] == "fail", row
 
 
+def left_riemann(values, h):
+    """The cumulative left Riemann sum of uniformly sampled values: a
+    first-order `cumulative_simpson`."""
+    out = np.zeros_like(values, dtype=complex)
+    out[1:] = h * np.cumsum(values[:-1], axis=0)
+    return out
+
+
+EXPM = prodint.expm
+
 # the standing defect table: (row, module, attribute, defective value).
 # Each defect, patched in, fails its row on the default module, and the
 # row passes without it
@@ -537,12 +547,17 @@ DEFECTS = [
      -prodint._MAGNUS_COMMUTATOR),
     ("magnus4-order", prodint, "_MAGNUS_COMMUTATOR", 0.0),
     ("magnus4-order", prodint, "_GAUSS_OFFSET", 0.0),
+    # e^{-A} for e^A: the constant exponential and the Dyson reference
+    ("up-properties", prodint, "expm", lambda A: EXPM(-A)),
+    ("dyson-order-scaling", prodint, "expm", lambda A: EXPM(-A)),
+    ("dyson-order-scaling", prodint, "cumulative_simpson", left_riemann),
 ]
 
 
 @pytest.mark.parametrize("cid, owner, name, value", DEFECTS, ids=[
     "magnus-commutator-negated", "magnus-commutator-dropped",
-    "gauss-nodes-at-midpoint"])
+    "gauss-nodes-at-midpoint", "expm-inverted-up-properties",
+    "expm-inverted-dyson", "dyson-left-riemann-sum"])
 def test_rows_fail_on_their_defects(monkeypatch, cache_dir, cid, owner,
                                     name, value):
     ctx = checks.CheckContext(seed=7, cache=cli.ModuleCache(cache_dir))
@@ -621,30 +636,48 @@ def _probe_blas(module, **env_update):
     return json.loads(out.stdout)
 
 
+# the rows that exponentiate a constant element or read a Dyson reference
+EXPONENTIATING_ROWS = ["up-properties", "dyson-order-scaling", "exp-estimate",
+                       "exp-difference-estimate", "extension-cocycle",
+                       "local-cocycle-invariance"]
+
+# Whether any scipy module is loaded after importing the CLI, building a
+# module, inverting a circle diffeomorphism and running the descriptor
+# argv[2]; argv[1] is the module cache.
 _STARTUP_PROBE = r"""
 import sys
+def loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
 import prodexp.cli
-loaded = ["scipy.optimize" in sys.modules]
+seen = [loaded()]
 prodexp.cli.main(["--cache-dir", sys.argv[1], "build-module",
                   '{"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 4}'])
-loaded.append("scipy.optimize" in sys.modules)
+seen.append(loaded())
 from prodexp.grouprep import CirclePath, log_derivative
 log_derivative(CirclePath(coeff=lambda t: {1: 0.1 * t, -1: 0.1 * t},
                           dcoeff=lambda t: {1: 0.1, -1: 0.1}))(0.5)
-loaded.append("scipy.optimize" in sys.modules)
-print(loaded)
+seen.append(loaded())
+code = prodexp.cli.main(["--cache-dir", sys.argv[1], "run", sys.argv[2]])
+seen.append(loaded())
+print(code, seen)
 """
 
 
-def test_startup_leaves_scipy_optimize_unloaded(tmp_path):
-    # importing the CLI, building a module and inverting a circle
-    # diffeomorphism must not load scipy.optimize (about 0.3 s of start-up)
+def test_startup_loads_no_scipy(tmp_path):
+    # the package runs on numpy alone: importing the CLI, building a
+    # module, inverting a circle diffeomorphism and running every row
+    # that exponentiates load no scipy module (`scipy.linalg` was about
+    # 0.2 s of start-up)
+    desc = write_descriptor(tmp_path, {
+        "module": PINNED_DIGESTS["virasoro"][0], "seed": 7,
+        "checks": EXPONENTIATING_ROWS,
+        "output": str(tmp_path / "report.json")})
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE,
-                          str(tmp_path)], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[False, False, False]"
+                          str(tmp_path / "cache"), desc], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 [False, False, False, False]"
 
 
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(),

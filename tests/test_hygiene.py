@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in it, every
 private module-level name and every UPPER_CASE module constant of the
 package is read somewhere in it, every name the benchmark's span tracer
-patches still exists, one module owns the dense exponential, and the
-consumers of a representation read only the protocol's members.
+patches still exists, no package module imports scipy, one module owns
+the dense exponential, and the consumers of a representation read only
+the protocol's members.
 
 A stdlib `ast` scan of the package and the test modules; an unused
 import, an unread private helper or a constant renamed away from its
@@ -171,42 +172,43 @@ def test_traced_names_exist():
     assert not missing, f"names perfbench/spans.py traces are gone: {missing}"
 
 
-def dense_exponential_sites(sources):
-    """(modules that import scipy.linalg, (module, line) of each call of
-    a name or attribute `expm`) in the given {module: source} texts."""
-    importers, calls = [], []
+def scipy_imports_and_expm_calls(sources):
+    """((module, line) of each import of scipy or a scipy submodule, at
+    module level or inside a function, (module, line) of each call of a
+    name or attribute `expm`) in the given {module: source} texts."""
+    imports, calls = [], []
     for mod, src in sources.items():
         for node in ast.walk(ast.parse(src)):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
             else:
                 names = []
-            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
-                   for n in names):
-                importers.append(mod)
+            if any(n.split(".")[0] == "scipy" for n in names):
+                imports.append((mod, node.lineno))
             if isinstance(node, ast.Call) and "expm" in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
                 calls.append((mod, node.lineno))
-    return importers, calls
+    return imports, calls
 
 
-def test_scan_finds_dense_exponentials():
+def test_scan_finds_scipy_imports():
     sources = {"a": "from scipy.linalg import expm\nexpm(1)\n",
-               "b": "import scipy.linalg\nscipy.linalg.expm(2)\n",
-               "c": "from scipy.integrate import solve_ivp\n"}
-    assert dense_exponential_sites(sources) == (["a", "b"],
-                                                [("a", 2), ("b", 2)])
+               "b": ("def f():\n    import scipy.integrate\n"
+                     "    return scipy.linalg.expm(2)\n"),
+               "c": "import numpy\nfrom . import scipy\n"}
+    assert scipy_imports_and_expm_calls(sources) == (
+        [("a", 1), ("b", 2)], [("a", 2), ("b", 3)])
 
 
-def test_one_dense_exponential():
-    # prodint's `exponential` is the package's one dense exponential: no
-    # other module imports scipy.linalg, and expm is called once
-    importers, calls = dense_exponential_sites(
+def test_no_scipy_at_run_time():
+    # the package runs on numpy alone, and prodint's `exponential` is its
+    # one dense exponential: expm is called once, in prodint
+    imports, calls = scipy_imports_and_expm_calls(
         {p.stem: p.read_text() for p in PACKAGE})
-    assert importers == ["prodint"]
+    assert imports == []
     assert [mod for mod, _ in calls] == ["prodint"]
 
 

@@ -344,28 +344,58 @@ def test_dyson_low_orders(vir8):
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
     path = oscillating_path()
-    assert np.array_equal(dyson_expansion(vir8, path, xi0, 0, 0.3), xi0)
+    assert np.array_equal(dyson_expansion(vir8, path, xi0, 0), [xi0])
     X = FourierVectorField({1: 0.5, -1: 0.5})
     cpath = GeneratorPath.constant(X, (0, 1))
-    got = dyson_expansion(vir8, cpath, xi0, 1, 0.2)
-    want = xi0 + 0.2 * vir8.pi(X) @ xi0
-    assert np.linalg.norm(got - want) < 1e-10
+    psi = dyson_expansion(vir8, cpath, xi0, 2)
+    assert psi.shape == (3, vir8.dim)
+    assert np.array_equal(psi[0], xi0)
+    # psi_j = pi(X)^j xi0 / j! for a constant path
+    assert np.linalg.norm(psi[1] - vir8.pi(X) @ xi0) < 1e-10
+    assert np.linalg.norm(psi[2] - vir8.pi(X) @ psi[1] / 2) < 1e-10
+
+
+def oscillator_propagator(rep, h, xi0):
+    """xi(1) for xi' = h pi(X(t)) xi on `oscillating_path()`, in closed
+    form: pi(X(t)) = e^{-t pi(e_0)} pi(X(0)) e^{t pi(e_0)}, so
+    xi(1) = e^{-pi(e_0)} e^{pi(e_0 + h X(0))} xi0."""
+    e0 = FourierVectorField({0: 1.0})
+    X0 = oscillating_path()(0.0)
+    return prodint.exponential(rep, -e0) @ (
+        prodint.exponential(rep, e0 + h * X0) @ xi0)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7])
+def test_oscillator_rotating_frame(vir8, t):
+    # pi(e_0) = i L_0 is diagonal and pi(e_n) lowers the level by n, so
+    # conjugating by e^{t pi(e_0)} multiplies pi(e_n) by e^{int}
+    P = vir8.pi(FourierVectorField({0: 1.0}))
+    path = oscillating_path()
+    want = expm(-t * P) @ vir8.pi(path(0.0)) @ expm(t * P)
+    assert np.abs(vir8.pi(path(t)) - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.025])
+def test_oscillator_propagator_matches_ode(vir8, h):
+    from scipy.integrate import solve_ivp
+    xi0 = np.zeros(vir8.dim, dtype=complex)
+    xi0[0] = 1.0
+    path = oscillating_path()
+    sol = solve_ivp(lambda t, y: h * (vir8.pi(path(t)) @ y), (0, 1), xi0,
+                    rtol=1e-12, atol=1e-13)
+    got = oscillator_propagator(vir8, h, xi0)
+    assert np.abs(got - sol.y[:, -1]).max() < 1e-11
 
 
 def test_dyson_order_scaling(vir8):
     xi0 = np.zeros(vir8.dim, dtype=complex)
     xi0[0] = 1.0
-    path = oscillating_path()
+    psi = dyson_expansion(vir8, oscillating_path(), xi0, 3)
     hs = np.array([0.2, 0.1, 0.05, 0.025])
-    exact = {}
-    from scipy.integrate import solve_ivp
-    for h in hs:
-        sol = solve_ivp(lambda t, y: h * (vir8.pi(path(t)) @ y), (0, 1), xi0,
-                        rtol=1e-12, atol=1e-13)
-        exact[h] = sol.y[:, -1]
+    exact = [oscillator_propagator(vir8, h, xi0) for h in hs]
     for k in (1, 2, 3):
-        errs = [np.linalg.norm(dyson_expansion(vir8, path, xi0, k, h)
-                               - exact[h]) for h in hs]
+        errs = [np.linalg.norm(sum(h ** j * psi[j] for j in range(k + 1))
+                               - want) for h, want in zip(hs, exact)]
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope == pytest.approx(k + 1, abs=0.15), (k, slope)
 
@@ -703,3 +733,40 @@ def test_warm_holonomy_forms_no_dense_commutator(vir8, monkeypatch):
     assert calls["pi"] == 0
     assert calls["_combination"] == calls["magnus_exponent"] > 0
     assert set(vir8._gen_mats) == cached
+
+
+# ---------------------------------------------------------------------------
+# the dense exponential of a constant element
+
+
+SU2 = FinDimRep((Fraction(1, 2), Fraction(3, 2)))
+
+
+@pytest.mark.parametrize("module, X", [
+    ("vir8", real_field({1: 0.3, 2: 0.2j})),
+    ("vir8", real_field({0: 0.7, 3: 0.4 - 0.1j})),
+    ("aff4", real_field({1: 0.4, 2: 0.1j})),
+    ("aff4", LoopAlgebraElement.single(E, 1)
+     - LoopAlgebraElement.single(F, -1)),
+    ("aff4", 1j * (LoopAlgebraElement.single(E, 1)
+                   + LoopAlgebraElement.single(F, -1))),
+    ("aff4", HEISENBERG_U),
+    ("aff4", HEISENBERG_V),
+    ("su2", (0.3, -1.2, 0.7)),
+], ids=["vir8-modes-1-2", "vir8-modes-0-3", "aff4-sugawara",
+        "aff4-e1-minus-f-1", "aff4-i-e1-plus-f-1", "aff4-heisenberg-u",
+        "aff4-heisenberg-v", "su2"])
+def test_expm_matches_scipy(request, module, X):
+    # eigh of the Hermitian i pi(X) against scipy's scaling-and-squaring
+    # Pade exponential
+    rep = SU2 if module == "su2" else request.getfixturevalue(module)
+    A = rep.pi(X)
+    got = prodint.expm(A)
+    assert np.abs(got - expm(A)).max() < 1e-13
+    assert unitarity_defect(got) < 1e-14
+
+
+def test_expm_rejects_non_skew_hermitian(vir8):
+    # pi(e_2) lowers the level by two, and its adjoint raises it
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        prodint.expm(vir8.pi(FourierVectorField({2: 1.0})))
