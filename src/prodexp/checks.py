@@ -267,8 +267,8 @@ def chk_up_properties(ctx):
 def _order_slope(mod, path, rule, steps, V, ref):
     """The log-log slope of ||step_product(n) V - ref||_2 against the
     step counts n."""
-    errs = [np.linalg.norm(step_product(mod, path, n, V, rule).matrix - ref,
-                           2) for n in steps]
+    errs = [np.linalg.norm(step_product(mod, path, n, V, rule) - ref, 2)
+            for n in steps]
     return float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
 
 
@@ -308,7 +308,7 @@ def chk_magnus4_order(ctx):
     mod = ctx.rep("virasoro")
     path = _oscillator(0.5)
     V = _probe_block(mod, ctx.rng("magnus4-order"))
-    ref = step_product(mod, path, 512, V).matrix
+    ref = step_product(mod, path, 512, V)
     steps = [4, 8, 16, 32]
     slope = _order_slope(mod, path, "magnus4", steps, V, ref)
     return abs(slope + 4.0), {"slope": slope, "steps": steps}, None

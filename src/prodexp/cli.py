@@ -119,56 +119,63 @@ def _integer(value, field):
     return value
 
 
+def _reject_unknown(data, known, where):
+    """DescriptorError naming the fields of `data` outside `known`."""
+    unknown = [repr(k) for k in data if k not in known]
+    if unknown:
+        raise DescriptorError(f"{where}: unknown field {', '.join(unknown)}; "
+                              f"expected {', '.join(known)}")
+
+
 def parse_module_spec(data):
     """HighestWeightSpec (or su(2) spin tuple) from descriptor JSON.
 
     ``{"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8}``,
     ``{"kind": "affine_sl2", "ell": 1, "lam": 0, "N": 4}`` or
-    ``{"kind": "su2", "spins": ["1/2", "3/2"]}``.
+    ``{"kind": "su2", "spins": ["1/2", "3/2"]}``, and no other field.
     """
     if not isinstance(data, dict):
         raise DescriptorError("module: expected an object")
     kind = data.get("kind")
     try:
         if kind == "virasoro":
-            return virasoro_spec(Fraction(str(data["c"])),
+            spec = virasoro_spec(Fraction(str(data["c"])),
                                  Fraction(str(data["h"])),
                                  _integer(data["N"], "module.N"))
-        if kind == "affine_sl2":
-            return affine_spec(_integer(data["ell"], "module.ell"),
+        elif kind == "affine_sl2":
+            spec = affine_spec(_integer(data["ell"], "module.ell"),
                                _integer(data["lam"], "module.lam"),
                                _integer(data["N"], "module.N"))
-        if kind == "su2":
+        elif kind == "su2":
             from .nelson import FinDimRep
             spins = data["spins"]
             if not isinstance(spins, list):
                 raise DescriptorError(
                     f"module.spins: expected a list, got {spins!r}")
             try:
-                return FinDimRep(tuple(Fraction(str(s)) for s in spins))
+                spec = FinDimRep(tuple(Fraction(str(s)) for s in spins))
             except (ValueError, ZeroDivisionError) as exc:
                 raise DescriptorError(f"module.spins: {exc}")
+        else:
+            raise DescriptorError(f"module.kind: unknown kind {kind!r}")
     except KeyError as exc:
         raise DescriptorError(f"module: missing field {exc.args[0]!r}")
     except DescriptorError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
         raise DescriptorError(f"module: {exc}")
-    raise DescriptorError(f"module.kind: unknown kind {kind!r}")
+    _reject_unknown(data, spec.descriptor(), "module")
+    return spec
 
 
 def validate_descriptor(data):
     """Normalized descriptor dict, or DescriptorError naming the field."""
     if not isinstance(data, dict):
         raise DescriptorError("descriptor must be a JSON object")
-    out = {
-        "name": data.get("name", "unnamed"),
-        "seed": data.get("seed", DEFAULT_SEED),
-        "module": data.get("module"),
-        "checks": data.get("checks", []),
-        "tolerances": data.get("tolerances", {}),
-        "output": data.get("output"),
-    }
+    out = {"name": "unnamed", "seed": DEFAULT_SEED, "module": None,
+           "checks": [], "tolerances": {}, "output": None}
+    _reject_unknown(data, out, "descriptor")
+    out.update(data)
     if not isinstance(out["name"], str):
         raise DescriptorError("name: expected a string")
     if not isinstance(out["output"], (str, type(None))):

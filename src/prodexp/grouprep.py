@@ -25,7 +25,6 @@ flow loop and is frozen here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -179,7 +178,6 @@ def log_derivative(path):
     norm.  Past MAX_GRID nodes: NonMonotone if the certificate failed,
     else ValueError naming t, M and the dropped share.
     """
-    @cache
     def func(t):
         c, dc = path.coeff(t), path.dcoeff(t)
         K = max((abs(n) for n in (*c, *dc)), default=0)
@@ -426,14 +424,10 @@ def shrinking_loop_homotopy(k=2, alpha=0.16, beta=0.16):
                                - np.sin(np.pi * x) ** 3)
 
     def frame(cu, cv, c0):
-        """cu*u + cv*v + c0*e_0 as a Fourier vector field."""
-        coeffs = {}
-        if cu or cv:
-            coeffs[k] = cu + 1j * cv
-            coeffs[-k] = cu - 1j * cv
-        if c0:
-            coeffs[0] = complex(c0)
-        return FourierVectorField(coeffs)
+        """cu*u + cv*v + c0*e_0 as a Fourier vector field (whose
+        constructor drops the zero coefficients)."""
+        return FourierVectorField({k: cu + 1j * cv, -k: cu - 1j * cv,
+                                   0: complex(c0)})
 
     # d_x[exp(A u) exp(B v)] . (...)^{-1} = A_x u + B_x Ad_{exp(A u)} v
     # with Ad_{exp(A u)} v = cosh(2kA) v + 2 sinh(2kA) e_0, and the same

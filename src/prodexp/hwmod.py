@@ -910,14 +910,13 @@ class GradedModule:
         cut = max(self.N - depth, -1)
         return int(self.offsets[cut + 1]) if cut >= 0 else 0
 
-    def random_vector(self, rng, max_level=None):
-        """Gaussian vector of unit norm on levels 0..max_level (default N)."""
-        top = self.N if max_level is None else max_level
-        if not 0 <= top <= self.N:
-            raise ValueError(f"random_vector: max_level={top} is outside "
-                             f"0..N={self.N}")
+    def random_vector(self, rng, max_level):
+        """Gaussian vector of unit norm on levels 0..max_level."""
+        if not 0 <= max_level <= self.N:
+            raise ValueError(f"random_vector: max_level={max_level} is "
+                             f"outside 0..N={self.N}")
         v = np.zeros(self.dim, dtype=complex)
-        d = int(self.offsets[top + 1])
+        d = int(self.offsets[max_level + 1])
         v[:d] = rng.normal(size=d) + 1j * rng.normal(size=d)
         return v / np.linalg.norm(v)
 

@@ -105,14 +105,14 @@ _MAGNUS_COMMUTATOR = np.sqrt(3.0) / 12.0
 
 
 class Propagator:
-    """A product with its construction record: the propagated probe
-    block U V."""
+    """A refined product integral: the propagated probe block U V, its
+    step count and its refinement record."""
 
-    def __init__(self, matrix, steps, refinement_error=None):
+    def __init__(self, matrix, steps, refinement_error):
         self.matrix = matrix
         self.steps = steps
         # list of (steps, empirical difference, theoretical bound) triples
-        self.refinement_error = refinement_error or []
+        self.refinement_error = refinement_error
 
 
 def expm(A):
@@ -188,28 +188,26 @@ def _norm1(A):
 
 
 def step_product(rep, path, n, V, rule="magnus4"):
-    """Ordered product of exponentials over n uniform steps of
-    path.interval, each step's exponent by `rule` (one of RULES), applied
-    to the probe block V (dim x k)."""
+    """The propagated block U V: the ordered product of exponentials over
+    n uniform steps of path.interval, each step's exponent by `rule` (one
+    of RULES), applied to the probe block V (dim x k)."""
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     bp = np.linspace(path.interval[0], path.interval[1], n + 1)
-    widths = np.diff(bp)
-    if rule == "magnus4":
-        mid = bp[:-1] + widths / 2
-        offset = _GAUSS_OFFSET * widths
-        nodes = zip(mid - offset, mid + offset)
-    else:
-        nodes = zip(bp[:-1])
     U = np.asarray(V, dtype=complex)
-    for dt, ts in zip(widths, nodes):
+    for i, (t0, dt) in enumerate(zip(bp, np.diff(bp))):
         if rule == "magnus4":
-            omega = rep.magnus_exponent(path(ts[0]), path(ts[1]), dt / 2,
-                                        _MAGNUS_COMMUTATOR * dt * dt)
+            mid, offset = t0 + dt / 2, _GAUSS_OFFSET * dt
+            omega = rep.magnus_exponent(path(mid - offset), path(mid + offset),
+                                        dt / 2, _MAGNUS_COMMUTATOR * dt * dt)
         else:
-            omega = dt * rep.pi(path(ts[0]))
-        U = _expm_action(omega.__matmul__, _norm1(omega), U)
-    return Propagator(U, n)
+            omega = dt * rep.pi(path(t0))
+        norm = _norm1(omega)
+        if not math.isfinite(norm):
+            raise ValueError(f"{rule} step {i} of {n} at t={t0:.6g}: the "
+                             f"exponent's 1-norm is {norm}")
+        U = _expm_action(omega.__matmul__, norm, U)
+    return U
 
 
 def _probe_difference(rep, U1, U2, r, V):
@@ -252,14 +250,14 @@ def product_integral(rep, path, V, tol=1e-8, r=0, n0=8, rule="magnus4"):
     recorded bound is nan.
     """
     n = n0
-    U_prev = step_product(rep, path, n, V, rule).matrix
+    U_prev = step_product(rep, path, n, V, rule)
     record = []
     while True:
         n2 = 2 * n
         if n2 > MAX_STEPS:
             raise MaxRefinementExceeded(
                 f"no convergence to {tol} within {MAX_STEPS} steps")
-        U = step_product(rep, path, n2, V, rule).matrix
+        U = step_product(rep, path, n2, V, rule)
         diff = _probe_difference(rep, U_prev, U, r, V)
         bound = (_difference_bound(rep, path, n, r) if rule == "left"
                  else float("nan"))

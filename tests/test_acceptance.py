@@ -162,7 +162,7 @@ def test_step_scheme_first_order(vir8):
     eye = np.eye(vir8.dim)
     ref = product_integral(vir8, path, eye, tol=1e-9).matrix
     ns = np.array([8, 16, 32, 64, 128, 256])
-    errs = [np.linalg.norm(step_product(vir8, path, int(n), eye, "left").matrix
+    errs = [np.linalg.norm(step_product(vir8, path, int(n), eye, "left")
                            - ref, 2) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)

@@ -152,6 +152,19 @@ def test_validation_errors_name_the_field(tmp_path, cache_dir, capsys):
         cases.append(({"name": "x", "checks": [],
                        "module": {"kind": "su2", "spins": spins}},
                       "module.spins"))
+    # a field outside the descriptor's six, or outside the module kind's
+    # own, is named rather than read as nothing
+    cases += [
+        ({"name": "typo", "chekcs": ["vir-commutation"]},
+         "descriptor: unknown field 'chekcs'"),
+        ({"name": "x", "checks": [], "module": dict(vir, M=8)},
+         "module: unknown field 'M'"),
+        ({"name": "x", "checks": [], "module": dict(aff, c="1/2")},
+         "module: unknown field 'c'"),
+        ({"name": "x", "checks": [],
+          "module": {"kind": "su2", "spins": ["1"], "N": 4}},
+         "module: unknown field 'N'"),
+    ]
     for data, needle in cases:
         desc = write_descriptor(tmp_path, data)
         assert cli.main(["run", desc]) == 2

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in it, every
 private module-level name and every UPPER_CASE module constant of the
-package is read somewhere in it, every name the benchmark's span tracer
+package is read somewhere in it, every parameter of a package function
+is read in its body, every name the benchmark's span tracer
 patches still exists, no package module imports scipy, one module owns
 the dense exponential, and the consumers of a representation read only
 the protocol's members.
@@ -8,7 +9,7 @@ the protocol's members.
 A stdlib `ast` scan of the package and the test modules; an unused
 import, an unread private helper or a constant renamed away from its
 readers is dead code, and the first also hides what a module really
-depends on.
+depends on.  An unread parameter is an option that changes nothing.
 """
 
 import ast
@@ -139,6 +140,50 @@ def test_every_constant_is_read():
     unread = unread_names({p.stem: p.read_text() for p in PACKAGE},
                           is_constant)
     assert not unread, f"module constants never read: {unread}"
+
+
+def unread_parameters(source):
+    """(line, function, parameter) of each parameter of a function or
+    method that its body, nested functions included, never reads.  A
+    method's `self` or `cls` is left out: the method form fixes it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        loads = {n.id for n in ast.walk(node)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, p) for p in params
+                if p not in loads and p not in ("self", "cls")]
+    return sorted(out)
+
+
+def test_scan_finds_unread_parameter():
+    # a read in a nested function counts for the outer one; a read of the
+    # same name in another function (h's kw) does not
+    src = ("def f(a, b=1, *rest, c, **kw):\n"
+           "    def g(d):\n        return a + c\n    return g\n"
+           "class K:\n    def m(self, x):\n        return 0\n"
+           "async def h(y):\n    return [y for _ in kw]\n")
+    assert unread_parameters(src) == [
+        (1, "f", "b"), (1, "f", "kw"), (1, "f", "rest"), (2, "g", "d"),
+        (6, "m", "x")]
+
+
+# fixed callback signatures: a check takes its CheckContext, a verb the
+# parsed arguments, whether or not it reads them
+CALLBACKS = (("chk_", "ctx"), ("cmd_", "args"))
+
+
+def test_every_parameter_is_read():
+    unread = [(path.name, line, func, param)
+              for path in PACKAGE
+              for line, func, param in unread_parameters(path.read_text())
+              if not any(func.startswith(prefix) and param == name
+                         for prefix, name in CALLBACKS)]
+    assert not unread, f"parameters never read: {unread}"
 
 
 def traced_names():

@@ -259,7 +259,7 @@ def test_magnus4_noncommuting_path_vs_ode():
                     (0, 1), np.eye(6, dtype=complex).ravel(),
                     rtol=1e-12, atol=1e-13)
     ref = sol.y[:, -1].reshape(6, 6)
-    errs = {rule: np.abs(step_product(MIXED, path, 16, EYE, rule).matrix
+    errs = {rule: np.abs(step_product(MIXED, path, 16, EYE, rule)
                          - ref).max() for rule in ("left", "magnus4")}
     assert errs["magnus4"] < 1e-5
     assert errs["magnus4"] < errs["left"] / 50

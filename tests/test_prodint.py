@@ -45,6 +45,32 @@ def test_step_product_rules(vir8):
     np.testing.assert_allclose(seen, [0.0, 0.25, 0.5, 0.75])
 
 
+@pytest.mark.parametrize("rule, amplitude", [
+    ("magnus4", float("nan")), ("magnus4", 1e300), ("left", float("nan"))])
+def test_non_finite_step_exponent_is_named(vir8, rule, amplitude):
+    # the path blows up from t = 0.5 on: the error names the first step
+    # whose exponent is not finite, its start and its 1-norm
+    def f(t):
+        a = amplitude * t if t >= 0.5 else 0.1
+        return FourierVectorField({1: a, -1: a})
+    with pytest.raises(ValueError,
+                       match=rf"^{rule} step 2 of 4 at t=0\.5: .* nan$"):
+        step_product(vir8, GeneratorPath(f), 4, np.eye(vir8.dim, 2), rule)
+
+
+@pytest.mark.parametrize("rule", prodint.RULES)
+def test_product_integral_returns_the_accepted_step_product(vir8, rule):
+    # the refined block is the step product at the accepted step count,
+    # bit for bit, and nothing else
+    V = np.eye(vir8.dim, 3, dtype=complex)
+    P = product_integral(vir8, oscillating_path(scale=0.3), V, tol=1e-3,
+                         rule=rule)
+    assert P.steps == P.refinement_error[-1][0]
+    np.testing.assert_array_equal(
+        P.matrix, step_product(vir8, oscillating_path(scale=0.3), P.steps, V,
+                               rule))
+
+
 def test_cumulative_simpson_polynomial():
     # exact for cubics
     x = np.linspace(0, 2, 41)
@@ -85,7 +111,7 @@ def test_first_order_convergence(vir8):
     eye = np.eye(vir8.dim)
     ref = product_integral(vir8, path, eye, tol=1e-9).matrix
     ns = np.array([8, 16, 32, 64, 128, 256])
-    errs = [np.linalg.norm(step_product(vir8, path, int(n), eye, "left").matrix
+    errs = [np.linalg.norm(step_product(vir8, path, int(n), eye, "left")
                            - ref, 2) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.1)
@@ -437,9 +463,9 @@ def test_magnus4_gauss_nodes(vir8):
 def test_magnus4_fourth_order(vir8):
     path = oscillating_path()
     eye = np.eye(vir8.dim)
-    ref = step_product(vir8, path, 1024, eye).matrix
+    ref = step_product(vir8, path, 1024, eye)
     ns = np.array([8, 16, 32, 64])
-    errs = [np.linalg.norm(step_product(vir8, path, int(n), eye).matrix
+    errs = [np.linalg.norm(step_product(vir8, path, int(n), eye)
                            - ref, 2) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope == pytest.approx(-4.0, abs=0.3)
@@ -468,7 +494,7 @@ def test_magnus4_real_fields_unitary(vir8, F, G):
     # the product is unitary
     path = GeneratorPath(lambda t: F + t * G)
     assert unitarity_defect(
-        step_product(vir8, path, 8, np.eye(vir8.dim)).matrix) < 1e-12
+        step_product(vir8, path, 8, np.eye(vir8.dim))) < 1e-12
 
 
 def test_magnus4_constant_path_exact(vir8):
@@ -536,8 +562,8 @@ def test_vector_mode_matches_dense_product(vir8, rule):
     V = rng.normal(size=(vir8.dim, 3)) + 1j * rng.normal(size=(vir8.dim, 3))
     dense = reference_step_product(vir8, path, 32, rule)
     vec = step_product(vir8, path, 32, V, rule)
-    assert vec.matrix.shape == V.shape and vec.steps == 32
-    assert np.abs(vec.matrix - dense @ V).max() < 1e-12
+    assert vec.shape == V.shape
+    assert np.abs(vec - dense @ V).max() < 1e-12
 
 
 @pytest.mark.parametrize("rule", ["magnus4", "left"])
@@ -717,7 +743,7 @@ def test_step_product_matches_reference_step(request, name):
     path = shrinking_loop_homotopy().boundary_path(1.0)
     ref = reference_step_product(rep, path, 16)
     W = np.eye(rep.dim, int((rep.level_of() <= 3).sum()), dtype=complex)
-    vec = step_product(rep, path, 16, W).matrix
+    vec = step_product(rep, path, 16, W)
     assert np.abs(vec - ref @ W).max() < 1e-12
 
 
