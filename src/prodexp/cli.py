@@ -200,7 +200,7 @@ def validate_descriptor(data):
 
 def load_descriptor(path):
     p = Path(path)
-    if not p.exists():
+    if not os.path.isfile(p):        # False, not OSError, on too long a name
         bundled = bundled_descriptor(path)
         if bundled is not None:
             return validate_descriptor(json.loads(bundled))
@@ -216,7 +216,10 @@ def bundled_descriptor(name):
     """Text of a descriptor shipped with the package, or None."""
     fname = name if name.endswith(".json") else name + ".json"
     res = importlib.resources.files("prodexp") / "descriptors" / fname
-    return res.read_text() if res.is_file() else None
+    try:
+        return res.read_text()
+    except OSError:                  # no such file, or too long a name
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +364,7 @@ def cmd_list_checks(args):
 def cmd_build_module(args):
     try:
         data = json.loads(Path(args.spec).read_text()
-                          if Path(args.spec).exists() else args.spec)
+                          if os.path.isfile(args.spec) else args.spec)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"module spec is not valid JSON: {exc}")
     spec = parse_module_spec(data)

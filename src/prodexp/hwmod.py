@@ -10,7 +10,8 @@ quotient is spanned by s u, s a lowering generator of mode -a (L_{-1} and
 L_{-2}, or x_j(-1)) and u in the kept basis of level k - a (Kac & Raina,
 *Bombay Lectures on Highest Weight Representations*, 1987).  Its Gram
 matrix needs only the levels below and the brackets [raising, lowering];
-its exact LDL^T picks the basis, the rank and the unitarity test.
+its exact LDL^T, in span order, keeps the first independent spanning
+words as the basis and is the unitarity test.
 
 The exact arithmetic runs on Python integers.  The LDL^T is a
 fraction-free (Bareiss) elimination, and the products and triangular
@@ -62,9 +63,11 @@ from .scale import gw_field_seminorm, gw_loop_seminorm, gw_virasoro_seminorm
 
 class NotUnitarizable(Exception):
     """The Gram matrix is indefinite at `level`, the first level where it
-    is, which does not depend on the basis.  `eigenvalue` is the first
-    negative pivot of the LDL of that level's spanning Gram, not an
-    eigenvalue: it depends on the spanning basis."""
+    is, which does not depend on the basis.  `eigenvalue` is not an
+    eigenvalue but the value `_exact_ldl` raises on that level's spanning
+    Gram, eliminated in span order: the first negative pivot, or minus
+    the first nonzero entry below a zero pivot, so it depends on the
+    spanning words and their order."""
 
     def __init__(self, level, eigenvalue):
         self.level = level
@@ -450,69 +453,58 @@ class _IndefiniteGram(Exception):
 
 
 def _exact_ldl(G):
-    """Rational LDL^T with diagonal pivoting of a symmetric PSD matrix.
+    """Rational LDL^T of a symmetric PSD matrix, eliminated in G's order.
 
-    Returns (perm, L, d, rank) with P^T G P = L diag(d) L^T, perm[i] the
-    original index at pivot position i and d[i] > 0 for i < rank.  Raises
-    _IndefiniteGram when a negative pivot (or a nonzero off-diagonal in
-    an all-zero-diagonal trailing block) shows G is not PSD.
+    Returns (keep, L, d): keep lists the indices with a nonzero pivot, in
+    order, so the rows of G they name are its first independent ones,
+    and G[keep][:, keep] = L diag(d) L^T with L unit lower triangular and
+    d > 0.  A zero pivot whose column below the diagonal is zero is
+    skipped.  A negative pivot, or a zero pivot with a nonzero entry
+    below it, shows G is not PSD and raises _IndefiniteGram.
 
     The elimination is fraction-free (symmetric Bareiss): G is scaled by
-    the lcm D of its denominators to an integer matrix A, and after i
-    pivots the lower triangle M holds p_prev times the Schur complement
-    of A, p_prev being the last pivot of M (1 before the first).  The
-    update (piv M[k][l] - M[k][i] M[l][i]) // p_prev divides exactly
-    (Sylvester's identity), and d[i] = piv / (p_prev D), L[k][i] =
-    M[k][i] / piv.  Since p_prev > 0, the diagonal of M has the same
-    largest entry and the same ties as the Schur complement, so the
-    pivots, and the factors, are those of rational elimination.
+    the lcm D of its denominators to an integer matrix A, and after each
+    kept pivot the lower triangle M holds p_prev times the Schur
+    complement of A, p_prev being the last kept pivot (1 before the
+    first).  The update (piv M[k][l] - M[k][i] M[l][i]) // p_prev divides
+    exactly (Sylvester's identity), and d = piv / (p_prev D), L[k][i] =
+    M[k][i] / piv.  A skipped index has a zero row in the Schur
+    complement, so skipping it leaves M as it is.
     """
     n = len(G)
     D = math.lcm(*(x.denominator for row in G for x in row))
     M = [[G[k][l].numerator * (D // G[k][l].denominator)
           for l in range(k + 1)] for k in range(n)]
-    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    perm = list(range(n))
-    d = [Fraction(0)] * n
-    rank = n
-    p_prev = 1
+    keep, pivots, p_prev = [], [], 1
     for i in range(n):
-        j = max(range(i, n), key=lambda t: abs(M[t][t]))
-        piv = M[j][j]
-        if piv == 0:
-            off = next((M[max(a, b)][min(a, b)] for a in range(i, n)
-                        for b in range(i, n)
-                        if a != b and M[max(a, b)][min(a, b)]), None)
-            if off is not None:
-                raise _IndefiniteGram(Fraction(-abs(off), p_prev * D))
-            rank = i
-            break
+        piv = M[i][i]
+        col = [M[k][i] for k in range(i + 1, n)]
         if piv < 0:
             raise _IndefiniteGram(Fraction(piv, p_prev * D))
-        if j != i:
-            # symmetric swap of i < j within the lower triangle
-            M[i][i], M[j][j] = M[j][j], M[i][i]
-            for t in range(i + 1, j):
-                M[t][i], M[j][t] = M[j][t], M[t][i]
-            for t in range(j + 1, n):
-                M[t][i], M[t][j] = M[t][j], M[t][i]
-            perm[i], perm[j] = perm[j], perm[i]
-            for t in range(i):
-                L[i][t], L[j][t] = L[j][t], L[i][t]
-        d[i] = Fraction(piv, p_prev * D)
-        col = [M[k][i] for k in range(i + 1, n)]
+        if piv == 0:
+            off = next((a for a in col if a), 0)
+            if off:
+                raise _IndefiniteGram(Fraction(-abs(off), p_prev * D))
+            continue
         for k, a in enumerate(col, i + 1):
             Mk = M[k]
             if a:
-                L[k][i] = Fraction(a, piv)
                 for l, b in zip(range(i + 1, k + 1), col):
                     Mk[l] = (piv * Mk[l] - a * b) // p_prev
             else:
                 for l in range(i + 1, k + 1):
                     if Mk[l]:
                         Mk[l] = piv * Mk[l] // p_prev
+        keep.append(i)
+        pivots.append(piv)
         p_prev = piv
-    return perm, L, d, rank
+    L = np.full((len(keep), len(keep)), _ZERO, dtype=object)
+    for a, i in enumerate(keep):          # M[i][i] is i's own pivot
+        L[a, :a + 1] = [Fraction(M[i][j], p)
+                        for j, p in zip(keep[:a + 1], pivots)]
+    d = np.array([Fraction(p, q * D) for p, q in zip(pivots, [1] + pivots)],
+                 dtype=object)
+    return keep, L, d
 
 
 # The kernels below take object arrays of ints and Fractions and return
@@ -520,8 +512,8 @@ def _exact_ldl(G):
 # A denominator is shared only along a row or a column whose entries have
 # related denominators: a column of a factor L (they divide its pivot), a
 # row of a solve's working array, a row or column of Y or R.  A row of L
-# is not one: at Virasoro N = 16 the lcm along a row of L has 2,800
-# digits, its entries at most 155, so both solves read L by columns.
+# is not one: at Virasoro N = 16 the lcm along a row of L has 289
+# digits, its entries at most 28, so both solves read L by columns.
 
 _ZERO = Fraction(0)
 _fraction = np.frompyfunc(Fraction, 2, 1)
@@ -620,9 +612,10 @@ def unitarize(verma):
 
         <s u, s' u'> = <s'^+ u, s^+ u'> + <u, [s^+, s'] u'>,
 
-    which reads only stored data of the levels below, and `_exact_ldl`
-    of it gives the kept basis b (its pivots), the rank and the unitarity
-    test (NotUnitarizable at the first negative pivot).  For each stored
+    which reads only stored data of the levels below.  `_exact_ldl`
+    eliminates it in span order: the kept basis b is the first
+    independent spanning words (those with a nonzero pivot), in span
+    order, and an indefinite Gram raises NotUnitarizable.  For each stored
     generator g (the adjoints of `lowering`, mode a, and the mode-0
     `zero_modes`) and source level k, Y[g, k] holds the exact inner
     products <b'_i, g b_j> with the target basis b' and R[g, k] = G'^{-1} Y
@@ -677,24 +670,22 @@ def unitarize(verma):
                 Gs[span[s], span[s2]] = B
                 Gs[span[s2], span[s]] = B.T
         try:
-            perm, L, d, r = _exact_ldl(Gs)
+            keep, L, d = _exact_ldl(Gs)
         except _IndefiniteGram as exc:
             raise NotUnitarizable(k, float(exc.value))
-        piv = np.asarray(perm[:r], dtype=int)
-        G.append(Gs[np.ix_(piv, piv)])
-        fac.append((np.array(L, dtype=object).reshape(ns, ns)[:r, :r],
-                    np.array(d[:r], dtype=object)))
-        basis.append([spans[p] for p in piv])
+        G.append(Gs[np.ix_(keep, keep)])
+        fac.append((L, d))
+        basis.append([spans[p] for p in keep])
         for s in active:
-            store(adj(s), k, Gs[span[s]][:, piv])
+            store(adj(s), k, Gs[span[s]][:, keep])
         for g in verma.zero_modes:
-            C = np.zeros((ns, r), dtype=object)
-            for q, p in enumerate(piv):
+            C = np.zeros((ns, len(keep)), dtype=object)
+            for q, p in enumerate(keep):
                 s, u = spans[p]
                 C[span[s], q] = R[g, k + s[-1]][:, u]
                 for s3, cf in verma.bracket(g, s)[0].items():
                     C[span[s3].start + u, q] += cf
-            store(g, k, _mm(Gs[piv, :], C))
+            store(g, k, _mm(Gs[keep, :], C))
     return GradedModule(verma, basis, fac, R)
 
 
@@ -705,9 +696,10 @@ def build_module(spec):
 class GradedModule:
     """Truncated module with per-level orthonormal bases.
 
-    `basis[k]` lists the kept words of level k: (s, u) stands for s
-    applied to word u of the level below (level 0: (None, w), the w-th
-    lowest-level vector).  `factors[k]` = (L, d) is the exact factor
+    `basis[k]` lists the kept words of level k, the first independent
+    spanning words in span order: (s, u) stands for s applied to word u
+    of the level below (level 0: (None, w), the w-th lowest-level
+    vector).  `factors[k]` = (L, d) is the exact factor
     L diag(d) L^T of their Gram matrix, so b L^{-T} diag(d)^{-1/2} is the
     orthonormal basis.  `unitarize` stores the exact coordinates
     {(gen, k): R} of its generators; higher raising modes follow from them

@@ -203,7 +203,7 @@ def step_product(rep, path, n, V, rule="magnus4"):
         else:
             omega = dt * rep.pi(path(t0))
         norm = _norm1(omega)
-        if not math.isfinite(norm):
+        if not norm <= _THETAS[-1] * MAX_STEPS:  # nan, or > MAX_STEPS substeps
             raise ValueError(f"{rule} step {i} of {n} at t={t0:.6g}: the "
                              f"exponent's 1-norm is {norm}")
         U = _expm_action(omega.__matmul__, norm, U)

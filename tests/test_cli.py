@@ -191,6 +191,22 @@ def test_missing_descriptor_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_overlong_argument_names_no_file(tmp_path, capsys):
+    # a path component over 255 bytes makes the file system raise
+    # ENAMETOOLONG; such an argument names no file, so build-module reads
+    # it as JSON and run and sweep report a missing descriptor, exit 2
+    long = "x" * 300
+    spec = json.dumps({"kind": "affine_sl2", "ell": 1, "lam": 1, "N": 2,
+                       long: 1})
+    assert cli.main(["--cache-dir", str(tmp_path), "build-module",
+                     spec]) == 2
+    assert f"unknown field '{long}'" in capsys.readouterr().err
+    for argv in (["run", long],
+                 ["sweep", long, "--param", "module.N", "--values", "4"]):
+        assert cli.main(argv) == 2
+        assert "descriptor file not found" in capsys.readouterr().err
+
+
 def test_empty_checks_exit_zero(tmp_path, capsys):
     desc = write_descriptor(tmp_path, {"name": "empty", "checks": []})
     assert cli.main(["run", desc]) == 0
@@ -242,13 +258,13 @@ def test_cache_correctness(tmp_path):
 PINNED_DIGESTS = {
     "virasoro": (
         {"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 8},
-        "024293cf57adf328c0952a073bd380ca68c82aeb636a1888b071652b9d64935a"),
+        "e3e86fea03e6584e6e99b62b166b9a8c3d89a462a37cebd54a2ad7094252dec7"),
     "affine": (
         {"kind": "affine_sl2", "ell": 1, "lam": 1, "N": 4},
-        "c9fe7a7444bbdf2ef7ba12edcb5852dad601ed92c82653cd7594a01fb8a365ad"),
+        "6f72b3b19492308abfc6bd1f12e402fa9f36cec3464ff01f4d03dc65dce2730d"),
     "su2": (
         {"kind": "su2", "spins": ["1", "1/2"]},
-        "53e960585811b7c67232c99f7e7082e20826c6f840c8069708d44cb8268e8473"),
+        "a7b61fd632f36cb551dcf4f84dfb84d74039cd77e90a2a79e40c72c864d656c7"),
 }
 
 

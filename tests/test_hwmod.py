@@ -188,6 +188,39 @@ class TestUnitarize:
                 np.testing.assert_allclose(C.T @ G @ C, np.eye(C.shape[1]),
                                            atol=1e-10, err_msg=str((spec, k)))
 
+    @pytest.mark.parametrize("spec", [
+        virasoro_spec(Fraction(1, 2), Fraction(1, 16), 8),
+        affine_spec(1, 1, 4)], ids=["ising-n8", "aff11-n4"])
+    def test_kept_words_are_the_first_independent_spanning_words(self,
+                                                                 spec):
+        # every spanning word s u in PBW coordinates and their exact Gram
+        # from the PBW one: basis[k] is, in span order, exactly the words
+        # that raise the rank of the Gram of the words up to them
+        import sympy
+        mod = build_module(spec)
+        verma = mod.verma
+        words = [[{verma.monomials[0][w]: 1} for _, w in mod.basis[0]]]
+        for k in range(1, mod.N + 1):
+            spans, vecs = [], []
+            for s in verma.lowering:
+                for u, word in enumerate(words[k + s[-1]]
+                                         if k + s[-1] >= 0 else []):
+                    vec = {}
+                    for mono, cf in word.items():
+                        for mu, a in verma.apply_gen(s, mono).items():
+                            vec[mu] = vec.get(mu, 0) + cf * a
+                    spans.append((s, u))
+                    vecs.append(vec)
+            G, idx = verma.gram(k), verma.index[k]
+            Gs = sympy.Matrix([[sympy.Rational(sum(
+                (a * b * G[idx[m]][idx[m2]]
+                 for m, a in v.items() for m2, b in v2.items()), Fraction(0)))
+                for v2 in vecs] for v in vecs])
+            ranks = [Gs[:i, :i].rank() for i in range(len(spans) + 1)]
+            kept = [i for i in range(len(spans)) if ranks[i + 1] > ranks[i]]
+            assert mod.basis[k] == [spans[i] for i in kept], k
+            words.append([vecs[i] for i in kept])
+
     @pytest.mark.parametrize("name", ["vir8", "aff5"])
     def test_adjoint_blocks(self, request, name):
         # a lowering generator is the adjoint of its raising one, bit for
@@ -220,51 +253,39 @@ def test_virasoro_level_dims_ising_sigma_character(vir16):
 # exact LDL: fraction-free elimination against plain Fraction elimination
 
 def _fraction_ldl(G):
-    """LDL^T with diagonal pivoting in Fraction arithmetic: the elimination
-    `_exact_ldl` must reproduce exactly (same pivots, factors and errors)."""
+    """LDL^T in G's order in Fraction arithmetic, skipping a zero pivot
+    whose column below is zero: the elimination `_exact_ldl` must
+    reproduce exactly (same kept indices, factors and errors)."""
     n = len(G)
     M = [list(row) for row in G]
-    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    perm = list(range(n))
-    d = [Fraction(0)] * n
-    rank = n
+    keep, cols, d = [], [], []
     for i in range(n):
-        j = max(range(i, n), key=lambda t: abs(M[t][t]))
-        piv = M[j][j]
-        if piv == 0:
-            off = next((M[a][b] for a in range(i, n) for b in range(i, n)
-                        if a != b and M[a][b] != 0), None)
-            if off is not None:
-                raise _IndefiniteGram(-abs(off))
-            rank = i
-            break
+        piv = M[i][i]
         if piv < 0:
             raise _IndefiniteGram(piv)
-        if j != i:
-            M[i], M[j] = M[j], M[i]
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            for t in range(i):
-                L[i][t], L[j][t] = L[j][t], L[i][t]
-        d[i] = piv
-        for k in range(i + 1, n):
-            if M[k][i]:
-                L[k][i] = M[k][i] / piv
-        for k in range(i + 1, n):
-            f = L[k][i]
-            if f:
-                for l in range(i + 1, n):
-                    if M[i][l]:
-                        M[k][l] -= f * M[i][l]
-    return perm, L, d, rank
+        if piv == 0:
+            off = next((M[k][i] for k in range(i + 1, n) if M[k][i]), 0)
+            if off:
+                raise _IndefiniteGram(-abs(off))
+            continue
+        col = {k: M[k][i] / piv for k in range(i + 1, n) if M[k][i]}
+        for k, f in col.items():
+            for l in range(i + 1, n):
+                M[k][l] -= f * M[i][l]
+        keep.append(i)
+        cols.append(col)
+        d.append(piv)
+    L = [[Fraction(int(a == b)) if a <= b else cols[b].get(i, Fraction(0))
+          for b in range(len(keep))] for a, i in enumerate(keep)]
+    return keep, L, d
 
 
 def _ldl_or_error(ldl, G):
     try:
-        return ldl(G)
+        keep, L, d = ldl(G)
     except _IndefiniteGram as exc:
         return ("indefinite", exc.value)
+    return list(keep), [list(row) for row in L], list(d)
 
 
 _RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
@@ -295,19 +316,24 @@ class TestExactLDL:
         import sympy
         B, q, G = case
         n = len(G)
-        perm, L, d, rank = _exact_ldl(G)
-        assert sorted(perm) == list(range(n))
-        assert rank == sympy.Matrix(len(B), n, [
-            sympy.Rational(x.numerator, x.denominator)
-            for row in B for x in row]).rank()
-        assert all(x > 0 for x in d[:rank])
-        assert all(x == 0 for x in d[rank:])
-        for a in range(n):
+        keep, L, d = _exact_ldl(G)
+
+        def rank(m):
+            # of G's leading m x m block: that of B's first m columns
+            return sympy.Matrix(len(B), m, [
+                sympy.Rational(x.numerator, x.denominator)
+                for row in B for x in row[:m]]).rank()
+        # the greedy rule: index i is kept iff it raises the rank
+        assert keep == [i for i in range(n) if rank(i + 1) > rank(i)]
+        r = len(keep)
+        assert L.shape == (r, r) and d.shape == (r,)
+        assert all(x > 0 for x in d)
+        for a in range(r):
             assert L[a][a] == 1 and all(x == 0 for x in L[a][a + 1:])
-            for b in range(n):
-                assert G[perm[a]][perm[b]] == sum(
-                    L[a][t] * d[t] * L[b][t] for t in range(n))
-        assert (perm, L, d, rank) == _fraction_ldl(G)
+            for b in range(r):
+                assert G[keep[a]][keep[b]] == sum(
+                    L[a][t] * d[t] * L[b][t] for t in range(r))
+        assert _ldl_or_error(_exact_ldl, G) == _ldl_or_error(_fraction_ldl, G)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_congruence(_NONZERO))
@@ -330,7 +356,8 @@ class TestExactLDL:
     def test_matches_fraction_elimination_on_gram_levels(self, vir12):
         for k in range(13):
             G = vir12.verma.gram(k)
-            assert _exact_ldl(G) == _fraction_ldl(G), k
+            assert (_ldl_or_error(_exact_ldl, G)
+                    == _ldl_or_error(_fraction_ldl, G)), k
 
     def test_kac_determinant_ratio_at_c1(self):
         # det G_n(c, h) = K_n prod_{r,s >= 1, rs <= n} (h - h_rs)^p(n - rs)
@@ -342,8 +369,8 @@ class TestExactLDL:
         for n in range(1, 7):
             dets = []
             for v in (v1, v2):
-                _, _, d, rank = _exact_ldl(v.gram(n))
-                assert rank == len(d)
+                keep, _, d = _exact_ldl(v.gram(n))
+                assert len(keep) == len(v.gram(n))
                 dets.append(math.prod(d))
             want = Fraction(1)
             for r in range(1, n + 1):
@@ -487,23 +514,28 @@ def test_grading_matches_the_level_loop(request, name):
 def _pbw_frames(verma):
     """(W, CU, d) per level from the exact LDL of the PBW Gram, as
     {monomial: coefficient} columns: C = CU diag(d)^{-1/2} is orthonormal
-    and C^T G = diag(sqrt(d)) W^T."""
+    and C^T G = diag(sqrt(d)) W^T, so W_j = G CU_j / d_j."""
     out = []
     for k in range(verma.spec.N + 1):
-        perm, L, d, r = _exact_ldl(verma.gram(k))
-        monos = [verma.monomials[k][p] for p in perm]
-        W = [{monos[i]: L[i][j] for i in range(len(L)) if L[i][j]}
-             for j in range(r)]
-        CU = []
-        for j in range(r):
+        G = verma.gram(k)
+        keep, L, d = _exact_ldl(G)
+        monos = verma.monomials[k]
+        W, CU = [], []
+        for j in range(len(keep)):
             # column j of L^{-T}: x_i + sum_{t > i} L[t][i] x_t = delta_ij
             x = {j: Fraction(1)}
             for i in range(j - 1, -1, -1):
                 s = sum(L[t][i] * x[t] for t in x if t > i)
                 if s:
                     x[i] = -s
-            CU.append({monos[i]: v for i, v in x.items()})
-        out.append((W, CU, np.array([float(x) for x in d[:r]])))
+            w = {}
+            for m, row in zip(monos, G):
+                v = sum(row[keep[i]] * cf for i, cf in x.items())
+                if v:
+                    w[m] = v / d[j]
+            W.append(w)
+            CU.append({monos[keep[i]]: v for i, v in x.items()})
+        out.append((W, CU, np.array([float(x) for x in d])))
     return out
 
 
@@ -559,11 +591,17 @@ def test_raising_block_singular_values_match_pbw_oracle(spec, modes):
 def test_not_unitarizable_matches_pbw_oracle(c, h):
     # the level of the first negative pivot is the first level whose Gram
     # is indefinite, so both agree on it; the pivot itself depends on the
-    # basis, and the two bases are the same words only through level 2
+    # words and their order.  Through level 2 every spanning word s u is
+    # one PBW monomial, so there the PBW Gram is taken in span order
     verma = build_verma(virasoro_spec(c, h, 8))
     for k in range(9):
+        order = verma.monomials[k]
+        if 0 < k <= 2:
+            order = [(-s[1],) + m for s in verma.lowering if k + s[1] >= 0
+                     for m in verma.monomials[k + s[1]]]
+        G, idx = verma.gram(k), [verma.index[k][m] for m in order]
         try:
-            _exact_ldl(verma.gram(k))
+            _exact_ldl([[G[a][b] for b in idx] for a in idx])
         except _IndefiniteGram as exc:
             want = (k, float(exc.value))
             break
@@ -763,7 +801,7 @@ class TestAffineAndSugawara:
         if shapovalov:
             # the irreducible quotient is the Verma module modulo the radical
             # of its Shapovalov form, so its level dims are the Gram ranks
-            assert [_exact_ldl(mod.verma.gram(k))[3]
+            assert [len(_exact_ldl(mod.verma.gram(k))[0])
                     for k in range(N + 1)] == want
 
     @pytest.mark.parametrize("lam", [0, 1])
