@@ -36,6 +36,7 @@ import json
 import os
 import pickle
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,10 +94,15 @@ class ModuleCache:
 
     def store(self, spec, module):
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self._path(spec).with_suffix(".tmp")
-        with open(tmp, "wb") as f:
-            pickle.dump(module, f)
-        tmp.replace(self._path(spec))
+        # a temp file per call: concurrent writers of one spec never share it
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                pickle.dump(module, f)
+            os.replace(tmp, self._path(spec))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load_or_build(self, spec):
         """(module, cached): the cached module, or a new build stored."""
@@ -180,7 +186,8 @@ def validate_descriptor(data):
         raise DescriptorError("name: expected a string")
     if not isinstance(out["output"], (str, type(None))):
         raise DescriptorError("output: expected a string")
-    _integer(out["seed"], "seed")
+    if _integer(out["seed"], "seed") < 0:
+        raise DescriptorError(f"seed: must be non-negative, got {out['seed']}")
     if not isinstance(out["checks"], list):
         raise DescriptorError("checks: expected a list of check ids")
     for cid in out["checks"]:
@@ -328,6 +335,15 @@ def sweep(descriptor, param, values, cache=None):
 # verbs
 
 
+def _output(args, descriptor):
+    """The output path (None: stdout); a directory is refused up front."""
+    path = args.output or descriptor.get("output")
+    if path and os.path.isdir(path):
+        flag = "--output" if args.output else "output"
+        raise DescriptorError(f"{flag}: {path} is a directory")
+    return path
+
+
 def _emit(text, output):
     if output:
         Path(output).parent.mkdir(parents=True, exist_ok=True)
@@ -338,20 +354,22 @@ def _emit(text, output):
 
 def cmd_run(args):
     descriptor = load_descriptor(args.descriptor)
+    output = _output(args, descriptor)
     report = execute(descriptor, cache=ModuleCache(args.cache_dir))
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _emit(text, args.output or descriptor.get("output"))
+    _emit(text, output)
     return 0 if report_passed(report) else 1
 
 
 def cmd_sweep(args):
     descriptor = load_descriptor(args.descriptor)
+    output = _output(args, descriptor)
     values = [_parse_value(v) for v in args.values.split(",") if v]
     if not values:
         raise DescriptorError("sweep: --values must list at least one value")
     text, ok = sweep(descriptor, args.param, values,
                      cache=ModuleCache(args.cache_dir))
-    _emit(text, args.output or descriptor.get("output"))
+    _emit(text, output)
     return 0 if ok else 1
 
 
@@ -420,6 +438,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.cache_dir and os.path.isfile(args.cache_dir):
+            raise DescriptorError(f"--cache-dir: {args.cache_dir} is a file")
         return args.func(args)
     except DescriptorError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,18 +1,18 @@
 """Coefficient-level arithmetic for circle vector fields and sl2
 loop-algebra elements.
 
-Vector fields on the circle are stored by their Fourier data,
+Both are finite mode sums sum_n c_n e^{in theta}, stored as {n: c_n}
+with the zero coefficients dropped.  Their arithmetic (sums, scalar
+multiples, mode derivative, equality) is written once, in `_ModeSum`;
+the two kinds differ only in their coefficient:
 
-    X = sum_n a_n e_n,        e_n = e^{i n theta} d/dtheta,
-
-with finitely many nonzero complex amplitudes a_n.  The basis of the
-(centrally extended) Witt algebra used elsewhere is L_n = -i e_n, so that
-e_n = i L_n.
-
-Loop elements sum_n x_n e^{in theta} are stored the same way, each x_n a
-coefficient vector in the Chevalley basis (e, h, f) of sl2, the one
-finite Lie algebra here; its bracket, invariant form and Hermitian norm
-are closed forms (`sl2_bracket`, `sl2_inner`, `sl2_norm`).
+* a vector field X = sum_n a_n e_n, e_n = e^{i n theta} d/dtheta, has
+  complex amplitudes a_n.  The basis of the (centrally extended) Witt
+  algebra used elsewhere is L_n = -i e_n, so that e_n = i L_n;
+* a loop element sum_n x_n e^{in theta} has coefficient vectors x_n in
+  the Chevalley basis (e, h, f) of sl2, the one finite Lie algebra here;
+  its bracket, invariant form and Hermitian norm are closed forms
+  (`sl2_bracket`, `sl2_inner`, `sl2_norm`).
 
 Coefficients may be ordinary complex numbers or exact Gaussian rationals
 (`QC`), which the algebraic identity tests rely on.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import numbers
+import operator
 
 
 # ---------------------------------------------------------------------------
@@ -134,42 +135,48 @@ def _mul_i(x):
 
 
 # ---------------------------------------------------------------------------
-# vector fields on the circle
+# mode sums and vector fields on the circle
 
 
-class FourierVectorField:
-    """Trigonometric-polynomial vector field sum_n a_n e^{in theta} d/dtheta."""
+class _ModeSum:
+    """Finite mode sum sum_n c_n e^{in theta}; zero coefficients are
+    dropped.  A subclass names its coefficient's zero test `_zero`, sum
+    `_sum`, scalar multiple `_scale(scalar, c)` and norm `_norm`."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         self.coeffs = {}
         if coeffs:
-            for n, a in coeffs.items():
-                if not _is_zero(a):
-                    self.coeffs[int(n)] = a
+            zero = self._zero
+            for n, c in coeffs.items():
+                if not zero(c):
+                    self.coeffs[int(n)] = c
 
-    @classmethod
-    def basis(cls, n, amplitude=1):
-        return cls({n: amplitude})
+    def _sum_terms(self, out, terms):
+        """The element of this kind that adds the (mode, coefficient) pairs
+        `terms` to the modes `out`."""
+        add = self._sum
+        for n, c in terms:
+            out[n] = add(out[n], c) if n in out else c
+        return type(self)(out)
 
     def mode_derivative(self):
-        """Field with Fourier data n*a_n (the bracket with L_0, up to i)."""
-        return FourierVectorField({n: n * a for n, a in self.coeffs.items()})
+        """Element with mode data n*c_n (the bracket with L_0, up to i)."""
+        return type(self)(
+            {n: self._scale(n, c) for n, c in self.coeffs.items()})
 
     def __add__(self, other):
-        if not isinstance(other, FourierVectorField):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self.coeffs)
-        for n, a in other.coeffs.items():
-            out[n] = out.get(n, 0) + a
-        return FourierVectorField(out)
+        return self._sum_terms(dict(self.coeffs), other.coeffs.items())
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        return FourierVectorField({n: scalar * a for n, a in self.coeffs.items()})
+        scale = self._scale
+        return type(self)({n: scale(scalar, c) for n, c in self.coeffs.items()})
 
     __mul__ = __rmul__
 
@@ -177,12 +184,27 @@ class FourierVectorField:
         return (-1) * self
 
     def __eq__(self, other):
-        if not isinstance(other, FourierVectorField):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self - other).coeffs == {}
 
     def __repr__(self):
-        return f"FourierVectorField({self.coeffs!r})"
+        return f"{type(self).__name__}({self.coeffs!r})"
+
+
+class FourierVectorField(_ModeSum):
+    """Trigonometric-polynomial vector field sum_n a_n e^{in theta} d/dtheta."""
+
+    __slots__ = ()
+
+    _zero = staticmethod(_is_zero)
+    _sum = staticmethod(operator.add)
+    _scale = staticmethod(operator.mul)
+    _norm = staticmethod(abs)
+
+    @classmethod
+    def basis(cls, n, amplitude=1):
+        return cls({n: amplitude})
 
 
 def vect_cocycle_integral(f, g):
@@ -205,11 +227,9 @@ def vect_cocycle_integral(f, g):
 
 
 def seminorm(x, s):
-    """Goodman-Wallach weight sum_n (1+|n|)^s |a_n| (vect or loop element)."""
-    if isinstance(x, LoopAlgebraElement):
-        return sum((1 + abs(n)) ** s * sl2_norm(v)
-                   for n, v in x.coeffs.items())
-    return sum((1 + abs(n)) ** s * abs(a) for n, a in x.coeffs.items())
+    """Goodman-Wallach weight sum_n (1+|n|)^s |c_n| (vect or loop element)."""
+    norm = x._norm
+    return sum((1 + abs(n)) ** s * norm(c) for n, c in x.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +266,24 @@ def sl2_norm(x):
     return total ** 0.5
 
 
-class LoopAlgebraElement:
+class LoopAlgebraElement(_ModeSum):
     """Element sum_n x_n otimes e^{in theta} of the polynomial loop algebra
     of sl2, x_n a coefficient vector (e, h, f)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for n, v in coeffs.items():
-                v = tuple(v)
-                if len(v) != DIM_G:
-                    raise ValueError(f"mode {n}: coefficient vector of "
-                                     f"length {len(v)}, not {DIM_G}")
-                if any(not _is_zero(a) for a in v):
-                    self.coeffs[int(n)] = v
+        coeffs = {n: tuple(v) for n, v in (coeffs or {}).items()}
+        for n, v in coeffs.items():
+            if len(v) != DIM_G:
+                raise ValueError(f"mode {n}: coefficient vector of "
+                                 f"length {len(v)}, not {DIM_G}")
+        super().__init__(coeffs)
+
+    _zero = staticmethod(lambda v: all(_is_zero(a) for a in v))
+    _sum = staticmethod(lambda v, w: tuple(a + b for a, b in zip(v, w)))
+    _scale = staticmethod(lambda scalar, v: tuple(scalar * a for a in v))
+    _norm = staticmethod(sl2_norm)
 
     @classmethod
     def single(cls, index, n, amplitude=1):
@@ -269,41 +291,6 @@ class LoopAlgebraElement:
         v = [0] * DIM_G
         v[index] = amplitude
         return cls({n: tuple(v)})
-
-    def mode_derivative(self):
-        return LoopAlgebraElement(
-            {n: tuple(n * a for a in v) for n, v in self.coeffs.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, LoopAlgebraElement):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for n, v in other.coeffs.items():
-            if n in out:
-                out[n] = tuple(a + b for a, b in zip(out[n], v))
-            else:
-                out[n] = v
-        return LoopAlgebraElement(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return LoopAlgebraElement(
-            {n: tuple(scalar * a for a in v) for n, v in self.coeffs.items()})
-
-    __mul__ = __rmul__
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopAlgebraElement):
-            return NotImplemented
-        return (self - other).coeffs == {}
-
-    def __repr__(self):
-        return f"LoopAlgebraElement({self.coeffs!r})"
 
 
 def bracket(x, y):
@@ -316,24 +303,11 @@ def bracket(x, y):
     if type(x) is not type(y):
         raise TypeError(f"no bracket of {type(x).__name__} with "
                         f"{type(y).__name__}")
-    out = {}
-    if isinstance(x, FourierVectorField):
-        for m, a in x.coeffs.items():
-            for n, b in y.coeffs.items():
-                # (e^{im})' e^{in} - e^{im} (e^{in})' = i(m-n) e^{i(m+n)}
-                c = _mul_i((m - n) * a * b)
-                k = m + n
-                out[k] = out.get(k, 0) + c
-        return FourierVectorField(out)
-    for m, v in x.coeffs.items():
-        for n, w in y.coeffs.items():
-            b = sl2_bracket(v, w)
-            k = m + n
-            if k in out:
-                out[k] = tuple(a + c for a, c in zip(out[k], b))
-            else:
-                out[k] = b
-    return LoopAlgebraElement(out)
+    vect = isinstance(x, FourierVectorField)
+    # (e^{im})' e^{in} - e^{im} (e^{in})' = i(m-n) e^{i(m+n)}
+    return x._sum_terms({}, (
+        (m + n, _mul_i((m - n) * a * b) if vect else sl2_bracket(a, b))
+        for m, a in x.coeffs.items() for n, b in y.coeffs.items()))
 
 
 def loop_cocycle(x, y):

@@ -1,8 +1,10 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import unittest
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,8 @@ def test_validation_errors_name_the_field(tmp_path, cache_dir, capsys):
         ({"name": 3, "checks": []}, "name"),
         ({"name": "x", "checks": [], "seed": "seven"}, "seed"),
         ({"name": "x", "checks": [], "seed": True}, "seed"),
+        # a negative seed would fail every row that draws from the rng
+        ({"name": "x", "checks": [], "seed": -1}, "seed: must be non-negative"),
         ({"name": "x", "checks": [], "output": 5}, "output"),
         ({"name": "x", "checks": [], "tolerances": {"vir-commutation": True}},
          "tolerances.vir-commutation"),
@@ -250,6 +254,65 @@ def test_cache_correctness(tmp_path):
     assert strip_wall_times(outs[0]) == strip_wall_times(outs[1])
     cache_files = list((tmp_path / "cache").glob("module-*.pkl"))
     assert cache_files, "module cache was not populated"
+
+
+def test_output_naming_a_directory_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    # one error naming the flag (or descriptor field) and the path, exit 2,
+    # and no check is run for a report that could not be written
+    monkeypatch.setattr(cli, "execute", lambda *a, **k: pytest.fail("ran"))
+    data = dict(FAST_DESCRIPTOR, checks=["vir-commutation"])
+    desc = write_descriptor(tmp_path, data)
+    for argv in (["run", desc, "--output", str(tmp_path)],
+                 ["sweep", desc, "--param", "module.N", "--values", "6",
+                  "--output", str(tmp_path)]):
+        assert cli.main(argv) == 2
+        assert f"--output: {tmp_path} is a directory" in capsys.readouterr().err
+    desc = write_descriptor(tmp_path, dict(data, output=str(tmp_path)))
+    assert cli.main(["run", desc]) == 2
+    assert f"output: {tmp_path} is a directory" in capsys.readouterr().err
+
+
+def test_cache_dir_naming_a_file_is_refused(tmp_path, capsys):
+    # build-module would end in a FileExistsError traceback and run would
+    # turn every row into an error; both fail once, naming the flag
+    cache = tmp_path / "cache"
+    cache.write_text("")
+    desc = write_descriptor(tmp_path, FAST_DESCRIPTOR)
+    spec = '{"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 3}'
+    for argv in (["build-module", spec], ["run", desc]):
+        assert cli.main(["--cache-dir", str(cache), *argv]) == 2
+        assert f"--cache-dir: {cache} is a file" in capsys.readouterr().err
+
+
+def test_interleaved_stores_of_one_spec_both_succeed(tmp_path, monkeypatch):
+    # a second writer of the same spec that finishes while the first is
+    # still dumping leaves the first writer its own temp file to replace
+    cache = cli.ModuleCache(tmp_path)
+    spec = hwmod.virasoro_spec(Fraction(1, 2), Fraction(1, 16), 3)
+    dump = pickle.dump
+
+    def interleaved(obj, f):
+        if obj == "first":
+            monkeypatch.setattr(cli.pickle, "dump", dump)
+            cache.store(spec, "second")
+        dump(obj, f)
+
+    monkeypatch.setattr(cli.pickle, "dump", interleaved)
+    cache.store(spec, "first")
+    assert cache.load(spec) == "first"
+    assert [p.suffix for p in tmp_path.iterdir()] == [".pkl"]
+
+
+def test_failing_dump_leaves_no_file(tmp_path, monkeypatch):
+    def fail(obj, f):
+        raise pickle.PicklingError("no")
+
+    monkeypatch.setattr(cli.pickle, "dump", fail)
+    spec = hwmod.virasoro_spec(Fraction(1, 2), Fraction(1, 16), 3)
+    with pytest.raises(pickle.PicklingError):
+        cli.ModuleCache(tmp_path / "cache").store(spec, "module")
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 # artifact_hashes.rows of every check at seed 7 (numpy 2.4.6, one

@@ -1,10 +1,10 @@
 """Source hygiene: every name a module imports is used in it, every
 private module-level name and every UPPER_CASE module constant of the
 package is read somewhere in it, every parameter of a package function
-is read in its body, every name the benchmark's span tracer
-patches still exists, no package module imports scipy, one module owns
-the dense exponential, and the consumers of a representation read only
-the protocol's members.
+is read in its body, no two package functions share a body, every name
+the benchmark's span tracer patches still exists, no package module
+imports scipy, one module owns the dense exponential, and the consumers
+of a representation read only the protocol's members.
 
 A stdlib `ast` scan of the package and the test modules; an unused
 import, an unread private helper or a constant renamed away from its
@@ -184,6 +184,41 @@ def test_every_parameter_is_read():
               if not any(func.startswith(prefix) and param == name
                          for prefix, name in CALLBACKS)]
     assert not unread, f"parameters never read: {unread}"
+
+
+def duplicate_bodies(sources):
+    """Groups of two or more (module, line, function) whose functions take
+    the same arguments and have the same body, docstrings left out, in the
+    given {module: source} texts."""
+    groups = {}
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body
+            if ast.get_docstring(node, clean=False) is not None:
+                body = body[1:]
+            key = [ast.dump(node.args), *map(ast.dump, body)]
+            groups.setdefault(tuple(key), []).append(
+                (mod, node.lineno, node.name))
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def test_scan_finds_duplicate_bodies():
+    # f and g differ only in name and docstring; h takes other arguments,
+    # and K.m returns another expression
+    sources = {"a": ('def f(x):\n    """Double."""\n    return 2 * x\n'
+                     "def h(y):\n    return 2 * y\n"),
+               "b": ("class K:\n    def g(x):\n        return 2 * x\n"
+                     "    def m(x):\n        return 3 * x\n")}
+    assert duplicate_bodies(sources) == [[("a", 1, "f"), ("b", 2, "g")]]
+
+
+def test_no_duplicate_function_bodies():
+    # a rule written twice drifts apart: liealg's mode-sum arithmetic, for
+    # one, is written once for both element kinds
+    dups = duplicate_bodies({p.stem: p.read_text() for p in PACKAGE})
+    assert not dups, f"functions written twice: {dups}"
 
 
 def traced_names():
