@@ -16,7 +16,9 @@ Rows are the one place truncation is measured: `leakage` is the
 
 from __future__ import annotations
 
+import cmath
 import hashlib
+import math
 import time
 from fractions import Fraction
 from itertools import accumulate
@@ -84,7 +86,7 @@ class CheckContext:
 
 def _oscillator(scale):
     def f(t):
-        a = scale * np.exp(1j * t)
+        a = scale * cmath.exp(1j * t)
         return FourierVectorField({1: a, -1: a.conjugate()})
     return GeneratorPath(f)
 
@@ -407,7 +409,7 @@ def chk_gateaux_central_difference(ctx):
     mod = ctx.rep("virasoro")
     path = _oscillator(0.3)
     delta = GeneratorPath(lambda t: FourierVectorField(
-        {2: 0.2 * np.sin(t), -2: 0.2 * np.sin(t)}), (0, 1))
+        {2: 0.2 * math.sin(t), -2: 0.2 * math.sin(t)}), (0, 1))
     grid = np.linspace(0, 1, 65)
     xi0 = mod.random_vector(ctx.rng("gateaux-central-difference"),
                             max_level=mod.N - 3)

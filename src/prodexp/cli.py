@@ -336,12 +336,25 @@ def sweep(descriptor, param, values, cache=None):
 
 
 def _output(args, descriptor):
-    """The output path (None: stdout); a directory is refused up front."""
+    """The output path (None: stdout); a directory, or a path that a
+    regular file blocks, is refused up front."""
     path = args.output or descriptor.get("output")
-    if path and os.path.isdir(path):
+    if path:
         flag = "--output" if args.output else "output"
-        raise DescriptorError(f"{flag}: {path} is a directory")
+        if os.path.isdir(path):
+            raise DescriptorError(f"{flag}: {path} is a directory")
+        blocker = _blocking_file(Path(path).parent)
+        if blocker:
+            raise DescriptorError(f"{flag}: {path}: {blocker} is a file")
     return path
+
+
+def _blocking_file(directory):
+    """The nearest existing one of `directory` and its ancestors if it is
+    not a directory (`mkdir(parents=True)` fails on it), else None."""
+    d = Path(directory).absolute()
+    existing = next(p for p in (d, *d.parents) if p.exists())
+    return None if existing.is_dir() else existing
 
 
 def _emit(text, output):
@@ -438,8 +451,14 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.cache_dir and os.path.isfile(args.cache_dir):
-            raise DescriptorError(f"--cache-dir: {args.cache_dir} is a file")
+        name, root = "--cache-dir", args.cache_dir
+        if not root:
+            name = "$PRODEXP_CACHE_DIR"
+            root = os.environ.get("PRODEXP_CACHE_DIR")
+        blocker = root and _blocking_file(root)
+        if blocker:
+            where = root if os.path.isfile(root) else f"{root}: {blocker}"
+            raise DescriptorError(f"{name}: {where} is a file")
         return args.func(args)
     except DescriptorError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -25,6 +25,7 @@ flow loop and is frozen here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -300,7 +301,7 @@ class FlatHomotopy:
     def curvature_residual(self):
         """Max Goodman-Wallach-weight of the curvature over the
         CHECKER_NODES x CHECKER_NODES grid, nan if any node's is."""
-        grid = np.linspace(0.0, 1.0, CHECKER_NODES)
+        grid = np.linspace(0.0, 1.0, CHECKER_NODES).tolist()
         return float(np.max([
             seminorm(self.d1X2(x, y) - self.d2X1(x, y)
                      - bracket(self.X1(x, y), self.X2(x, y)),
@@ -310,9 +311,9 @@ class FlatHomotopy:
     def boundary_residual(self):
         """Max size of X_2 on the vertical boundary {0,1} x I, nan if
         any node's is."""
+        grid = np.linspace(0.0, 1.0, CHECKER_NODES).tolist()
         return float(np.max([seminorm(self.X2(x, y), 1)
-                             for y in np.linspace(0.0, 1.0, CHECKER_NODES)
-                             for x in (0.0, 1.0)]))
+                             for y in grid for x in (0.0, 1.0)]))
 
     def boundary_path(self, y):
         """x -> X_1(x, y) as a GeneratorPath on [0, 1] (a horizontal
@@ -323,7 +324,7 @@ class FlatHomotopy:
 def _gauss_2d(f, n):
     """Tensor n-point Gauss-Legendre rule over the unit square."""
     x, w = np.polynomial.legendre.leggauss(n)
-    x, w = (x + 1.0) / 2.0, w / 2.0
+    x, w = ((x + 1.0) / 2.0).tolist(), w / 2.0
     vals = np.array([[f(xi, yj) for yj in x] for xi in x])
     out = float(w @ vals @ w)
     if not np.isfinite(out):
@@ -410,51 +411,48 @@ def shrinking_loop_homotopy(k=2, alpha=0.16, beta=0.16):
     vanishes on {0, 1} x I.  For k = 1 the homotopy lives in the Moebius
     span and the phase is trivial; k >= 2 gives a nontrivial phase.
     """
-    def a(x):
-        return alpha * np.sin(np.pi * x) ** 2
+    def profile(x):
+        """a(x), a'(x), b(x), b'(x)."""
+        s, c = math.sin(math.pi * x), math.cos(math.pi * x)
+        s2 = math.sin(2 * math.pi * x)
+        return (alpha * s ** 2, alpha * math.pi * s2,
+                beta * s ** 2 * c, beta * math.pi * (s2 * c - s ** 3))
 
-    def da(x):
-        return alpha * np.pi * np.sin(2 * np.pi * x)
-
-    def b(x):
-        return beta * np.sin(np.pi * x) ** 2 * np.cos(np.pi * x)
-
-    def db(x):
-        return beta * np.pi * (np.sin(2 * np.pi * x) * np.cos(np.pi * x)
-                               - np.sin(np.pi * x) ** 3)
+    def hyperbolic(A):
+        """cosh(2kA), sinh(2kA), by numpy: math.cosh and math.sinh differ
+        from it in the last bit on about a quarter of the arguments."""
+        return float(np.cosh(2 * k * A)), float(np.sinh(2 * k * A))
 
     def frame(cu, cv, c0):
         """cu*u + cv*v + c0*e_0 as a Fourier vector field (whose
         constructor drops the zero coefficients)."""
-        return FourierVectorField({k: cu + 1j * cv, -k: cu - 1j * cv,
+        return FourierVectorField({k: complex(cu, cv), -k: complex(cu, -cv),
                                    0: complex(c0)})
 
     # d_x[exp(A u) exp(B v)] . (...)^{-1} = A_x u + B_x Ad_{exp(A u)} v
     # with Ad_{exp(A u)} v = cosh(2kA) v + 2 sinh(2kA) e_0, and the same
     # formula with d_y for X_2.
     def X1(x, y):
-        A = y * a(x)
-        return frame(y * da(x), y * db(x) * np.cosh(2 * k * A),
-                     2 * y * db(x) * np.sinh(2 * k * A))
+        a, da, _, db = profile(x)
+        ch, sh = hyperbolic(y * a)
+        return frame(y * da, y * db * ch, 2 * y * db * sh)
 
     def X2(x, y):
-        A = y * a(x)
-        return frame(a(x), b(x) * np.cosh(2 * k * A),
-                     2 * b(x) * np.sinh(2 * k * A))
+        a, _, b, _ = profile(x)
+        ch, sh = hyperbolic(y * a)
+        return frame(a, b * ch, 2 * b * sh)
 
     def d2X1(x, y):
-        A = y * a(x)
-        ch, sh = np.cosh(2 * k * A), np.sinh(2 * k * A)
-        return frame(da(x),
-                     db(x) * ch + 2 * k * a(x) * y * db(x) * sh,
-                     2 * db(x) * sh + 4 * k * a(x) * y * db(x) * ch)
+        a, da, _, db = profile(x)
+        ch, sh = hyperbolic(y * a)
+        return frame(da, db * ch + 2 * k * a * y * db * sh,
+                     2 * db * sh + 4 * k * a * y * db * ch)
 
     def d1X2(x, y):
-        A = y * a(x)
-        ch, sh = np.cosh(2 * k * A), np.sinh(2 * k * A)
-        return frame(da(x),
-                     db(x) * ch + 2 * k * y * da(x) * b(x) * sh,
-                     2 * db(x) * sh + 4 * k * y * da(x) * b(x) * ch)
+        a, da, b, db = profile(x)
+        ch, sh = hyperbolic(y * a)
+        return frame(da, db * ch + 2 * k * y * da * b * sh,
+                     2 * db * sh + 4 * k * y * da * b * ch)
 
     return FlatHomotopy(X1, X2, d2X1, d1X2)
 

@@ -100,8 +100,8 @@ DYSON_NODES = 129
 MAX_STEPS = 2 ** 20
 
 # Gauss-Legendre nodes 1/2 -+ sqrt(3)/6 and the Magnus commutator weight
-_GAUSS_OFFSET = np.sqrt(3.0) / 6.0
-_MAGNUS_COMMUTATOR = np.sqrt(3.0) / 12.0
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+_MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
 
 
 class Propagator:
@@ -195,7 +195,7 @@ def step_product(rep, path, n, V, rule="magnus4"):
         raise ValueError(f"unknown rule {rule!r}")
     bp = np.linspace(path.interval[0], path.interval[1], n + 1)
     U = np.asarray(V, dtype=complex)
-    for i, (t0, dt) in enumerate(zip(bp, np.diff(bp))):
+    for i, (t0, dt) in enumerate(zip(bp.tolist(), np.diff(bp).tolist())):
         if rule == "magnus4":
             mid, offset = t0 + dt / 2, _GAUSS_OFFSET * dt
             omega = rep.magnus_exponent(path(mid - offset), path(mid + offset),

@@ -285,6 +285,53 @@ def test_cache_dir_naming_a_file_is_refused(tmp_path, capsys):
         assert f"--cache-dir: {cache} is a file" in capsys.readouterr().err
 
 
+def test_cache_dir_variable_naming_a_file_is_refused(tmp_path, capsys,
+                                                     monkeypatch):
+    # the same refusal for $PRODEXP_CACHE_DIR, naming the variable; the
+    # flag, when given, is the one read and checked
+    cache = tmp_path / "cache"
+    cache.write_text("")
+    monkeypatch.setenv("PRODEXP_CACHE_DIR", str(cache))
+    monkeypatch.setattr(cli, "execute", lambda *a, **k: pytest.fail("ran"))
+    desc = write_descriptor(tmp_path, FAST_DESCRIPTOR)
+    spec = '{"kind": "virasoro", "c": "1/2", "h": "1/16", "N": 3}'
+    for argv in (["build-module", spec], ["run", desc]):
+        assert cli.main(argv) == 2
+        assert (f"$PRODEXP_CACHE_DIR: {cache} is a file"
+                in capsys.readouterr().err)
+    # a directory under the file is refused too, naming both
+    assert cli.main(["--cache-dir", str(cache / "sub"),
+                     "build-module", spec]) == 2
+    assert (f"--cache-dir: {cache / 'sub'}: {cache} is a file"
+            in capsys.readouterr().err)
+    assert cli.main(["--cache-dir", str(tmp_path / "fresh"),
+                     "build-module", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["cached"] is False
+
+
+def test_output_under_a_file_is_refused_before_the_run(tmp_path, capsys,
+                                                       monkeypatch):
+    # mkdir(parents=True) of the report's directory would fail after the
+    # whole run; the flag (or descriptor field), the path and the file in
+    # the way are named before any check runs
+    monkeypatch.setattr(cli, "execute", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: pytest.fail("ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    desc = write_descriptor(tmp_path, dict(FAST_DESCRIPTOR, checks=[]))
+    for out in (blocker / "out.json", blocker / "sub" / "out.json"):
+        for argv in (["run", desc, "--output", str(out)],
+                     ["sweep", desc, "--param", "module.N", "--values", "6",
+                      "--output", str(out)]):
+            assert cli.main(argv) == 2
+            assert (f"--output: {out}: {blocker} is a file"
+                    in capsys.readouterr().err)
+    out = blocker / "out.json"
+    desc = write_descriptor(tmp_path, dict(FAST_DESCRIPTOR, output=str(out)))
+    assert cli.main(["run", desc]) == 2
+    assert f"output: {out}: {blocker} is a file" in capsys.readouterr().err
+
+
 def test_interleaved_stores_of_one_spec_both_succeed(tmp_path, monkeypatch):
     # a second writer of the same spec that finishes while the first is
     # still dumping leaves the first writer its own temp file to replace

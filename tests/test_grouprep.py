@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -257,6 +258,85 @@ def test_shrinking_loop_is_flat():
         hom = shrinking_loop_homotopy(k=k)
         assert hom.curvature_residual() < 1e-12
         assert hom.boundary_residual() < 1e-14
+
+
+def numpy_loop_homotopy(k, alpha=0.16, beta=0.16):
+    """shrinking_loop_homotopy's closed forms as numpy evaluates them on
+    numpy scalars: the reference its math-module forms must equal bit
+    for bit."""
+    def a(x):
+        return alpha * np.sin(np.pi * x) ** 2
+
+    def da(x):
+        return alpha * np.pi * np.sin(2 * np.pi * x)
+
+    def b(x):
+        return beta * np.sin(np.pi * x) ** 2 * np.cos(np.pi * x)
+
+    def db(x):
+        return beta * np.pi * (np.sin(2 * np.pi * x) * np.cos(np.pi * x)
+                               - np.sin(np.pi * x) ** 3)
+
+    def frame(cu, cv, c0):
+        return FourierVectorField({k: cu + 1j * cv, -k: cu - 1j * cv,
+                                   0: complex(c0)})
+
+    def X1(x, y):
+        A = y * a(x)
+        return frame(y * da(x), y * db(x) * np.cosh(2 * k * A),
+                     2 * y * db(x) * np.sinh(2 * k * A))
+
+    def X2(x, y):
+        A = y * a(x)
+        return frame(a(x), b(x) * np.cosh(2 * k * A),
+                     2 * b(x) * np.sinh(2 * k * A))
+
+    def d2X1(x, y):
+        A = y * a(x)
+        ch, sh = np.cosh(2 * k * A), np.sinh(2 * k * A)
+        return frame(da(x),
+                     db(x) * ch + 2 * k * a(x) * y * db(x) * sh,
+                     2 * db(x) * sh + 4 * k * a(x) * y * db(x) * ch)
+
+    def d1X2(x, y):
+        A = y * a(x)
+        ch, sh = np.cosh(2 * k * A), np.sinh(2 * k * A)
+        return frame(da(x),
+                     db(x) * ch + 2 * k * y * da(x) * b(x) * sh,
+                     2 * db(x) * sh + 4 * k * y * da(x) * b(x) * ch)
+
+    return FlatHomotopy(X1, X2, d2X1, d1X2)
+
+
+def homotopy_node_grids():
+    """The nodes per axis holonomy_phase evaluates the homotopy on: the
+    5-, 10- and 20-point Gauss-Legendre rules and the checker grid."""
+    grids = [(np.polynomial.legendre.leggauss(n)[0] + 1.0) / 2.0
+             for n in (5, 10, 20)]
+    return grids + [np.linspace(0.0, 1.0, grouprep.CHECKER_NODES)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_shrinking_loop_matches_numpy_reference_bit_for_bit(k):
+    hom, ref = shrinking_loop_homotopy(k=k), numpy_loop_homotopy(k)
+    for grid in homotopy_node_grids():
+        for x, y in itertools.product(grid, repeat=2):
+            for name in ("X1", "X2", "d2X1", "d1X2"):
+                got = getattr(hom, name)(float(x), float(y)).coeffs
+                want = getattr(ref, name)(x, y).coeffs
+                assert got.keys() == want.keys(), (name, x, y)
+                assert all(got[n] == want[n] for n in got), (name, x, y)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_shrinking_loop_coefficients_are_python_complex(k):
+    # numpy scalars would tax every later sum, bracket and cocycle
+    hom = shrinking_loop_homotopy(k=k)
+    grid = np.linspace(0.0, 1.0, grouprep.CHECKER_NODES).tolist()
+    for x, y in itertools.product(grid, repeat=2):
+        for name in ("X1", "X2", "d2X1", "d1X2"):
+            coeffs = getattr(hom, name)(x, y).coeffs.values()
+            assert all(type(c) is complex for c in coeffs), (name, x, y)
 
 
 def test_holonomy_boundary_guard(vir8):

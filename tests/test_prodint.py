@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from conftest import (dense_at_vector_steps, dense_commutator,
                       reference_step_product, safe_vector, unitarity_defect)
-from prodexp import prodint
+from prodexp import checks, prodint
 from prodexp.grouprep import holonomy_phase, shrinking_loop_homotopy
 from prodexp.hwmod import GradedModule, affine_spec, build_module
 from prodexp.liealg import E, F, FourierVectorField, LoopAlgebraElement
@@ -43,6 +43,23 @@ def test_step_product_rules(vir8):
     seen, path = recording_path((0.0, 1.0))
     step_product(vir8, path, 4, V, "left")
     np.testing.assert_allclose(seen, [0.0, 0.25, 0.5, 0.75])
+
+
+@pytest.mark.parametrize("rule", prodint.RULES)
+def test_step_product_evaluates_its_path_at_floats(vir8, rule):
+    # plain floats, not numpy scalars, so that a path's closed forms and
+    # the step's h and w stay out of numpy's per-scalar arithmetic
+    seen, path = recording_path((0.0, 1.0))
+    step_product(vir8, path, 4, np.eye(vir8.dim, 1), rule)
+    assert len(seen) == (8 if rule == "magnus4" else 4)
+    assert all(type(t) is float for t in seen)
+
+
+def test_catalog_oscillator_has_complex_coefficients():
+    for t in (0.0, 0.3, 1.0):
+        X = checks._oscillator(0.3)(t)
+        assert set(X.coeffs) == {1, -1}
+        assert all(type(c) is complex for c in X.coeffs.values())
 
 
 @pytest.mark.parametrize("rule, amplitude", [
@@ -132,7 +149,7 @@ def test_refinement_within_bound(vir8):
 
 
 def test_max_refinement(vir8, monkeypatch):
-    from prodexp import prodint
+    from prodexp import checks, prodint
     monkeypatch.setattr(prodint, "MAX_STEPS", 64)
     with pytest.raises(MaxRefinementExceeded):
         product_integral(vir8, oscillating_path(), np.eye(vir8.dim),
@@ -211,7 +228,7 @@ def test_homogeneous_carries_the_start_level(vir8, monkeypatch):
     # the ode-residual row's problem: restarting every segment at 4
     # steps takes 1,536; starting each segment at the previous one's
     # converged level takes about a quarter of that
-    from prodexp import prodint
+    from prodexp import checks, prodint
     steps = []
     step = prodint.step_product
 
